@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -19,9 +20,10 @@ import sys
 
 from . import currents, fermi, verify
 from .currents import GaussianPacket, MomentumRule, ResolutionError
-from .params import (ConfigError, DimensionlessParams, parse_config_text,
-                     resolve_params, validate_regime)
-from .spectrum import energy_finite, energy_infinite
+from .params import (E_TIMES_C, HBARC_EV_NM, PARAM_KEYS, ConfigError,
+                     DimensionlessParams, parse_config_text, resolve_params,
+                     validate_regime)
+from .spectrum import energy_finite, energy_infinite, half_odd_run
 
 SCHEMA_VERSION = 1
 
@@ -30,10 +32,6 @@ EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_REGIME = 3
 EXIT_RESOLUTION = 4
-
-# e*c in C m/s and nm -> m, for --physical ampere output
-_E_C = 1.602176634e-19 * 2.99792458e8
-_HBARC_EV_NM = 197.3269804
 
 
 def _fmt(x) -> str:
@@ -53,17 +51,9 @@ class _Failure(Exception):
         super().__init__(msg)
 
 
-_PARAM_FLAGS = {
-    "mu": "mu", "nu": "nu", "beta": "beta", "alpha": "alpha",
-    "mass_eV": "mass_eV", "radius_nm": "radius_nm",
-    "length_nm": "length_nm", "b_field_T": "b_field_T",
-    "fermi_eV": "fermi_eV",
-}
-
-
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("parameters (dimensionless or physical)")
-    for flag in _PARAM_FLAGS:
+    for flag in PARAM_KEYS:
         g.add_argument(f"--{flag.replace('_', '-')}", dest=f"par_{flag}",
                        type=float, default=None)
 
@@ -76,7 +66,7 @@ def _gather_params(args) -> DimensionlessParams:
                 values.update(parse_config_text(fh.read()))
         except OSError as exc:
             raise _Failure(EXIT_CONFIG, f"cannot read config: {exc}")
-    for key in _PARAM_FLAGS:
+    for key in PARAM_KEYS:
         v = getattr(args, f"par_{key}", None)
         if v is not None:
             values[key] = v
@@ -110,12 +100,8 @@ def _emit(args, header: list[str], rows: list[list], json_payload=None) -> None:
 
 
 def _half_odd_range(lmax: float):
-    out = []
-    lam = 0.5
-    while lam <= lmax + 1e-12:
-        out.extend([lam, -lam])
-        lam += 1.0
-    return sorted(out)
+    run = list(half_odd_run(0.5, lmax + 1e-12))
+    return sorted(run + [-lam for lam in run])
 
 
 def cmd_spectrum(args) -> int:
@@ -124,8 +110,8 @@ def cmd_spectrum(args) -> int:
     current_scale = 1.0
     if args.physical:
         energy_scale = 1.0 / d.radius_natural            # -> eV
-        radius_m = d.radius_natural * _HBARC_EV_NM * 1e-9
-        current_scale = _E_C / radius_m                  # -> A
+        radius_m = d.radius_natural * HBARC_EV_NM * 1e-9
+        current_scale = E_TIMES_C / radius_m             # -> A
     rows = []
     if args.geometry == "finite":
         if d.nu <= 0.0:
@@ -156,17 +142,9 @@ def cmd_spectrum(args) -> int:
 
 
 def _report_dict(rep: fermi.PersistentReport) -> dict:
-    return {
-        "method": rep.method,
-        "value": rep.value,
-        "N_e": rep.N_e,
-        "n_F": rep.n_F,
-        "lambda_F": rep.lambda_F,
-        "c": rep.c,
-        "sum_lambda_n": rep.sum_lambda_n,
-        "flags": sorted(rep.flags),
-        "notes": list(rep.notes),
-    }
+    out = dataclasses.asdict(rep)
+    out.update(flags=sorted(rep.flags), notes=list(rep.notes))
+    return out
 
 
 def cmd_persistent(args) -> int:
@@ -236,11 +214,22 @@ def cmd_packet(args) -> int:
 
 _SWEEP_PARAMS = ("beta", "mu", "nu", "alpha", "lambda", "n")
 
+# observable -> value at (n, lambda, d); all live on the finite cylinder
+_SWEEP_OBSERVABLES = {
+    "chi": currents.chi,
+    "energy": energy_finite,
+    "persistent_exact": lambda n, lam, d: fermi.persistent_exact(d).value,
+    "persistent_linearized":
+        lambda n, lam, d: fermi.persistent_linearized(d).value,
+}
+
 
 def cmd_sweep(args) -> int:
     base = _gather_params(args)
     if args.param not in _SWEEP_PARAMS:
         raise _Failure(EXIT_CONFIG, f"unknown sweep parameter {args.param!r}")
+    if args.observable not in _SWEEP_OBSERVABLES:
+        raise _Failure(EXIT_CONFIG, f"unknown observable {args.observable!r}")
     if args.param == "lambda":
         lam = math.floor(args.start - 0.5) + 0.5
         if lam < args.start:
@@ -277,19 +266,12 @@ def cmd_sweep(args) -> int:
     rows = []
     for x in points:
         d = at(x)
+        if d.nu <= 0.0:
+            raise _Failure(EXIT_REGIME, f"sweep of {args.observable} needs "
+                           "nu > 0 (or length_nm)")
         lam = x if args.param == "lambda" else args.lam
         n = x if args.param == "n" else args.n
-        if args.observable == "chi":
-            y = currents.chi(n, lam, d)
-        elif args.observable == "energy":
-            y = energy_finite(n, lam, d)
-        elif args.observable == "persistent_exact":
-            y = fermi.persistent_exact(d).value
-        elif args.observable == "persistent_linearized":
-            y = fermi.persistent_linearized(d).value
-        else:
-            raise _Failure(EXIT_CONFIG, f"unknown observable {args.observable!r}")
-        rows.append([x, y])
+        rows.append([x, _SWEEP_OBSERVABLES[args.observable](n, lam, d)])
     _emit(args, [args.param, args.observable], rows)
     return EXIT_OK
 

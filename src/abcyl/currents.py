@@ -22,7 +22,7 @@ import numpy as np
 
 from .params import DimensionlessParams
 from .spectrum import ModeSpec, energy_infinite, energy_finite
-from .spinors import QuadratureRule, mode_components
+from .spinors import QuadratureRule, leggauss, mode_components
 
 __all__ = [
     "MixedState",
@@ -169,7 +169,7 @@ def packet_grid(p: PacketSpec, rule: MomentumRule | None = None):
     """Momentum nodes, weights and normalized amplitudes (k, w, a+, a-)."""
     rule = rule or MomentumRule()
     if isinstance(p, GaussianPacket):
-        x, w = np.polynomial.legendre.leggauss(rule.order)
+        x, w = leggauss(rule.order)
         half = rule.window_sigmas * p.width
         k = p.k0 + half * x
         wk = half * w

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from scipy.integrate import quad
-
 from .currents import chi
 from .params import DimensionlessParams, validate_regime
 from .spectrum import FermiSea, enumerate_fermi_sea, largest_half_odd
@@ -63,8 +61,17 @@ class PersistentReport:
             raise ValueError("negative electron count")
 
 
-def _regime_flags(d: DimensionlessParams) -> frozenset[str]:
-    return validate_regime(d).flags
+def _sea_report(method: str, d: DimensionlessParams, sea: FermiSea,
+                value: float, **fields) -> PersistentReport:
+    """A sea method's report; an empty sea reports 0 and "empty-sea"."""
+    flags = validate_regime(d).flags
+    if sea.empty:
+        return PersistentReport(method=method, value=0.0, N_e=0,
+                                flags=flags | {"empty-sea"})
+    return PersistentReport(
+        method=method, value=value, N_e=sea.N_e, n_F=sea.n_F,
+        lambda_F=sea.lambda_F, sum_lambda_n=sea.sum_lambda_n(), flags=flags,
+        **fields)
 
 
 def persistent_exact(d: DimensionlessParams,
@@ -75,15 +82,8 @@ def persistent_exact(d: DimensionlessParams,
     the actual beta and chi is summed over both lambda signs.
     """
     sea = sea or enumerate_fermi_sea(d, "exact")
-    flags = _regime_flags(d)
-    if sea.empty:
-        return PersistentReport(method="exact", value=0.0, N_e=0,
-                                flags=flags | {"empty-sea"})
-    total = math.fsum(chi(n, lam, d) for n, lam in sea.occupied)
-    return PersistentReport(
-        method="exact", value=total / (2.0 * math.pi), N_e=sea.N_e,
-        n_F=sea.n_F, lambda_F=sea.lambda_F,
-        sum_lambda_n=sea.sum_lambda_n(), flags=flags)
+    total = math.fsum(chi(n, lam, d) for n, lam in sea.states())
+    return _sea_report("exact", d, sea, total / (2.0 * math.pi))
 
 
 def j_coeff(n: int, lam: float, d: DimensionlessParams) -> float:
@@ -99,21 +99,15 @@ def c_coefficient_exact(d: DimensionlessParams,
     """c(mu, nu) = sum of j(n, lambda) over the occupied lambda > 0 states
     of the beta-free (quadratic) sea."""
     sea = sea or enumerate_fermi_sea(d, "quadratic")
-    return math.fsum(j_coeff(n, lam, d) for n, lam in sea.occupied if lam > 0)
+    return math.fsum(j_coeff(n, lam, d) for n, lam in sea.states() if lam > 0)
 
 
-def persistent_linearized(d: DimensionlessParams) -> PersistentReport:
+def persistent_linearized(d: DimensionlessParams,
+                          sea: FermiSea | None = None) -> PersistentReport:
     """First order in beta: R*I = beta c(mu, nu) / pi."""
-    sea = enumerate_fermi_sea(d, "quadratic")
-    flags = _regime_flags(d)
-    if sea.empty:
-        return PersistentReport(method="linearized", value=0.0, N_e=0,
-                                flags=flags | {"empty-sea"})
+    sea = sea or enumerate_fermi_sea(d, "quadratic")
     c = c_coefficient_exact(d, sea)
-    return PersistentReport(
-        method="linearized", value=d.beta * c / math.pi, N_e=sea.N_e,
-        n_F=sea.n_F, lambda_F=sea.lambda_F, c=c,
-        sum_lambda_n=sea.sum_lambda_n(), flags=flags)
+    return _sea_report("linearized", d, sea, d.beta * c / math.pi, c=c)
 
 
 def c_compact(d: DimensionlessParams, sea: FermiSea | None = None) -> float:
@@ -122,25 +116,23 @@ def c_compact(d: DimensionlessParams, sea: FermiSea | None = None) -> float:
     return sea.sum_lambda_n() / math.sqrt(d.mu**2 + d.alpha**2)
 
 
-def persistent_compact(d: DimensionlessParams) -> PersistentReport:
-    sea = enumerate_fermi_sea(d, "quadratic")
-    flags = _regime_flags(d)
-    if sea.empty:
-        return PersistentReport(method="compact", value=0.0, N_e=0,
-                                flags=flags | {"empty-sea"})
+def persistent_compact(d: DimensionlessParams,
+                       sea: FermiSea | None = None) -> PersistentReport:
+    sea = sea or enumerate_fermi_sea(d, "quadratic")
     c = c_compact(d, sea)
-    return PersistentReport(
-        method="compact", value=d.beta * c / math.pi, N_e=sea.N_e,
-        n_F=sea.n_F, lambda_F=sea.lambda_F, c=c,
-        sum_lambda_n=sea.sum_lambda_n(), flags=flags)
+    return _sea_report("compact", d, sea, d.beta * c / math.pi, c=c)
 
 
 class IntegralSumEstimate(NamedTuple):
-    """Sum-to-integral estimate of sum(lambda_n): the numerically
-    integrated value and the printed closed form, kept separate because
-    the two disagree (the closed form does not match the large-n_F
-    behavior of its own integral; only the quadrature value is ever
-    asserted against)."""
+    """Sum-to-integral estimate of sum(lambda_n) next to the printed
+    closed form, kept separate because the two disagree (only quadrature
+    is ever asserted against).
+
+    quadrature is int_0^{n_F} sqrt(nu^2 (n_F^2 - x^2) + 1/4) dx, now in
+    closed form: n_F/4 + (c/2 nu) asin(nu n_F/sqrt(c)), c = nu^2 n_F^2 + 1/4.
+    closed_form, the printed n_F (1 + pi n_F/nu)/4, tends to 1/nu^2 times
+    that integral at large n_F.
+    """
 
     quadrature: float
     closed_form: float
@@ -153,8 +145,8 @@ def sum_lambda_n(d: DimensionlessParams, method: str = "exact"):
     "exact" sums the half-odd-integer lambda_n of the enumerated
     (beta-free) sea.  "integral" uses the continuous n_F from the
     Fermi-surface identities and returns IntegralSumEstimate with the
-    quadrature of int_0^{n_F} sqrt(nu^2 (n_F^2 - x^2) + 1/4) dx next to
-    the printed closed form n_F (1 + pi n_F / nu) / 4.
+    integral int_0^{n_F} sqrt(nu^2 (n_F^2 - x^2) + 1/4) dx next to the
+    printed closed form n_F (1 + pi n_F / nu) / 4.
     """
     if method == "exact":
         return enumerate_fermi_sea(d, "quadratic").sum_lambda_n()
@@ -163,8 +155,8 @@ def sum_lambda_n(d: DimensionlessParams, method: str = "exact"):
     if d.alpha**2 <= 0.25:
         return IntegralSumEstimate(0.0, 0.0, 0.0)
     n_F = math.sqrt(d.alpha**2 - 0.25) / d.nu
-    val, _err = quad(lambda x: math.sqrt(d.nu**2 * (n_F**2 - x**2) + 0.25),
-                     0.0, n_F, limit=200)
+    c = d.nu**2 * n_F**2 + 0.25
+    val = 0.25 * n_F + c / (2.0 * d.nu) * math.asin(d.nu * n_F / math.sqrt(c))
     closed = 0.25 * n_F * (1.0 + math.pi * n_F / d.nu)
     return IntegralSumEstimate(val, closed, n_F)
 
@@ -178,7 +170,7 @@ def persistent_short(d: DimensionlessParams) -> PersistentReport:
     lambda_F, which is what the returned report then carries (with a
     note), rather than an unusable formula.
     """
-    flags = _regime_flags(d)
+    flags = validate_regime(d).flags
     notes: list[str] = []
     if d.nu > d.alpha:
         # ring substitution
@@ -206,33 +198,31 @@ def persistent_short(d: DimensionlessParams) -> PersistentReport:
         notes=tuple(notes) + (f"continuous lambda_F = {lam_F_cont!r}",))
 
 
-def persistent_nonrel(d: DimensionlessParams) -> PersistentReport:
+def persistent_nonrel(d: DimensionlessParams,
+                      sea: FermiSea | None = None) -> PersistentReport:
     """Non-relativistic limit, both printed variants.
 
     value carries (beta/pi) N_e/(2 mu); the lambda_F variant
     (beta/pi) lambda_F/mu is reported in the notes.  lambda_F and N_e
     come from the exact enumeration.
     """
-    sea = enumerate_fermi_sea(d, "quadratic")
-    flags = _regime_flags(d)
+    sea = sea or enumerate_fermi_sea(d, "quadratic")
     if sea.empty:
-        return PersistentReport(method="nonrel", value=0.0, N_e=0,
-                                flags=flags | {"empty-sea"})
+        return _sea_report("nonrel", d, sea, 0.0)
     v_ne = (d.beta / math.pi) * sea.N_e / (2.0 * d.mu)
     v_lf = (d.beta / math.pi) * sea.lambda_F / d.mu
-    return PersistentReport(
-        method="nonrel", value=v_ne, N_e=sea.N_e, n_F=sea.n_F,
-        lambda_F=sea.lambda_F, sum_lambda_n=sea.sum_lambda_n(), flags=flags,
-        notes=(f"lambda_F variant: {v_lf!r}",))
+    return _sea_report("nonrel", d, sea, v_ne,
+                       notes=(f"lambda_F variant: {v_lf!r}",))
 
 
 def persistent_all(d: DimensionlessParams) -> dict[str, PersistentReport]:
-    """All applicable methods, keyed by method tag."""
-    out = {
+    """All applicable methods, keyed by method tag; the three methods on
+    the beta-free sea share one enumeration of it."""
+    quadratic = enumerate_fermi_sea(d, "quadratic")
+    return {
         "exact": persistent_exact(d),
-        "linearized": persistent_linearized(d),
-        "compact": persistent_compact(d),
+        "linearized": persistent_linearized(d, quadratic),
+        "compact": persistent_compact(d, quadratic),
         "short": persistent_short(d),
-        "nonrel": persistent_nonrel(d),
+        "nonrel": persistent_nonrel(d, quadratic),
     }
-    return out

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 __all__ = [
     "HBARC_EV_NM",
     "E_OVER_2HBAR_PER_NM2_T",
+    "E_TIMES_C",
+    "PARAM_KEYS",
     "PhysicalParams",
     "DimensionlessParams",
     "RegimeThresholds",
@@ -30,9 +32,11 @@ __all__ = [
 ]
 
 # CODATA 2018.  hbar*c in eV nm; e/(2 hbar) in 1/(nm^2 T), computed from
-# e = 1.602176634e-19 C and hbar = 1.054571817e-34 J s.
+# e = 1.602176634e-19 C and hbar = 1.054571817e-34 J s; e*c in C m/s
+# turns R*I into amperes.
 HBARC_EV_NM = 197.3269804
 _E_CHARGE_C = 1.602176634e-19
+E_TIMES_C = _E_CHARGE_C * 2.99792458e8
 _HBAR_J_S = 1.054571817e-34
 E_OVER_2HBAR_PER_NM2_T = _E_CHARGE_C / (2.0 * _HBAR_J_S) * 1e-18
 
@@ -99,14 +103,11 @@ class DimensionlessParams:
 
 def to_dimensionless(p: PhysicalParams) -> DimensionlessParams:
     """Form mu, nu, beta, alpha from lab-unit device parameters."""
-    mu = p.mass_eV * p.radius_nm / HBARC_EV_NM
-    nu = 0.0 if p.length_nm is None else math.pi * p.radius_nm / p.length_nm
-    beta = p.b_field_T * p.radius_nm**2 * E_OVER_2HBAR_PER_NM2_T
-    alpha = p.radius_nm * math.sqrt(p.fermi_eV * (p.fermi_eV + 2.0 * p.mass_eV)) / HBARC_EV_NM
-    return DimensionlessParams(
-        mu=mu, nu=nu, beta=beta, alpha=alpha,
-        radius_natural=p.radius_nm / HBARC_EV_NM,
-    )
+    values = {"mass_eV": p.mass_eV, "radius_nm": p.radius_nm,
+              "fermi_eV": p.fermi_eV, "b_field_T": p.b_field_T}
+    if p.length_nm is not None:
+        values["length_nm"] = p.length_nm
+    return resolve_params(values)
 
 
 @dataclass(frozen=True)
@@ -151,6 +152,7 @@ def validate_regime(d: DimensionlessParams,
 
 _PHYSICAL_KEYS = ("mass_eV", "radius_nm", "length_nm", "b_field_T", "fermi_eV")
 _DIMLESS_KEYS = ("mu", "nu", "beta", "alpha")
+PARAM_KEYS = _DIMLESS_KEYS + _PHYSICAL_KEYS
 
 # each dimensionless quantity conflicts with the physical key that drives it
 _CONFLICTS = {
@@ -176,7 +178,7 @@ def parse_config_text(text: str) -> dict[str, float]:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _PHYSICAL_KEYS and key not in _DIMLESS_KEYS:
+        if key not in PARAM_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
             out[key] = float(value.strip())
@@ -192,7 +194,7 @@ def resolve_params(values: dict[str, float]) -> DimensionlessParams:
     dimensionless key and the physical key that determines it is an
     error.  Physical keys require radius_nm and mass_eV to convert.
     """
-    unknown = set(values) - set(_PHYSICAL_KEYS) - set(_DIMLESS_KEYS)
+    unknown = set(values) - set(PARAM_KEYS)
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
     for dkey, pkey in _CONFLICTS.items():

@@ -11,7 +11,7 @@ Divide by DimensionlessParams.radius_natural to recover a physical energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .params import DimensionlessParams
 
@@ -24,6 +24,7 @@ __all__ = [
     "denergy_dbeta",
     "largest_half_odd",
     "lambda_n_continuous",
+    "half_odd_run",
     "enumerate_fermi_sea",
 ]
 
@@ -109,33 +110,70 @@ def lambda_n_continuous(n: int, d: DimensionlessParams) -> float:
 
 @dataclass(frozen=True)
 class FermiSea:
-    """Occupied (n, lambda) states at T=0 with summary numbers."""
+    """Occupied states at T=0: columns holds (n, lambda_lo, lambda_hi)
+    for every nonempty column in ascending n, and column n occupies each
+    half-odd-integer lambda from lambda_lo to lambda_hi."""
 
-    occupied: tuple[tuple[int, float], ...]
-    n_F: int                      # 0 for the empty sea
-    lambda_n: dict[int, float] = field(default_factory=dict)
-    lambda_F: float | None = None
-    N_e: int = 0
+    columns: tuple[tuple[int, float, float], ...]
     criterion: str = "exact"
     ring_like: bool = False
 
     @property
     def empty(self) -> bool:
-        return self.N_e == 0
+        return not self.columns
+
+    @property
+    def N_e(self) -> int:
+        return sum(int(hi - lo) + 1 for _, lo, hi in self.columns)
+
+    @property
+    def n_F(self) -> int:
+        """Highest occupied column; 0 for the empty sea."""
+        return self.columns[-1][0] if self.columns else 0
+
+    @property
+    def lambda_n(self) -> dict[int, float]:
+        """Largest occupied |lambda| in each nonempty column."""
+        return {n: max(abs(lo), abs(hi)) for n, lo, hi in self.columns}
+
+    @property
+    def lambda_F(self) -> float | None:
+        return self.lambda_n.get(1)
+
+    def states(self):
+        """Yield every occupied (n, lambda), ascending n then lambda."""
+        for n, lo, hi in self.columns:
+            for lam in half_odd_run(lo, hi):
+                yield n, lam
+
+    @property
+    def occupied(self) -> tuple[tuple[int, float], ...]:
+        return tuple(self.states())
 
     def sum_lambda_n(self) -> float:
         return math.fsum(self.lambda_n.values())
 
 
+def half_odd_run(lo: float, hi: float):
+    """Yield lo, lo+1, ..., hi (half-odd-integer bounds)."""
+    lam = lo
+    while lam <= hi:
+        yield lam
+        lam += 1.0
+
+
 def enumerate_fermi_sea(d: DimensionlessParams,
                         criterion: str = "exact") -> FermiSea:
-    """Enumerate every occupied (n, lambda) pair at T=0.
+    """The occupied (n, lambda) states at T=0, as per-column lambda runs.
 
     criterion "exact" occupies states with nu^2 n^2 + (lambda+beta)^2
     <= alpha^2 (equivalent to E <= E_F + M with the actual beta);
     "quadratic" drops beta: nu^2 n^2 + lambda^2 <= alpha^2.  Boundary
-    ties count as occupied.  Scan order is ascending n then ascending
-    lambda, so the output is deterministic.
+    ties count as occupied.
+
+    Column n occupies one run, |lambda+beta| <= sqrt(alpha^2 - nu^2 n^2);
+    its ends are settled by the occupation test itself, so ties and sqrt
+    rounding decide as a test of every state would.  Cost is O(n_F).
     """
     if criterion not in ("exact", "quadratic"):
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -144,42 +182,23 @@ def enumerate_fermi_sea(d: DimensionlessParams,
 
     a2 = d.alpha**2
     beta = d.beta if criterion == "exact" else 0.0
-    ring_like = d.nu > d.alpha
+    columns: list[tuple[int, float, float]] = []
 
-    occupied: list[tuple[int, float]] = []
-    lambda_n: dict[int, float] = {}
-    n_max = math.ceil(d.alpha / d.nu) + 1
-    lam_max = d.alpha + abs(d.beta) + 1.0
-
-    for n in range(1, n_max + 1):
+    for n in range(1, math.ceil(d.alpha / d.nu) + 2):
         rem = a2 - (d.nu * n) ** 2
         if rem < 0.0:
             break
-        col: list[float] = []
-        lam = 0.5
-        while lam <= lam_max:
-            if (lam + beta) ** 2 <= rem:
-                col.append(lam)
-            if (-lam + beta) ** 2 <= rem:
-                col.append(-lam)
-            lam += 1.0
-        if not col:
-            continue
-        col.sort()
-        occupied.extend((n, lam) for lam in col)
-        lambda_n[n] = max(abs(lam) for lam in col)
+        # one step outside the ends sqrt(rem) gives, then inward to the
+        # first lambda the occupation test itself accepts
+        r = math.sqrt(rem)
+        lo = math.ceil(-r - beta - 0.5) - 0.5
+        hi = math.floor(r - beta - 0.5) + 1.5
+        while lo <= hi and (lo + beta) ** 2 > rem:
+            lo += 1.0
+        while lo <= hi and (hi + beta) ** 2 > rem:
+            hi -= 1.0
+        if lo <= hi:
+            columns.append((n, lo, hi))
 
-    if not occupied:
-        return FermiSea(occupied=(), n_F=0, criterion=criterion,
-                        ring_like=ring_like)
-
-    n_F = max(lambda_n)
-    return FermiSea(
-        occupied=tuple(occupied),
-        n_F=n_F,
-        lambda_n=lambda_n,
-        lambda_F=lambda_n.get(1),
-        N_e=len(occupied),
-        criterion=criterion,
-        ring_like=ring_like,
-    )
+    return FermiSea(columns=tuple(columns), criterion=criterion,
+                    ring_like=d.nu > d.alpha)

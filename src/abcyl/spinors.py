@@ -18,6 +18,7 @@ is quadrature/roundoff.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -97,6 +98,11 @@ STANDARD_GAMMAS = GammaSet(
 )
 
 
+# numpy's leggauss solves an order x order eigenproblem; solve each order
+# once per process.  The cached arrays are shared: never write to them.
+leggauss = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Gauss-Legendre nodes in z, uniform periodic nodes in phi."""
@@ -120,7 +126,7 @@ class QuadratureRule:
                phi_points: int = 256) -> "QuadratureRule":
         if not zmax > zmin:
             raise ValueError("empty z window")
-        x, w = np.polynomial.legendre.leggauss(z_order)
+        x, w = leggauss(z_order)
         half = 0.5 * (zmax - zmin)
         return cls(
             z_nodes=zmin + half * (x + 1.0),

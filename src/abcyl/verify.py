@@ -22,7 +22,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import currents, fermi, spinors
+from . import currents, fermi, spectrum, spinors
 from .params import DimensionlessParams
 from .spectrum import ModeSpec, energy_finite, enumerate_fermi_sea, mode_energy
 from .spinors import QuadratureRule, STANDARD_GAMMAS
@@ -218,9 +218,9 @@ def suite_appendix_b(seed: int = 0, fault: str | None = None) -> SuiteResult:
     # B1-style inner sum at n=1
     d = DimensionlessParams(mu=250.0, nu=1.0, alpha=50.0)
     sea = enumerate_fermi_sea(d, "quadratic")
-    inner = math.fsum(fermi.j_coeff(1, lam, d)
-                      for nn, lam in sea.occupied if nn == 1 and lam > 0)
-    approx = sea.lambda_n[1] / math.sqrt(d.mu**2 + d.alpha**2)
+    inner = math.fsum(fermi.j_coeff(1, lam, d)   # column n = 1, lambda > 0
+                      for lam in spectrum.half_odd_run(0.5, sea.lambda_F))
+    approx = sea.lambda_F / math.sqrt(d.mu**2 + d.alpha**2)
     worst = abs(inner - approx) / inner / 0.01
     # B2 sum-to-integral with a genuinely dense sea (n_F > 100, lambda_F >> 1)
     d2 = DimensionlessParams(mu=250.0, nu=1.0, alpha=150.0)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from abcyl.cli import main
+from abcyl.cli import _half_odd_range, main
 
 
 def run(capsys, *argv):
@@ -174,6 +174,36 @@ def test_sweep_validation(capsys):
                "beta", "--start", "0", "--stop", "1", "--steps", "1")[0] == 2
 
 
+@pytest.mark.parametrize("observable", ["persistent_exact",
+                                        "persistent_linearized", "chi",
+                                        "energy"])
+def test_sweep_at_nu_zero_is_regime_error(capsys, observable):
+    # every sweep observable lives on the finite cylinder
+    code, out, err = run(capsys, "sweep", "--mu", "1", "--nu", "0",
+                         "--alpha", "3", "--param", "beta", "--start", "0",
+                         "--stop", "0.1", "--steps", "3",
+                         "--observable", observable)
+    assert code == 3 and out == "" and "nu > 0" in err
+    # nu reaching 0 inside a sweep is the same regime error
+    code, out, _ = run(capsys, "sweep", "--mu", "1", "--alpha", "3",
+                       "--param", "nu", "--start", "0", "--stop", "1",
+                       "--steps", "3", "--observable", observable)
+    assert code == 3 and out == ""
+    # a negative nu stays a configuration error
+    code, _, _ = run(capsys, "sweep", "--mu", "1", "--nu=-1", "--param",
+                     "beta", "--start", "0", "--stop", "0.1",
+                     "--observable", observable)
+    assert code == 2
+
+
+def test_sweep_unknown_observable_exit_2(capsys):
+    for nu in ("0", "1"):
+        code, out, err = run(capsys, "sweep", "--mu", "1", "--nu", nu,
+                             "--param", "beta", "--start", "0", "--stop",
+                             "0.1", "--observable", "bogus")
+        assert code == 2 and out == "" and "bogus" in err
+
+
 def test_verify_passes_and_reports_schema(capsys):
     code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == 0
@@ -216,3 +246,13 @@ def test_physical_units(capsys):
                     "--nmax", "1", "--lmax", "0.5", "--physical")
     row = out.strip().splitlines()[1].split(",")
     assert float(row[2]) == pytest.approx(1.5, rel=1e-9)
+
+
+@pytest.mark.parametrize("lmax", [-1.0, 0.0, 0.5, 0.5 - 1e-13, 0.5 - 1e-11,
+                                  1.0, 3.5, 3.5 + 1e-12, 10.25, 40.5])
+def test_half_odd_range_matches_counting_loop(lmax):
+    out, lam = [], 0.5
+    while lam <= lmax + 1e-12:
+        out.extend([lam, -lam])
+        lam += 1.0
+    assert _half_odd_range(lmax) == sorted(out)

@@ -17,6 +17,7 @@ from abcyl.currents import (GaussianPacket, MixedState, MomentumRule,
                             packet_polarization, packet_total_flux,
                             packet_velocity_expectation)
 from abcyl.params import DimensionlessParams
+from abcyl.spinors import leggauss
 
 D = DimensionlessParams(mu=1.0, nu=1.0, beta=0.3)
 
@@ -65,6 +66,21 @@ def test_packet_grid_normalizes():
     k, wk, ap, am = packet_grid(p)
     assert np.sum(wk * (np.abs(ap) ** 2 + np.abs(am) ** 2)) \
         == pytest.approx(1.0, abs=1e-12)
+
+
+def test_packet_grid_solves_each_order_once():
+    # leggauss(order) is an order x order eigenproblem; a packet request
+    # calls packet_grid about eight times and must solve it only once
+    order = 137
+    before = leggauss.cache_info().misses
+    k1, wk1, _, _ = packet_grid(GaussianPacket(lam=0.5, k0=1.0, width=0.5),
+                                MomentumRule(order=order))
+    k2, wk2, _, _ = packet_grid(GaussianPacket(lam=1.5, k0=0.2, width=0.7),
+                                MomentumRule(order=order))
+    assert leggauss.cache_info().misses == before + 1
+    x, w = np.polynomial.legendre.leggauss(order)
+    assert np.array_equal(k1, 1.0 + 8.0 * 0.5 * x)
+    assert np.array_equal(wk2, 8.0 * 0.7 * w)
 
 
 def test_packet_rejects_unnormalized():

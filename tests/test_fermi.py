@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +91,29 @@ def test_sum_lambda_n_exact_vs_integral():
     assert est.closed_form > 0.0
     with pytest.raises(ValueError):
         sum_lambda_n(d, "bogus")
+
+
+@pytest.mark.parametrize("alpha, nu", [(300.0, 0.3), (2000.0, 2.0)])
+def test_printed_closed_form_is_off_by_one_over_nu_squared(alpha, nu):
+    # at n_F ~ 1000 the printed n_F (1 + pi n_F / nu) / 4 is 1/nu^2 times
+    # the integral it stands for (leading terms pi n_F^2/(4 nu) against
+    # pi nu n_F^2 / 4)
+    est = sum_lambda_n(DimensionlessParams(mu=1.0, nu=nu, alpha=alpha),
+                       "integral")
+    assert est.n_F_continuous == pytest.approx(1000.0, rel=1e-5)
+    assert est.closed_form / est.quadrature == pytest.approx(1.0 / nu**2,
+                                                             rel=1e-3)
+
+
+def test_import_leaves_scipy_out():
+    import abcyl
+    src = os.path.dirname(os.path.dirname(abcyl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, abcyl; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_short_cylinder_formula():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abcyl.params import (E_OVER_2HBAR_PER_NM2_T, HBARC_EV_NM, ConfigError,
-                          DimensionlessParams, PhysicalParams,
+from abcyl.params import (E_OVER_2HBAR_PER_NM2_T, E_TIMES_C, HBARC_EV_NM,
+                          ConfigError, DimensionlessParams, PhysicalParams,
                           RegimeThresholds, parse_config_text, resolve_params,
                           to_dimensionless, validate_regime)
 
@@ -15,6 +15,11 @@ def test_constants():
     # e/(2 hbar) in 1/(nm^2 T)
     assert E_OVER_2HBAR_PER_NM2_T == pytest.approx(
         1.602176634e-19 / (2 * 1.054571817e-34) * 1e-18)
+
+
+def test_e_times_c():
+    # e in C times c in m/s, the factor from R*I to amperes
+    assert E_TIMES_C == 1.602176634e-19 * 2.99792458e8
 
 
 def test_physical_validation():
@@ -125,6 +130,24 @@ def test_nonrel_alpha_limit(mass, radius, fermi):
     d = to_dimensionless(p)
     approx = radius * math.sqrt(2 * mass * 1e3 * fermi * 1e-3) / HBARC_EV_NM
     assert d.alpha == pytest.approx(approx, rel=1e-3, abs=1e-12)
+
+
+@given(mass=st.floats(1e-3, 1e7), radius=st.floats(1e-2, 1e4),
+       fermi=st.floats(0.0, 1e3), b_field=st.floats(-50.0, 50.0),
+       length=st.one_of(st.none(), st.floats(0.1, 1e5)))
+@settings(max_examples=100, deadline=None)
+def test_to_dimensionless_is_the_module_formulas(mass, radius, fermi,
+                                                 b_field, length):
+    # bit for bit the formulas of the module docstring, in lab units
+    d = to_dimensionless(PhysicalParams(mass_eV=mass, radius_nm=radius,
+                                        fermi_eV=fermi, length_nm=length,
+                                        b_field_T=b_field))
+    assert d.mu == mass * radius / HBARC_EV_NM
+    assert d.nu == (0.0 if length is None else math.pi * radius / length)
+    assert d.beta == b_field * radius**2 * E_OVER_2HBAR_PER_NM2_T
+    assert d.alpha == radius * math.sqrt(fermi * (fermi + 2.0 * mass)) \
+        / HBARC_EV_NM
+    assert d.radius_natural == radius / HBARC_EV_NM
 
 
 @given(nu=st.floats(0.01, 50.0), alpha=st.floats(0.0, 50.0))

@@ -166,6 +166,104 @@ def test_fermi_sea_symmetric_without_beta(mu, nu, alpha):
 
 
 def test_fermi_sea_is_frozen():
-    sea = FermiSea(occupied=(), n_F=0)
+    sea = FermiSea(columns=())
     with pytest.raises(AttributeError):
         sea.n_F = 1
+
+
+def scan_fermi_sea(d, criterion):
+    """Reference enumeration: test every half-odd lambda of every column.
+
+    This is the per-state scan enumerate_fermi_sea replaced; returns
+    (occupied, lambda_n) in ascending n then lambda.
+    """
+    a2 = d.alpha**2
+    beta = d.beta if criterion == "exact" else 0.0
+    occupied = []
+    lambda_n = {}
+    n_max = math.ceil(d.alpha / d.nu) + 1
+    lam_max = d.alpha + abs(d.beta) + 1.0
+    for n in range(1, n_max + 1):
+        rem = a2 - (d.nu * n) ** 2
+        if rem < 0.0:
+            break
+        col = []
+        lam = 0.5
+        while lam <= lam_max:
+            if (lam + beta) ** 2 <= rem:
+                col.append(lam)
+            if (-lam + beta) ** 2 <= rem:
+                col.append(-lam)
+            lam += 1.0
+        if not col:
+            continue
+        col.sort()
+        occupied.extend((n, lam) for lam in col)
+        lambda_n[n] = max(abs(lam) for lam in col)
+    return tuple(occupied), lambda_n
+
+
+def assert_matches_scan(d):
+    for criterion in ("exact", "quadratic"):
+        occupied, lambda_n = scan_fermi_sea(d, criterion)
+        sea = enumerate_fermi_sea(d, criterion)
+        assert sea.occupied == occupied
+        assert type(sea.N_e) is int and sea.N_e == len(occupied)
+        assert type(sea.n_F) is int and sea.n_F == max(lambda_n, default=0)
+        assert sea.lambda_n == lambda_n
+        assert sea.lambda_F == lambda_n.get(1)
+        assert sea.empty == (not occupied)
+
+
+@given(nu=st.floats(0.1, 3.0), alpha=st.floats(0.0, 20.0),
+       beta=st.floats(-3.0, 3.0))
+@settings(max_examples=150, deadline=None)
+def test_columns_match_per_state_scan(nu, alpha, beta):
+    assert_matches_scan(DimensionlessParams(mu=1.0, nu=nu, alpha=alpha,
+                                            beta=beta))
+
+
+@st.composite
+def boundary_ties(draw):
+    """Points where nu^2 n^2 + (lambda+beta)^2 = alpha^2 holds exactly in
+    floats for some state (n, lambda), from Pythagorean triples."""
+    m = draw(st.integers(2, 9))
+    k = draw(st.integers(1, m - 1))
+    legs = [m * m - k * k, 2 * m * k]
+    if draw(st.booleans()):
+        legs.reverse()
+    scale = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    n = draw(st.sampled_from([1, 2, 3, 4]))
+    q = draw(st.sampled_from([1.0, -1.0])) * scale * legs[1]   # lambda+beta
+    lam = math.floor(q) + 0.5
+    return DimensionlessParams(mu=1.0, nu=scale * legs[0] / n, beta=q - lam,
+                               alpha=scale * (m * m + k * k))
+
+
+@st.composite
+def decimal_points(draw):
+    """Decimal inputs, whose ties in the reals land either side of the
+    boundary once rounded."""
+    return DimensionlessParams(mu=1.0, nu=draw(st.integers(1, 30)) / 10,
+                               alpha=draw(st.integers(0, 100)) / 10,
+                               beta=draw(st.integers(-20, 20)) / 10)
+
+
+def test_boundary_tie_hand_cases():
+    # nu n = 3, lambda + beta = 3.5 + 0.5 = 4, alpha = 5
+    d = DimensionlessParams(mu=1.0, nu=1.0, beta=0.5, alpha=5.0)
+    assert (3, 3.5) in enumerate_fermi_sea(d, "exact").occupied
+    assert_matches_scan(d)
+    # rounding puts a column end one step beyond the sqrt estimate
+    # (column 21 at beta = +-1.3) or one step short of it (column 4)
+    for beta in (1.3, -1.3):
+        assert_matches_scan(DimensionlessParams(mu=1.0, nu=0.1, beta=beta,
+                                                alpha=3.5))
+    assert_matches_scan(DimensionlessParams(mu=1.0, nu=0.1, beta=-1.8,
+                                            alpha=0.5))
+
+
+@given(d=st.one_of(boundary_ties(), decimal_points()))
+@settings(max_examples=300, deadline=None)
+def test_columns_match_per_state_scan_at_ties(d):
+    assert_matches_scan(d)
