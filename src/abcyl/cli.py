@@ -277,7 +277,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify.run_suites(seed=args.seed, fault=args.fault)
+    seed = 0 if args.seed is None else args.seed
+    results = verify.run_suites(seed=seed, fault=args.fault)
     ok = all(r.passed for r in results)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -300,11 +301,25 @@ def _add_global_flags(p: argparse.ArgumentParser, top: bool) -> None:
     p.add_argument("--out", default=d(None),
                    help="write data here instead of stdout")
     p.add_argument("--quad-order", type=int, default=d(None),
-                   help="override the z-axis Gauss-Legendre order")
-    p.add_argument("--seed", type=int, default=d(0),
-                   help="seed for randomized residual sample points")
-    p.add_argument("--physical", action="store_true", default=d(False),
-                   help="emit energies in eV and currents in amperes")
+                   help="override the z-axis Gauss-Legendre order (packet)")
+    p.add_argument("--seed", type=int, default=d(None),
+                   help="seed for randomized residual sample points (verify)")
+    p.add_argument("--physical", action="store_true", default=d(None),
+                   help="emit energies in eV and currents in amperes "
+                        "(spectrum)")
+
+
+# the one command that applies each global flag; any other command
+# rejects the flag instead of ignoring it
+_FLAG_COMMAND = {"quad_order": "packet", "seed": "verify",
+                 "physical": "spectrum"}
+
+
+def _check_global_flags(args) -> None:
+    for dest, command in _FLAG_COMMAND.items():
+        if getattr(args, dest) is not None and args.command != command:
+            raise _Failure(EXIT_CONFIG, f"--{dest.replace('_', '-')} applies "
+                           f"to {command} only, not to {args.command}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,6 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_global_flags(args)
         return args.func(args)
     except _Failure as exc:
         _diag(f"error: {exc.msg}")

@@ -36,6 +36,7 @@ __all__ = [
     "mode_components",
     "mode_profiles",
     "inner_product",
+    "gram_matrix",
     "dirac_residual",
     "k_operator_apply",
     "current_density",
@@ -237,10 +238,43 @@ def inner_product(a: ModeSpec, b: ModeSpec, d: DimensionlessParams,
         dens = np.einsum("cp,cp->p", pa.conj(), pb)
         return complex(2.0 * math.pi * rule.phi_weight * np.sum(dens))
     rule = rule or QuadratureRule.finite(d)
-    pa = mode_components(a, d, 0.0, rule.phi_nodes[:, None], rule.z_nodes[None, :])
-    pb = mode_components(b, d, 0.0, rule.phi_nodes[:, None], rule.z_nodes[None, :])
-    dens = np.einsum("cpz,cpz->pz", pa.conj(), pb)
+    return _finite_product(_on_grid(a, d, rule).conj(), _on_grid(b, d, rule),
+                           rule)
+
+
+def _on_grid(mode: ModeSpec, d: DimensionlessParams,
+             rule: QuadratureRule) -> np.ndarray:
+    return mode_components(mode, d, 0.0, rule.phi_nodes[:, None],
+                           rule.z_nodes[None, :])
+
+
+def _finite_product(conj_a: np.ndarray, b: np.ndarray,
+                    rule: QuadratureRule) -> complex:
+    """Quadrature of conj_a . b over (phi, z).  Every (phi, z) scalar
+    product here reduces through it, so gram_matrix entries equal
+    inner_product values bit for bit."""
+    dens = np.einsum("cpz,cpz->pz", conj_a, b)
     return complex(rule.phi_weight * np.sum(dens @ rule.z_weights))
+
+
+def gram_matrix(modes, d: DimensionlessParams,
+                rule: QuadratureRule | None = None) -> np.ndarray:
+    """M x M matrix G[i, j] = inner_product(modes[i], modes[j], d, rule).
+
+    Finite geometry only.  Each mode is evaluated on the quadrature grid
+    once, and each row's conjugate is formed once, instead of the two
+    evaluations per pair that M^2 inner_product calls make.
+    """
+    if any(m.geometry != "finite" for m in modes):
+        raise ValueError("gram_matrix needs finite-geometry modes")
+    rule = rule or QuadratureRule.finite(d)
+    grids = [_on_grid(m, d, rule) for m in modes]
+    G = np.empty((len(modes), len(modes)), dtype=complex)
+    for i, a in enumerate(grids):
+        conj_a = a.conj()
+        for j, b in enumerate(grids):
+            G[i, j] = _finite_product(conj_a, b, rule)
+    return G
 
 
 def dirac_residual(mode: ModeSpec, d: DimensionlessParams, z_samples,
@@ -387,5 +421,4 @@ def field_inner_product(a: FourierSpinorField, b: FourierSpinorField,
     pb = b.evaluate(rule.phi_nodes[:, None], rule.z_nodes[None, :], d.nu)
     if dirac:
         pb = pb * np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
-    dens = np.einsum("cpz,cpz->pz", pa.conj(), pb)
-    return complex(rule.phi_weight * np.sum(dens @ rule.z_weights))
+    return _finite_product(pa.conj(), pb, rule)

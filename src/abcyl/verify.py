@@ -16,7 +16,6 @@ actual identity and pins the sign-flip structure where it is not.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, asdict
 
@@ -74,15 +73,12 @@ def _finite_modes(nmax=3, lmax=2.5):
 
 
 def suite_orthonormality(seed: int = 0, fault: str | None = None) -> SuiteResult:
+    modes = _finite_modes(nmax=3, lmax=1.5)
     worst = 0.0
     for beta in (0.0, 0.3):
         d = DimensionlessParams(mu=1.0, nu=1.0, beta=beta)
-        rule = QuadratureRule.finite(d)
-        modes = _finite_modes(nmax=3, lmax=1.5)
-        for a, b in itertools.product(modes, repeat=2):
-            want = 1.0 if a == b else 0.0
-            got = spinors.inner_product(a, b, d, rule)
-            worst = max(worst, abs(got - want))
+        G = spinors.gram_matrix(modes, d, QuadratureRule.finite(d))
+        worst = max(worst, float(np.max(np.abs(G - np.eye(len(modes))))))
     return _result("orthonormality", 1e-10, worst)
 
 

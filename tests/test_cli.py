@@ -224,6 +224,58 @@ def test_verify_fault_injection(capsys):
     assert "dirac_residual" in failing
 
 
+# small, valid argv for each command, and the one command each global
+# flag applies to; every other command must reject the flag (exit 2)
+# instead of ignoring it, before or after the subcommand
+_COMMAND_ARGV = {
+    "spectrum": ("spectrum", "--mu", "1", "--nu", "1", "--nmax", "1",
+                 "--lmax", "0.5"),
+    "persistent": ("persistent", "--mu", "25", "--nu", "1", "--alpha", "3"),
+    "packet": ("packet", "--mu", "1", "--korder", "200", "--zsteps", "3"),
+    "sweep": ("sweep", "--mu", "1", "--nu", "1", "--param", "beta",
+              "--start", "0", "--stop", "0.1", "--steps", "2"),
+    "verify": ("verify",),
+}
+_GLOBAL_FLAGS = {
+    ("--physical",): "spectrum",
+    ("--quad-order", "300"): "packet",
+    ("--seed", "2"): "verify",
+}
+
+
+def _with_flag(flag, command, before):
+    argv = _COMMAND_ARGV[command]
+    return (*flag, *argv) if before else (*argv, *flag)
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+@pytest.mark.parametrize("flag,command", [
+    (flag, command) for flag, owner in _GLOBAL_FLAGS.items()
+    for command in _COMMAND_ARGV if command != owner])
+def test_global_flag_rejected_where_ignored(capsys, flag, command, before):
+    code, out, err = run(capsys, *_with_flag(flag, command, before))
+    assert code == 2 and out == ""
+    assert f"{flag[0]} applies to {_GLOBAL_FLAGS[flag]} only" in err
+
+
+@pytest.mark.parametrize("flag", [("--physical",), ("--quad-order", "300")])
+def test_global_flag_accepted_in_either_position(capsys, flag):
+    command = _GLOBAL_FLAGS[flag]
+    code, plain, _ = run(capsys, *_COMMAND_ARGV[command])
+    assert code == 0
+    outs = set()
+    for before in (True, False):
+        code, out, err = run(capsys, *_with_flag(flag, command, before))
+        assert code == 0 and err == ""
+        outs.add(out)
+    assert len(outs) == 1 and plain not in outs   # the flag took effect
+
+
+def test_verify_seed_before_subcommand(capsys):
+    code, out, _ = run(capsys, "--seed", "2", "verify")
+    assert code == 0 and out.startswith("suite,tolerance,worst,passed")
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "out.csv"
     code, out, _ = run(capsys, "spectrum", "--mu", "1", "--nu", "1",

@@ -108,6 +108,25 @@ def test_tabulated_packet():
         circular_current_packet(ref, d), rel=1e-6)
 
 
+def test_tabulated_packet_trapezoid_weights():
+    # a packet that is not small at the grid edge: with trapezoid weights
+    # (h/2 at each end) a_plus = 1 on a uniform [0, 1] grid has norm 1
+    k = np.linspace(0.0, 1.0, 11)
+    p = TabulatedPacket(lam=0.5, k_grid=tuple(k), a_plus=(1.0,) * 11,
+                        a_minus=(0.0,) * 11, normalize=False)
+    _, wk, ap, _ = packet_grid(p)
+    assert wk[[0, -1]] == pytest.approx([0.05, 0.05], rel=1e-14)
+    assert np.sum(wk * np.abs(ap) ** 2) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("grid", [(0.0,), (0.0, 1.0, 0.5), (0.0, 0.0, 1.0),
+                                  (1.0, 0.0)])
+def test_tabulated_packet_rejects_bad_grid(grid):
+    with pytest.raises(ValueError):
+        TabulatedPacket(lam=0.5, k_grid=grid, a_plus=(1.0,) * len(grid),
+                        a_minus=(0.0,) * len(grid))
+
+
 def test_packet_polarization_pure():
     d = DimensionlessParams(mu=1.0)
     p = GaussianPacket(lam=1.5, k0=0.7, width=0.4)
@@ -158,6 +177,41 @@ def test_appendix_formula_runs_and_deviates_smoothly():
     formula = longitudinal_current_packet_formula(p, d, 0.0, zs, rule)
     assert np.all(np.isfinite(formula))
     assert np.max(np.abs(direct - formula)) < 0.1
+
+
+def _tensor_grid_formula(p, d, t, z, rule):
+    """The printed double integral summed term by term on the (k, k')
+    tensor grid, O(Nz Nk^2): the reference for the separable evaluation."""
+    k, wk, ap, am = packet_grid(p, rule)
+    E = np.sqrt(d.mu**2 + k**2 + (p.lam + d.beta) ** 2)
+    q = p.lam + d.beta
+    Ek, Ekp = E[:, None], E[None, :]
+    kk, kkp = k[:, None], k[None, :]
+    denom = np.sqrt(Ek * Ekp * (Ek + d.mu) * (Ekp + d.mu))
+    bracket = kk * Ekp + kkp * Ek + d.mu * (Ek + Ekp)
+    like = np.conj(ap)[:, None] * ap[None, :] + np.conj(am)[:, None] * am[None, :]
+    cross = np.conj(ap)[:, None] * am[None, :] + np.conj(am)[:, None] * ap[None, :]
+    core = (bracket * like - 1j * q * (Ek - Ekp) * cross) / denom
+    wmat = wk[:, None] * wk[None, :]
+    out = np.empty(len(z), dtype=complex)
+    for i, zi in enumerate(z):
+        phase = np.exp(1j * (t * (Ek - Ekp) - zi * (kk - kkp)))
+        out[i] = np.sum(wmat * phase * core) / (4.0 * math.pi)
+    return out.real
+
+
+# the cross term -i (lambda+beta)(E - E') is live only when weight_minus != 0
+@pytest.mark.parametrize("weight_minus", [0.0, 0.6 - 0.3j])
+@pytest.mark.parametrize("t", [0.0, 3.0])
+@pytest.mark.parametrize("order", [200, 400])
+def test_formula_matches_tensor_grid_sum(order, t, weight_minus):
+    d = DimensionlessParams(mu=1.0, beta=0.2)
+    p = GaussianPacket(lam=1.5, k0=0.8, width=0.5, weight_minus=weight_minus)
+    zs = np.linspace(-3.0, 3.0, 13)
+    rule = MomentumRule(order=order)
+    want = _tensor_grid_formula(p, d, t, zs, rule)
+    got = longitudinal_current_packet_formula(p, d, t, zs, rule)
+    assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
 
 
 half_odd = st.integers(-5, 4).map(lambda m: m + 0.5)

@@ -1,0 +1,30 @@
+"""Smoke test: each script in scripts/ runs on small inputs and writes CSV."""
+
+import csv
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script,argv", [
+    ("packet_propagation.py", ("--korder", "450", "--times", "0")),
+    ("persistent_methods.py", ("--alpha", "5", "--points", "3")),
+    ("saturation_scan.py", ("--lmax", "10.5")),
+])
+def test_script_writes_csv(script, argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
+                           *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.reader(io.StringIO(proc.stdout)))
+    assert len(rows) >= 2
+    assert all(len(row) == len(rows[0]) for row in rows)

@@ -10,8 +10,8 @@ from abcyl.spectrum import ModeSpec, mode_energy
 from abcyl.spinors import (STANDARD_GAMMAS, FourierSpinorField, QuadratureRule,
                            SpinorValue, apply_restricted_dirac,
                            current_density, dirac_residual, eval_mode,
-                           field_inner_product, inner_product,
-                           k_operator_apply, mode_components)
+                           field_inner_product, gram_matrix,
+                           inner_product, k_operator_apply, mode_components)
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -54,6 +54,21 @@ def test_cross_mode_orthogonality():
     for b in (_finite(2, 0.5, 0.5), _finite(1, 1.5, 0.5),
               _finite(1, 0.5, -0.5)):
         assert abs(inner_product(a, b, d)) < 1e-12
+
+
+def test_gram_matrix_equals_inner_product_bitwise():
+    d = DimensionlessParams(mu=1.0, nu=1.0, beta=0.3)
+    rule = QuadratureRule.finite(d)
+    modes = [_finite(n, s * lam, sigma) for n in (1, 2, 3)
+             for lam in (0.5, 1.5) for s in (1, -1) for sigma in (0.5, -0.5)]
+    G = gram_matrix(modes, d, rule)
+    assert G.shape == (24, 24)
+    for i, a in enumerate(modes):
+        for j, b in enumerate(modes):
+            assert G[i, j] == inner_product(a, b, d, rule)
+    infinite = ModeSpec(geometry="infinite", lam=0.5, sigma=0.5, k=1.3)
+    with pytest.raises(ValueError):
+        gram_matrix([modes[0], infinite], d)
 
 
 def test_infinite_norm_density():
