@@ -23,23 +23,23 @@ from .fermi import (PersistentReport, persistent_all, persistent_compact,
                     persistent_exact, persistent_linearized,
                     persistent_nonrel, persistent_short, sum_lambda_n)
 from .params import (ConfigError, DimensionlessParams, PhysicalParams,
-                     RegimeReport, RegimeThresholds, parse_config_text,
-                     resolve_params, to_dimensionless, validate_regime)
+                     RegimeThresholds, parse_config_text, resolve_params,
+                     to_dimensionless, validate_regime)
 from .spectrum import (FermiSea, ModeSpec, energy_finite, energy_infinite,
                        enumerate_fermi_sea, mode_energy)
-from .spinors import (STANDARD_GAMMAS, GammaSet, QuadratureRule, SpinorValue,
+from .spinors import (STANDARD_GAMMAS, GammaSet, QuadratureRule,
                       current_density, dirac_residual, eval_mode,
                       inner_product, k_operator_apply, mode_components)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "DimensionlessParams", "PhysicalParams", "RegimeReport",
+    "ConfigError", "DimensionlessParams", "PhysicalParams",
     "RegimeThresholds", "parse_config_text", "resolve_params",
     "to_dimensionless", "validate_regime",
     "FermiSea", "ModeSpec", "energy_finite", "energy_infinite",
     "enumerate_fermi_sea", "mode_energy",
-    "STANDARD_GAMMAS", "GammaSet", "QuadratureRule", "SpinorValue",
+    "STANDARD_GAMMAS", "GammaSet", "QuadratureRule",
     "current_density", "dirac_residual", "eval_mode", "inner_product",
     "k_operator_apply", "mode_components",
     "GaussianPacket", "MixedState", "MomentumRule", "ResolutionError",

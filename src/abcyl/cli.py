@@ -164,7 +164,7 @@ def cmd_persistent(args) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "params": {"mu": d.mu, "nu": d.nu, "beta": d.beta, "alpha": d.alpha},
-        "regime": sorted(validate_regime(d).flags),
+        "regime": sorted(validate_regime(d)),
         "methods": {name: _report_dict(rep) for name, rep in reports.items()},
         "pairwise_relative_deviation": deviations,
     }
@@ -182,6 +182,11 @@ def cmd_packet(args) -> int:
     if d.nu != 0.0:
         raise _Failure(EXIT_REGIME, "packet states live on the infinite "
                        "cylinder (nu must be 0)")
+    if args.zsteps < 2:
+        raise _Failure(EXIT_CONFIG, "packet needs zsteps >= 2")
+    z_order = 1200 if args.quad_order is None else args.quad_order
+    if z_order < 1:
+        raise _Failure(EXIT_CONFIG, "packet needs quad-order >= 1")
     packet = GaussianPacket(lam=args.lam, k0=args.k0, width=args.width,
                             weight_plus=args.mix_plus,
                             weight_minus=args.mix_minus)
@@ -199,8 +204,7 @@ def cmd_packet(args) -> int:
     re_ = currents.packet_energy(packet, d, rule)
     pol = currents.packet_polarization(packet, rule)
     window = abs(args.t) + 8.0 / args.width + max(abs(args.zmin), abs(args.zmax))
-    norm = currents.packet_norm(packet, d, args.t, window, rule,
-                                z_order=args.quad_order or 1200)
+    norm = currents.packet_norm(packet, d, args.t, window, rule, z_order)
     header = ["row", "z", "I3_direct", "I3_formula", "difference"]
     rows = [["I3", z, float(a), float(b), float(a - b)]
             for z, a, b in zip(zs, direct, formula)]
@@ -234,10 +238,7 @@ def cmd_sweep(args) -> int:
         lam = math.floor(args.start - 0.5) + 0.5
         if lam < args.start:
             lam += 1.0
-        points = []
-        while lam <= args.stop + 1e-12:
-            points.append(lam)
-            lam += 1.0
+        points = list(half_odd_run(lam, args.stop + 1e-12))
     elif args.param == "n":
         points = list(range(max(1, math.ceil(args.start)),
                             math.floor(args.stop) + 1))
@@ -278,7 +279,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = 0 if args.seed is None else args.seed
-    results = verify.run_suites(seed=seed, fault=args.fault)
+    results = verify.run_suites(seed=seed)
     ok = all(r.passed for r in results)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -309,17 +310,18 @@ def _add_global_flags(p: argparse.ArgumentParser, top: bool) -> None:
                         "(spectrum)")
 
 
-# the one command that applies each global flag; any other command
-# rejects the flag instead of ignoring it
-_FLAG_COMMAND = {"quad_order": "packet", "seed": "verify",
-                 "physical": "spectrum"}
+# the commands that apply each global flag; any other command rejects
+# the flag instead of ignoring it
+_FLAG_COMMAND = {"quad_order": ("packet",), "seed": ("verify",),
+                 "physical": ("spectrum",),
+                 "config": ("spectrum", "persistent", "packet", "sweep")}
 
 
 def _check_global_flags(args) -> None:
-    for dest, command in _FLAG_COMMAND.items():
-        if getattr(args, dest) is not None and args.command != command:
-            raise _Failure(EXIT_CONFIG, f"--{dest.replace('_', '-')} applies "
-                           f"to {command} only, not to {args.command}")
+    for dest, commands in _FLAG_COMMAND.items():
+        if getattr(args, dest) is not None and args.command not in commands:
+            raise _Failure(EXIT_CONFIG, f"--{dest.replace('_', '-')} applies to "
+                           f"{', '.join(commands)} only, not to {args.command}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,8 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     vf = sub.add_parser("verify", help="run every invariant suite")
     _add_global_flags(vf, top=False)
-    vf.add_argument("--fault", default=None,
-                    help="test-only fault injection, e.g. energy-off-by-1e-3")
     vf.set_defaults(func=cmd_verify)
     return p
 

@@ -341,13 +341,12 @@ def longitudinal_current_packet_formula(p: PacketSpec, d: DimensionlessParams,
 
 def packet_norm(p: PacketSpec, d: DimensionlessParams, t: float,
                 z_window: float, rule: MomentumRule | None = None,
-                z_order: int = 1200, phi_points: int = 64) -> float:
-    """Packet norm by direct (phi, z) quadrature of j^0 = psi^dag psi."""
-    zr = QuadratureRule.window(-z_window, z_window, z_order, phi_points)
+                z_order: int = 1200) -> float:
+    """Packet norm by quadrature of j^0 = psi^dag psi (phi-independent)."""
+    zr = QuadratureRule.window(-z_window, z_window, z_order)
     h = packet_zprofile(p, d, t, zr.z_nodes, rule)
-    dens = np.sum(np.abs(h) ** 2, axis=0)          # phi-independent
-    per_phi = dens @ zr.z_weights
-    return float(zr.phi_weight * len(zr.phi_nodes) * per_phi)
+    dens = np.sum(np.abs(h) ** 2, axis=0)
+    return float(2.0 * math.pi * (dens @ zr.z_weights))
 
 
 def packet_total_flux(p: PacketSpec, d: DimensionlessParams, t: float,

@@ -64,7 +64,7 @@ class PersistentReport:
 def _sea_report(method: str, d: DimensionlessParams, sea: FermiSea,
                 value: float, **fields) -> PersistentReport:
     """A sea method's report; an empty sea reports 0 and "empty-sea"."""
-    flags = validate_regime(d).flags
+    flags = validate_regime(d)
     if sea.empty:
         return PersistentReport(method=method, value=0.0, N_e=0,
                                 flags=flags | {"empty-sea"})
@@ -139,19 +139,13 @@ class IntegralSumEstimate(NamedTuple):
     n_F_continuous: float
 
 
-def sum_lambda_n(d: DimensionlessParams, method: str = "exact"):
-    """Sum over n of the per-column maximal angular momentum.
-
-    "exact" sums the half-odd-integer lambda_n of the enumerated
-    (beta-free) sea.  "integral" uses the continuous n_F from the
-    Fermi-surface identities and returns IntegralSumEstimate with the
-    integral int_0^{n_F} sqrt(nu^2 (n_F^2 - x^2) + 1/4) dx next to the
-    printed closed form n_F (1 + pi n_F / nu) / 4.
+def sum_lambda_n(d: DimensionlessParams) -> IntegralSumEstimate:
+    """Sum over n of the per-column maximal angular momentum, in the
+    continuum: the continuous n_F from the Fermi-surface identities, the
+    integral int_0^{n_F} sqrt(nu^2 (n_F^2 - x^2) + 1/4) dx and the printed
+    closed form n_F (1 + pi n_F / nu) / 4.  The exact sum is
+    FermiSea.sum_lambda_n() of the beta-free (quadratic) sea.
     """
-    if method == "exact":
-        return enumerate_fermi_sea(d, "quadratic").sum_lambda_n()
-    if method != "integral":
-        raise ValueError(f"unknown method {method!r}")
     if d.alpha**2 <= 0.25:
         return IntegralSumEstimate(0.0, 0.0, 0.0)
     n_F = math.sqrt(d.alpha**2 - 0.25) / d.nu
@@ -170,7 +164,7 @@ def persistent_short(d: DimensionlessParams) -> PersistentReport:
     lambda_F, which is what the returned report then carries (with a
     note), rather than an unusable formula.
     """
-    flags = validate_regime(d).flags
+    flags = validate_regime(d)
     notes: list[str] = []
     if d.nu > d.alpha:
         # ring substitution

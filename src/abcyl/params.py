@@ -14,7 +14,7 @@ Only this module and the CLI ever see eV, nm or tesla.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "HBARC_EV_NM",
@@ -24,7 +24,6 @@ __all__ = [
     "PhysicalParams",
     "DimensionlessParams",
     "RegimeThresholds",
-    "RegimeReport",
     "to_dimensionless",
     "validate_regime",
     "parse_config_text",
@@ -120,18 +119,9 @@ class RegimeThresholds:
     nonrel_alpha_over_mu: float = 0.1
 
 
-@dataclass(frozen=True)
-class RegimeReport:
-    flags: frozenset[str]
-    thresholds: RegimeThresholds = field(default_factory=RegimeThresholds)
-
-    def __contains__(self, flag: str) -> bool:
-        return flag in self.flags
-
-
 def validate_regime(d: DimensionlessParams,
-                    thresholds: RegimeThresholds | None = None) -> RegimeReport:
-    """Classify the parameter point.
+                    thresholds: RegimeThresholds | None = None) -> frozenset[str]:
+    """Classify the parameter point; returns the set of regime flags.
 
     short:      nu >= short_nu_min and nu < alpha < 2 nu (single n column)
     ring-like:  nu > alpha (no longitudinal state fits below the Fermi level)
@@ -145,7 +135,7 @@ def validate_regime(d: DimensionlessParams,
         flags.add("ring-like")
     if d.alpha <= th.nonrel_alpha_over_mu * d.mu:
         flags.add("non-relativistic")
-    return RegimeReport(flags=frozenset(flags), thresholds=th)
+    return frozenset(flags)
 
 
 # --- plain-text key=value configuration ---------------------------------

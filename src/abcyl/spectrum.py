@@ -146,10 +146,6 @@ class FermiSea:
             for lam in half_odd_run(lo, hi):
                 yield n, lam
 
-    @property
-    def occupied(self) -> tuple[tuple[int, float], ...]:
-        return tuple(self.states())
-
     def sum_lambda_n(self) -> float:
         return math.fsum(self.lambda_n.values())
 

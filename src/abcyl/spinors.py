@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .params import DimensionlessParams
 from .spectrum import ModeSpec, mode_energy
 
 __all__ = [
-    "SpinorValue",
     "GammaSet",
     "STANDARD_GAMMAS",
     "QuadratureRule",
@@ -43,24 +42,6 @@ __all__ = [
     "FourierSpinorField",
     "apply_restricted_dirac",
 ]
-
-
-@dataclass(frozen=True)
-class SpinorValue:
-    """The four complex components of psi at one spacetime point."""
-
-    c1: complex
-    c2: complex
-    c3: complex
-    c4: complex
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c1, self.c2, self.c3, self.c4], dtype=complex)
-
-    @classmethod
-    def from_array(cls, a) -> "SpinorValue":
-        a = np.asarray(a, dtype=complex)
-        return cls(a[0], a[1], a[2], a[3])
 
 
 _SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -211,9 +192,9 @@ def mode_components(mode: ModeSpec, d: DimensionlessParams, t, phi, z) -> np.nda
 
 
 def eval_mode(mode: ModeSpec, d: DimensionlessParams, t: float, phi: float,
-              z: float) -> SpinorValue:
-    """Normalized fundamental spinor U^sigma at one spacetime point."""
-    return SpinorValue.from_array(mode_components(mode, d, t, phi, z))
+              z: float) -> np.ndarray:
+    """Normalized fundamental spinor U^sigma at one point, shape (4,)."""
+    return mode_components(mode, d, t, phi, z)
 
 
 def inner_product(a: ModeSpec, b: ModeSpec, d: DimensionlessParams,
@@ -284,7 +265,7 @@ def dirac_residual(mode: ModeSpec, d: DimensionlessParams, z_samples,
     The system matrix entries are (E -/+ mu), +/- i d/dz and
     +/- i(lambda+beta); derivatives are applied analytically to the
     known profiles.  energy_scale != 1 perturbs E in the matrix (only),
-    which is the sensitivity knob used by the verification suite.
+    so a test can check that the dirac_residual suite catches it.
     """
     z = np.asarray(z_samples, dtype=float)
     E = mode_energy(mode, d) * energy_scale
@@ -298,33 +279,33 @@ def dirac_residual(mode: ModeSpec, d: DimensionlessParams, z_samples,
 
 
 def k_operator_apply(mode: ModeSpec, d: DimensionlessParams, t: float,
-                     phi: float, z: float) -> SpinorValue:
+                     phi: float, z: float) -> np.ndarray:
     """Apply K = gamma^0 (2 S3 L3 + 1/2) with L3 = -i d/dphi taken
     analytically on the known azimuthal phases."""
     comps = mode_components(mode, d, t, phi, z)
     p = _phase_powers(mode)
     spin = (0.5, -0.5, 0.5, -0.5)
     g0 = (1.0, 1.0, -1.0, -1.0)
-    out = [g0[j] * (2.0 * spin[j] * p[j] + 0.5) * comps[j] for j in range(4)]
-    return SpinorValue.from_array(out)
+    return np.array([g0[j] * (2.0 * spin[j] * p[j] + 0.5) * comps[j]
+                     for j in range(4)], dtype=complex)
 
 
 _IM_TOL = 1e-10
 
 
-def current_density(psi: SpinorValue, phi: float,
-                    gammas: GammaSet = STANDARD_GAMMAS):
-    """Current-density triple (j0, j_phi, j3) of a spinor value.
+def current_density(psi: np.ndarray, phi: float):
+    """Current-density triple (j0, j_phi, j3) of a (4,) spinor value.
 
     j0 = psi^dag psi, j_phi = psi^dag g0 g_phi psi, j3 = psi^dag g0 g3 psi.
     The bilinears are computed as full complex sandwiches; a residual
     imaginary part above 1e-10 signals a spinor construction bug and
     raises instead of being discarded.
     """
-    v = psi.as_array()
+    v = np.asarray(psi, dtype=complex)
+    g = STANDARD_GAMMAS
     j0 = complex(v.conj() @ v)
-    jphi = complex(v.conj() @ (gammas.g0 @ gammas.gamma_phi(phi)) @ v)
-    j3 = complex(v.conj() @ (gammas.g0 @ gammas.g3) @ v)
+    jphi = complex(v.conj() @ (g.g0 @ g.gamma_phi(phi)) @ v)
+    j3 = complex(v.conj() @ (g.g0 @ g.g3) @ v)
     for name, val in (("j0", j0), ("jphi", jphi), ("j3", j3)):
         if abs(val.imag) > _IM_TOL:
             raise ArithmeticError(

@@ -26,7 +26,7 @@ from .params import DimensionlessParams
 from .spectrum import ModeSpec, energy_finite, enumerate_fermi_sea, mode_energy
 from .spinors import QuadratureRule, STANDARD_GAMMAS
 
-__all__ = ["SuiteResult", "all_suites", "run_suites"]
+__all__ = ["SuiteResult", "run_suites"]
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def _result(suite, tol, worst, detail=""):
 _MINKOWSKI = (1.0, -1.0, -1.0, -1.0)
 
 
-def suite_clifford(seed: int = 0, fault: str | None = None) -> SuiteResult:
+def suite_clifford(seed: int = 0) -> SuiteResult:
     g = [STANDARD_GAMMAS.g0, STANDARD_GAMMAS.g1,
          STANDARD_GAMMAS.g2, STANDARD_GAMMAS.g3]
     eye = np.eye(4)
@@ -72,7 +72,7 @@ def _finite_modes(nmax=3, lmax=2.5):
             for n in range(1, nmax + 1) for lam in lams for sig in (0.5, -0.5)]
 
 
-def suite_orthonormality(seed: int = 0, fault: str | None = None) -> SuiteResult:
+def suite_orthonormality(seed: int = 0) -> SuiteResult:
     modes = _finite_modes(nmax=3, lmax=1.5)
     worst = 0.0
     for beta in (0.0, 0.3):
@@ -82,25 +82,23 @@ def suite_orthonormality(seed: int = 0, fault: str | None = None) -> SuiteResult
     return _result("orthonormality", 1e-10, worst)
 
 
-def suite_dirac_residual(seed: int = 0, fault: str | None = None) -> SuiteResult:
+def suite_dirac_residual(seed: int = 0) -> SuiteResult:
     rng = np.random.default_rng(seed)
-    scale = 1.001 if fault == "energy-off-by-1e-3" else 1.0
     d = DimensionlessParams(mu=1.0, nu=1.0, beta=0.3)
     worst = 0.0
     for mode in _finite_modes():
         zs = rng.uniform(0.0, d.length, size=32)
-        res = spinors.dirac_residual(mode, d, zs, energy_scale=scale)
+        res = spinors.dirac_residual(mode, d, zs)
         worst = max(worst, res / mode_energy(mode, d))
     for k in (0.0, 1.3, -2.7):
         mode = ModeSpec(geometry="infinite", k=k, lam=1.5, sigma=0.5)
         zs = rng.uniform(-3.0, 3.0, size=32)
-        res = spinors.dirac_residual(mode, d, zs, energy_scale=scale)
+        res = spinors.dirac_residual(mode, d, zs)
         worst = max(worst, res / mode_energy(mode, d))
-    return _result("dirac_residual", 1e-12, worst,
-                   detail="relative to R*E" + (" (fault injected)" if scale != 1 else ""))
+    return _result("dirac_residual", 1e-12, worst, detail="relative to R*E")
 
 
-def suite_k_operator(seed: int = 0, fault: str | None = None) -> SuiteResult:
+def suite_k_operator(seed: int = 0) -> SuiteResult:
     d = DimensionlessParams(mu=1.0, nu=1.0, beta=0.3)
     worst = 0.0
     pts = [(0.0, 0.4, 0.9), (1.2, 2.2, 1.7)]
@@ -108,16 +106,16 @@ def suite_k_operator(seed: int = 0, fault: str | None = None) -> SuiteResult:
         for sig in (0.5, -0.5):
             mode = ModeSpec(geometry="infinite", k=0.0, lam=lam, sigma=sig)
             for (t, phi, z) in pts:
-                psi = spinors.eval_mode(mode, d, t, phi, z).as_array()
-                got = spinors.k_operator_apply(mode, d, t, phi, z).as_array()
+                psi = spinors.eval_mode(mode, d, t, phi, z)
+                got = spinors.k_operator_apply(mode, d, t, phi, z)
                 want = (lam if sig > 0 else -lam) * psi
                 worst = max(worst, float(np.max(np.abs(got - want))))
     # finite modes: identity on the sin-profile components, exact sign
     # flip on the cos(k_n z) component
     for mode in _finite_modes(nmax=2, lmax=1.5):
         for (t, phi, z) in pts:
-            psi = spinors.eval_mode(mode, d, t, phi, z).as_array()
-            got = spinors.k_operator_apply(mode, d, t, phi, z).as_array()
+            psi = spinors.eval_mode(mode, d, t, phi, z)
+            got = spinors.k_operator_apply(mode, d, t, phi, z)
             ev = mode.lam if mode.sigma > 0 else -mode.lam
             cos_idx = 2 if mode.sigma > 0 else 3
             want = ev * psi
@@ -128,7 +126,7 @@ def suite_k_operator(seed: int = 0, fault: str | None = None) -> SuiteResult:
                           "the longitudinal component")
 
 
-def suite_circular_current(seed: int = 0, fault: str | None = None) -> SuiteResult:
+def suite_circular_current(seed: int = 0) -> SuiteResult:
     d = DimensionlessParams(mu=1.0, nu=1.0, beta=0.4)
     rule = QuadratureRule.finite(d)
     mixings = [(1.0, 0.0), (0.0, 1.0), (1 / math.sqrt(2), 1 / math.sqrt(2))]
@@ -147,7 +145,7 @@ def suite_circular_current(seed: int = 0, fault: str | None = None) -> SuiteResu
     return _result("circular_current", 1e-9, worst)
 
 
-def suite_derivative_identity(seed: int = 0, fault: str | None = None) -> SuiteResult:
+def suite_derivative_identity(seed: int = 0) -> SuiteResult:
     rng = np.random.default_rng(seed)
     h = 1e-6
     worst = 0.0
@@ -169,7 +167,7 @@ def suite_derivative_identity(seed: int = 0, fault: str | None = None) -> SuiteR
     return _result("derivative_identity", 1e-6, worst, detail="relative")
 
 
-def suite_saturation(seed: int = 0, fault: str | None = None) -> SuiteResult:
+def suite_saturation(seed: int = 0) -> SuiteResult:
     d = DimensionlessParams(mu=1.0, nu=1.0)
     lam = 4001 / 2
     s = d.mu**2 + d.nu**2
@@ -184,7 +182,7 @@ def suite_saturation(seed: int = 0, fault: str | None = None) -> SuiteResult:
     return _result("saturation", 1.0, worst, detail="normalized to each bound")
 
 
-def suite_beta_expansion(seed: int = 0, fault: str | None = None) -> SuiteResult:
+def suite_beta_expansion(seed: int = 0) -> SuiteResult:
     mu, nu, n, lam = 2.0, 1.0, 1, 2.5
 
     def resid(beta):
@@ -198,7 +196,7 @@ def suite_beta_expansion(seed: int = 0, fault: str | None = None) -> SuiteResult
                    detail=f"residual ratio {ratio:.1f}, cubic scaling wants ~1000")
 
 
-def suite_ladder(seed: int = 0, fault: str | None = None) -> SuiteResult:
+def suite_ladder(seed: int = 0) -> SuiteResult:
     d = DimensionlessParams(mu=250.0, nu=1.0, beta=1e-4, alpha=50.0)
     ex = fermi.persistent_exact(d)
     lin = fermi.persistent_linearized(d)
@@ -210,7 +208,7 @@ def suite_ladder(seed: int = 0, fault: str | None = None) -> SuiteResult:
                    detail=f"exact-vs-linearized {gap1:.3e}, linearized-vs-compact {gap2:.3e}")
 
 
-def suite_appendix_b(seed: int = 0, fault: str | None = None) -> SuiteResult:
+def suite_appendix_b(seed: int = 0) -> SuiteResult:
     # B1-style inner sum at n=1
     d = DimensionlessParams(mu=250.0, nu=1.0, alpha=50.0)
     sea = enumerate_fermi_sea(d, "quadratic")
@@ -220,19 +218,19 @@ def suite_appendix_b(seed: int = 0, fault: str | None = None) -> SuiteResult:
     worst = abs(inner - approx) / inner / 0.01
     # B2 sum-to-integral with a genuinely dense sea (n_F > 100, lambda_F >> 1)
     d2 = DimensionlessParams(mu=250.0, nu=1.0, alpha=150.0)
-    exact = fermi.sum_lambda_n(d2, "exact")
-    est = fermi.sum_lambda_n(d2, "integral")
+    exact = enumerate_fermi_sea(d2, "quadratic").sum_lambda_n()
+    est = fermi.sum_lambda_n(d2)
     worst = max(worst, abs(exact - est.quadrature) / exact / 0.01)
     return _result("appendix_b", 1.0, worst, detail="normalized to 1%")
 
 
-def suite_boundary(seed: int = 0, fault: str | None = None) -> SuiteResult:
+def suite_boundary(seed: int = 0) -> SuiteResult:
     d = DimensionlessParams(mu=1.0, nu=1.0, beta=0.3)
     worst = 0.0
     ok = True
     for mode in _finite_modes(nmax=2, lmax=1.5):
         for z in (0.0, d.length):
-            v = spinors.eval_mode(mode, d, 0.0, 0.9, z).as_array()
+            v = spinors.eval_mode(mode, d, 0.0, 0.9, z)
             sin_idx = [0, 1, 3] if mode.sigma > 0 else [0, 1, 2]
             cos_idx = 2 if mode.sigma > 0 else 3
             worst = max(worst, float(np.max(np.abs(v[sin_idx]))))
@@ -244,7 +242,7 @@ def suite_boundary(seed: int = 0, fault: str | None = None) -> SuiteResult:
                    detail="sin components at z in {0, L}; cos component stays finite")
 
 
-def suite_hermiticity(seed: int = 0, fault: str | None = None) -> SuiteResult:
+def suite_hermiticity(seed: int = 0) -> SuiteResult:
     rng = np.random.default_rng(seed + 7)
     d = DimensionlessParams(mu=1.0, nu=1.0, beta=0.25)
     rule = QuadratureRule.finite(d, z_order=96, phi_points=256)
@@ -292,9 +290,5 @@ ALL_SUITES = (
 )
 
 
-def all_suites():
-    return ALL_SUITES
-
-
-def run_suites(seed: int = 0, fault: str | None = None) -> list[SuiteResult]:
-    return [s(seed=seed, fault=fault) for s in ALL_SUITES]
+def run_suites(seed: int = 0) -> list[SuiteResult]:
+    return [s(seed=seed) for s in ALL_SUITES]

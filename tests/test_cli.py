@@ -1,8 +1,10 @@
+import functools
 import json
 import math
 
 import pytest
 
+from abcyl import spinors
 from abcyl.cli import _half_odd_range, main
 
 
@@ -132,6 +134,20 @@ def test_packet_resolution_exit_4(capsys):
     assert "points" in err
 
 
+@pytest.mark.parametrize("flag, message", [
+    (("--zsteps", "1"), "packet needs zsteps >= 2"),
+    (("--zsteps", "0"), "packet needs zsteps >= 2"),
+    (("--zsteps", "-3"), "packet needs zsteps >= 2"),
+    (("--quad-order", "0"), "packet needs quad-order >= 1"),
+    (("--quad-order", "-5"), "packet needs quad-order >= 1"),
+])
+def test_packet_rejects_bad_grid_sizes(capsys, flag, message):
+    code, out, err = run(capsys, "packet", "--mu", "1", "--korder", "200",
+                         *flag)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_sweep_lambda_saturation(capsys):
     code, out, _ = run(capsys, "sweep", "--mu", "1", "--nu", "1",
                        "--param", "lambda", "--start", "0.5",
@@ -215,18 +231,20 @@ def test_verify_passes_and_reports_schema(capsys):
         assert math.isfinite(suite["worst"])
 
 
-def test_verify_fault_injection(capsys):
-    code, out, _ = run(capsys, "verify", "--fault", "energy-off-by-1e-3",
-                       "--format", "json")
+def test_verify_fault_injection(capsys, monkeypatch):
+    # perturb E by 1e-3 in the residual's system matrix only
+    monkeypatch.setattr(spinors, "dirac_residual", functools.partial(
+        spinors.dirac_residual, energy_scale=1.001))
+    code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == 1
     rep = json.loads(out)
     failing = {s["suite"] for s in rep["suites"] if not s["passed"]}
     assert "dirac_residual" in failing
 
 
-# small, valid argv for each command, and the one command each global
-# flag applies to; every other command must reject the flag (exit 2)
-# instead of ignoring it, before or after the subcommand
+# small, valid argv for each command, and the commands each global flag
+# applies to; every other command must reject the flag (exit 2) instead
+# of ignoring it, before or after the subcommand
 _COMMAND_ARGV = {
     "spectrum": ("spectrum", "--mu", "1", "--nu", "1", "--nmax", "1",
                  "--lmax", "0.5"),
@@ -237,9 +255,10 @@ _COMMAND_ARGV = {
     "verify": ("verify",),
 }
 _GLOBAL_FLAGS = {
-    ("--physical",): "spectrum",
-    ("--quad-order", "300"): "packet",
-    ("--seed", "2"): "verify",
+    ("--physical",): ("spectrum",),
+    ("--quad-order", "300"): ("packet",),
+    ("--seed", "2"): ("verify",),
+    ("--config", "params.cfg"): ("spectrum", "persistent", "packet", "sweep"),
 }
 
 
@@ -250,17 +269,18 @@ def _with_flag(flag, command, before):
 
 @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
 @pytest.mark.parametrize("flag,command", [
-    (flag, command) for flag, owner in _GLOBAL_FLAGS.items()
-    for command in _COMMAND_ARGV if command != owner])
+    (flag, command) for flag, owners in _GLOBAL_FLAGS.items()
+    for command in _COMMAND_ARGV if command not in owners])
 def test_global_flag_rejected_where_ignored(capsys, flag, command, before):
     code, out, err = run(capsys, *_with_flag(flag, command, before))
     assert code == 2 and out == ""
-    assert f"{flag[0]} applies to {_GLOBAL_FLAGS[flag]} only" in err
+    owners = ", ".join(_GLOBAL_FLAGS[flag])
+    assert err == f"error: {flag[0]} applies to {owners} only, not to {command}\n"
 
 
 @pytest.mark.parametrize("flag", [("--physical",), ("--quad-order", "300")])
 def test_global_flag_accepted_in_either_position(capsys, flag):
-    command = _GLOBAL_FLAGS[flag]
+    (command,) = _GLOBAL_FLAGS[flag]
     code, plain, _ = run(capsys, *_COMMAND_ARGV[command])
     assert code == 0
     outs = set()
@@ -308,3 +328,22 @@ def test_half_odd_range_matches_counting_loop(lmax):
         out.extend([lam, -lam])
         lam += 1.0
     assert _half_odd_range(lmax) == sorted(out)
+
+
+@pytest.mark.parametrize("start, stop", [
+    (0.5, 6.5), (-3.0, 2.5), (-2.5, -2.5), (0.7, 0.5), (1.0, 5.5 - 1e-12),
+    (0.5, 4.5 - 1e-11), (0.5 + 1e-12, 3.5), (-7.25, 10.25), (2.5, 2.0)])
+def test_sweep_lambda_points_match_counting_loop(capsys, start, stop):
+    lam = math.floor(start - 0.5) + 0.5
+    if lam < start:
+        lam += 1.0
+    want = []
+    while lam <= stop + 1e-12:
+        want.append(lam)
+        lam += 1.0
+    code, out, _ = run(capsys, "sweep", "--mu", "1", "--nu", "1",
+                       "--param", "lambda", f"--start={start!r}",
+                       f"--stop={stop!r}", "--observable", "chi")
+    assert code == 0
+    assert [float(line.split(",")[0])
+            for line in out.strip().splitlines()[1:]] == want

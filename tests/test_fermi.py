@@ -20,7 +20,7 @@ def test_exact_is_sum_of_mode_currents():
     d = DimensionlessParams(mu=1.0, nu=0.8, beta=0.2, alpha=3.0)
     rep = persistent_exact(d)
     sea = enumerate_fermi_sea(d, "exact")
-    manual = sum(chi(n, lam, d) for n, lam in sea.occupied) / (2 * math.pi)
+    manual = sum(chi(n, lam, d) for n, lam in sea.states()) / (2 * math.pi)
     assert rep.value == pytest.approx(manual, rel=1e-13)
     assert rep.N_e == sea.N_e
     assert rep.method == "exact"
@@ -75,22 +75,20 @@ def test_compact_close_to_linearized():
 def test_c_coefficient_positive_lambda_only():
     d = DimensionlessParams(mu=1.0, nu=1.0, alpha=3.0)
     sea = enumerate_fermi_sea(d, "quadratic")
-    manual = sum(j_coeff(n, lam, d) for n, lam in sea.occupied if lam > 0)
+    manual = sum(j_coeff(n, lam, d) for n, lam in sea.states() if lam > 0)
     assert c_coefficient_exact(d) == pytest.approx(manual, rel=1e-14)
 
 
 def test_sum_lambda_n_exact_vs_integral():
     d = DimensionlessParams(mu=250.0, nu=1.0, alpha=150.0)
-    exact = sum_lambda_n(d, "exact")
-    est = sum_lambda_n(d, "integral")
+    exact = enumerate_fermi_sea(d, "quadratic").sum_lambda_n()
+    est = sum_lambda_n(d)
     assert isinstance(est, IntegralSumEstimate)
     assert est.n_F_continuous > 100.0
     assert est.quadrature == pytest.approx(exact, rel=0.01)
     # the printed closed form is reported but may disagree; it must at
     # least be finite and positive here
     assert est.closed_form > 0.0
-    with pytest.raises(ValueError):
-        sum_lambda_n(d, "bogus")
 
 
 @pytest.mark.parametrize("alpha, nu", [(300.0, 0.3), (2000.0, 2.0)])
@@ -98,8 +96,7 @@ def test_printed_closed_form_is_off_by_one_over_nu_squared(alpha, nu):
     # at n_F ~ 1000 the printed n_F (1 + pi n_F / nu) / 4 is 1/nu^2 times
     # the integral it stands for (leading terms pi n_F^2/(4 nu) against
     # pi nu n_F^2 / 4)
-    est = sum_lambda_n(DimensionlessParams(mu=1.0, nu=nu, alpha=alpha),
-                       "integral")
+    est = sum_lambda_n(DimensionlessParams(mu=1.0, nu=nu, alpha=alpha))
     assert est.n_F_continuous == pytest.approx(1000.0, rel=1e-5)
     assert est.closed_form / est.quadrature == pytest.approx(1.0 / nu**2,
                                                              rel=1e-3)
@@ -173,3 +170,37 @@ def test_linearized_sign_matches_beta(alpha, mu, nu, beta):
     if rep.N_e > 0:
         assert rep.value > 0.0
         assert rep.c > 0.0
+
+
+# (mu, nu, alpha) x beta: the README's persistent point, a light fermion
+# (mu = 1) and the verify ladder's heavy, dense sea
+_IDENTITY_POINTS = [(mu, nu, alpha, beta)
+                    for mu, nu, alpha in ((25.0, 1.0, 10.3), (1.0, 0.5, 7.7),
+                                          (250.0, 1.0, 50.0))
+                    for beta in (0.05, 0.3, 0.45)]
+
+
+@pytest.mark.parametrize("mu, nu, alpha, beta", _IDENTITY_POINTS)
+def test_exact_is_exactly_odd_in_beta(mu, nu, alpha, beta):
+    # the -beta sea is the mirror image lambda -> -lambda, term by term,
+    # and fsum is correctly rounded, so no rounding slack is needed
+    vp = persistent_exact(DimensionlessParams(mu, nu, beta, alpha)).value
+    vm = persistent_exact(DimensionlessParams(mu, nu, -beta, alpha)).value
+    assert vp != 0.0 and vm == -vp
+
+
+@pytest.mark.parametrize("mu, nu, alpha, beta", _IDENTITY_POINTS)
+def test_exact_is_flux_periodic(mu, nu, alpha, beta):
+    # Byers-Yang: a whole flux quantum (beta -> beta +- 1) relabels
+    # lambda -> lambda -+ 1 and leaves the current unchanged; (lambda+1)+beta
+    # and lambda+(beta+1) may round apart, so allow 4 ulp per |chi| term
+    d = DimensionlessParams(mu, nu, beta, alpha)
+    sea = enumerate_fermi_sea(d, "exact")
+    atol = (4 * sys.float_info.epsilon / (2 * math.pi)
+            * math.fsum(abs(chi(n, lam, d)) for n, lam in sea.states()))
+    value = persistent_exact(d).value
+    for shift in (1.0, -1.0):
+        shifted = persistent_exact(DimensionlessParams(mu, nu, beta + shift,
+                                                       alpha))
+        assert shifted.N_e == sea.N_e
+        assert abs(shifted.value - value) <= atol

@@ -116,7 +116,7 @@ def test_regime_flags():
     assert "non-relativistic" in validate_regime(
         DimensionlessParams(mu=100.0, nu=1.0, alpha=5.0))
     assert validate_regime(DimensionlessParams(mu=1.0, nu=1.0, alpha=5.0),
-                           RegimeThresholds(short_nu_min=0.5)).flags == \
+                           RegimeThresholds(short_nu_min=0.5)) == \
         frozenset()
 
 
@@ -153,6 +153,6 @@ def test_to_dimensionless_is_the_module_formulas(mass, radius, fermi,
 @given(nu=st.floats(0.01, 50.0), alpha=st.floats(0.0, 50.0))
 @settings(max_examples=50, deadline=None)
 def test_regime_flags_consistent(nu, alpha):
-    flags = validate_regime(DimensionlessParams(mu=1.0, nu=nu, alpha=alpha)).flags
+    flags = validate_regime(DimensionlessParams(mu=1.0, nu=nu, alpha=alpha))
     # the single-column and ring-like classifications are exclusive
     assert not ({"short", "ring-like"} <= flags)

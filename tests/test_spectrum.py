@@ -77,7 +77,7 @@ def test_lambda_n_continuous():
 def test_fermi_sea_hand_case():
     d = DimensionlessParams(mu=1.0, nu=1.0, alpha=2.0)
     sea = enumerate_fermi_sea(d)
-    assert sea.occupied == ((1, -1.5), (1, -0.5), (1, 0.5), (1, 1.5))
+    assert tuple(sea.states()) == ((1, -1.5), (1, -0.5), (1, 0.5), (1, 1.5))
     assert sea.N_e == 4 and sea.n_F == 1 and sea.lambda_F == 1.5
     assert sea.sum_lambda_n() == 1.5
     assert not sea.empty
@@ -87,7 +87,7 @@ def test_fermi_sea_boundary_tie_occupied():
     # nu^2 n^2 + lambda^2 = 4 + 2.25 = 6.25 = alpha^2 exactly in floats:
     # the boundary state counts as occupied
     sea = enumerate_fermi_sea(DimensionlessParams(mu=1.0, nu=2.0, alpha=2.5))
-    assert (1, 1.5) in sea.occupied
+    assert (1, 1.5) in tuple(sea.states())
 
 
 def test_fermi_sea_empty():
@@ -101,9 +101,9 @@ def test_fermi_sea_exact_uses_beta():
     exact = enumerate_fermi_sea(d, "exact")
     quad = enumerate_fermi_sea(d, "quadratic")
     # beta=0.4 pushes (1, 1.5) out: (1.5+0.4)^2 + 1 > 4
-    assert (1, 1.5) in quad.occupied
-    assert (1, 1.5) not in exact.occupied
-    assert (1, -1.5) in exact.occupied
+    assert (1, 1.5) in tuple(quad.states())
+    assert (1, 1.5) not in tuple(exact.states())
+    assert (1, -1.5) in tuple(exact.states())
 
 
 def test_fermi_sea_rejects_bad_input():
@@ -144,7 +144,7 @@ def test_fermi_sea_criterion_is_sharp(mu, nu, alpha, beta):
     d = DimensionlessParams(mu=mu, nu=nu, alpha=alpha, beta=beta)
     sea = enumerate_fermi_sea(d, "exact")
     a2 = alpha**2
-    occupied = set(sea.occupied)
+    occupied = set(sea.states())
     for n, lam in occupied:
         assert (nu * n) ** 2 + (lam + beta) ** 2 <= a2 * (1 + 1e-12)
     # no admissible state just inside the boundary was missed
@@ -165,8 +165,9 @@ def test_fermi_sea_symmetric_without_beta(mu, nu, alpha):
     d = DimensionlessParams(mu=mu, nu=nu, alpha=alpha)
     sea = enumerate_fermi_sea(d, "exact")
     quad = enumerate_fermi_sea(d, "quadratic")
-    assert sea.occupied == quad.occupied   # criteria only differ through beta
-    occupied = set(sea.occupied)
+    # criteria only differ through beta
+    assert tuple(sea.states()) == tuple(quad.states())
+    occupied = set(sea.states())
     assert occupied == {(n, -lam) for n, lam in occupied}
 
 
@@ -212,7 +213,7 @@ def assert_matches_scan(d):
     for criterion in ("exact", "quadratic"):
         occupied, lambda_n = scan_fermi_sea(d, criterion)
         sea = enumerate_fermi_sea(d, criterion)
-        assert sea.occupied == occupied
+        assert tuple(sea.states()) == occupied
         assert type(sea.N_e) is int and sea.N_e == len(occupied)
         assert type(sea.n_F) is int and sea.n_F == max(lambda_n, default=0)
         assert sea.lambda_n == lambda_n
@@ -257,7 +258,7 @@ def decimal_points(draw):
 def test_boundary_tie_hand_cases():
     # nu n = 3, lambda + beta = 3.5 + 0.5 = 4, alpha = 5
     d = DimensionlessParams(mu=1.0, nu=1.0, beta=0.5, alpha=5.0)
-    assert (3, 3.5) in enumerate_fermi_sea(d, "exact").occupied
+    assert (3, 3.5) in tuple(enumerate_fermi_sea(d, "exact").states())
     assert_matches_scan(d)
     # rounding puts a column end one step beyond the sqrt estimate
     # (column 21 at beta = +-1.3) or one step short of it (column 4)
