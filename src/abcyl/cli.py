@@ -184,9 +184,6 @@ def cmd_packet(args) -> int:
                        "cylinder (nu must be 0)")
     if args.zsteps < 2:
         raise _Failure(EXIT_CONFIG, "packet needs zsteps >= 2")
-    z_order = 1200 if args.quad_order is None else args.quad_order
-    if z_order < 1:
-        raise _Failure(EXIT_CONFIG, "packet needs quad-order >= 1")
     packet = GaussianPacket(lam=args.lam, k0=args.k0, width=args.width,
                             weight_plus=args.mix_plus,
                             weight_minus=args.mix_minus)
@@ -204,7 +201,7 @@ def cmd_packet(args) -> int:
     re_ = currents.packet_energy(packet, d, rule)
     pol = currents.packet_polarization(packet, rule)
     window = abs(args.t) + 8.0 / args.width + max(abs(args.zmin), abs(args.zmax))
-    norm = currents.packet_norm(packet, d, args.t, window, rule, z_order)
+    norm = currents.packet_norm(packet, d, args.t, window, rule)
     header = ["row", "z", "I3_direct", "I3_formula", "difference"]
     rows = [["I3", z, float(a), float(b), float(a - b)]
             for z, a, b in zip(zs, direct, formula)]
@@ -301,8 +298,6 @@ def _add_global_flags(p: argparse.ArgumentParser, top: bool) -> None:
     p.add_argument("--format", choices=("csv", "json"), default=d("csv"))
     p.add_argument("--out", default=d(None),
                    help="write data here instead of stdout")
-    p.add_argument("--quad-order", type=int, default=d(None),
-                   help="override the z-axis Gauss-Legendre order (packet)")
     p.add_argument("--seed", type=int, default=d(None),
                    help="seed for randomized residual sample points (verify)")
     p.add_argument("--physical", action="store_true", default=d(None),
@@ -312,8 +307,7 @@ def _add_global_flags(p: argparse.ArgumentParser, top: bool) -> None:
 
 # the commands that apply each global flag; any other command rejects
 # the flag instead of ignoring it
-_FLAG_COMMAND = {"quad_order": ("packet",), "seed": ("verify",),
-                 "physical": ("spectrum",),
+_FLAG_COMMAND = {"seed": ("verify",), "physical": ("spectrum",),
                  "config": ("spectrum", "persistent", "packet", "sweep")}
 
 

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-10
+_WINDOW_SIGMAS = 8.0  # half-width of a Gaussian packet's k window, in widths
 
 
 @dataclass(frozen=True)
@@ -112,11 +113,15 @@ PacketSpec = GaussianPacket | TabulatedPacket
 
 @dataclass(frozen=True)
 class MomentumRule:
-    """Gauss-Legendre momentum quadrature; window is +/- window_sigmas
-    packet widths around the center (Gaussian packets only)."""
+    """Gauss-Legendre momentum quadrature on +/- _WINDOW_SIGMAS packet
+    widths around the center (Gaussian packets only)."""
 
     order: int = 400
-    window_sigmas: float = 8.0
+
+    def __post_init__(self):
+        if self.order < 2:
+            raise ValueError(f"momentum quadrature needs order >= 2, "
+                             f"got {self.order}")
 
 
 class ResolutionError(ValueError):
@@ -176,7 +181,7 @@ def packet_grid(p: PacketSpec, rule: MomentumRule | None = None):
     rule = rule or MomentumRule()
     if isinstance(p, GaussianPacket):
         x, w = leggauss(rule.order)
-        half = rule.window_sigmas * p.width
+        half = _WINDOW_SIGMAS * p.width
         k = p.k0 + half * x
         wk = half * w
         ap, am = p.raw_amplitudes(k)
@@ -247,6 +252,20 @@ def check_resolution(p: PacketSpec, rule: MomentumRule | None, d, t, z) -> None:
         raise ResolutionError(spacing, required, min_points)
 
 
+def _zprofile_coefficients(p: PacketSpec, d: DimensionlessParams,
+                           rule: MomentumRule | None):
+    """(k, E, c) with h_j(t, z) = sum_k c[j](k) e^{i(kz - E t)}."""
+    k, wk, ap, am = packet_grid(p, rule)
+    E = _packet_energies(p, k, d)
+    q = p.lam + d.beta
+    C = np.sqrt((E + d.mu) / (2.0 * E)) / (2.0 * math.pi)
+    low = C / (E + d.mu)
+    c = np.stack([wk * ap * C, wk * am * C,
+                  wk * low * (ap * k - 1j * q * am),
+                  wk * low * (1j * q * ap - am * k)])
+    return k, E, c
+
+
 def packet_zprofile(p: PacketSpec, d: DimensionlessParams, t, z,
                     rule: MomentumRule | None = None) -> np.ndarray:
     """Reduced z-profiles h_j(t, z) of the packet spinor, shape (4, len(z)).
@@ -255,44 +274,27 @@ def packet_zprofile(p: PacketSpec, d: DimensionlessParams, t, z,
     p = (lambda-1/2, lambda+1/2, lambda-1/2, lambda+1/2).
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    k, wk, ap, am = packet_grid(p, rule)
-    E = _packet_energies(p, k, d)
-    q = p.lam + d.beta
-    C = np.sqrt((E + d.mu) / (2.0 * E)) / (2.0 * math.pi)
+    k, E, c = _zprofile_coefficients(p, d, rule)
     phase = np.exp(1j * (np.outer(z, k) - t * E[None, :]))  # (Nz, Nk)
-    low = C / (E + d.mu)
-    h1 = phase @ (wk * ap * C)
-    h2 = phase @ (wk * am * C)
-    h3 = phase @ (wk * low * (ap * k - 1j * q * am))
-    h4 = phase @ (wk * low * (1j * q * ap - am * k))
-    return np.stack([h1, h2, h3, h4])
+    return np.stack([phase @ cj for cj in c])
 
 
 def longitudinal_current_packet_direct(p: PacketSpec, d: DimensionlessParams,
                                        t: float, z,
-                                       rule: MomentumRule | None = None,
-                                       phi_points: int = 64) -> np.ndarray:
+                                       rule: MomentumRule | None = None
+                                       ) -> np.ndarray:
     """Authoritative longitudinal current R int dphi j^3 at (t, z).
 
-    Builds the packet spinor by momentum quadrature and integrates the
-    bilinear psi^dag g0 g3 psi over phi.  Raises ResolutionError when
-    the momentum grid cannot resolve the phase at the requested point.
+    The phi integral of psi^dag g0 g3 psi = c1* c3 + c3* c1 - c2* c4 - c4* c2
+    is 2 pi times the z-profile bilinear, since each pair of terms shares
+    its azimuthal phase.  Raises ResolutionError when the momentum grid
+    cannot resolve the phase at the requested point.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     check_resolution(p, rule, d, t, z)
     h = packet_zprofile(p, d, t, z, rule)
-    phi = np.arange(phi_points) * (2.0 * math.pi / phi_points)
-    lamm, lamp = p.lam - 0.5, p.lam + 0.5
-    psi = np.stack([
-        np.exp(1j * lamm * phi)[:, None] * h[0][None, :],
-        np.exp(1j * lamp * phi)[:, None] * h[1][None, :],
-        np.exp(1j * lamm * phi)[:, None] * h[2][None, :],
-        np.exp(1j * lamp * phi)[:, None] * h[3][None, :],
-    ])
-    # psi^dag g0 g3 psi = c1* c3 + c3* c1 - c2* c4 - c4* c2
-    j3 = (np.conj(psi[0]) * psi[2] + np.conj(psi[2]) * psi[0]
-          - np.conj(psi[1]) * psi[3] - np.conj(psi[3]) * psi[1])
-    integ = (2.0 * math.pi / phi_points) * np.sum(j3, axis=0)
+    integ = 2.0 * math.pi * (np.conj(h[0]) * h[2] + np.conj(h[2]) * h[0]
+                             - np.conj(h[1]) * h[3] - np.conj(h[3]) * h[1])
     if np.max(np.abs(integ.imag)) > _NORM_TOL:
         raise ArithmeticError(
             f"non-real longitudinal bilinear: Im = {np.max(np.abs(integ.imag)):.3e}")
@@ -339,21 +341,28 @@ def longitudinal_current_packet_formula(p: PacketSpec, d: DimensionlessParams,
     return out.real
 
 
+def _zprofile_gram(p: PacketSpec, d: DimensionlessParams, t: float,
+                   z_window: float, rule: MomentumRule | None) -> np.ndarray:
+    """P[i, j] = int_{-W}^{W} conj(h_i) h_j dz in closed form: b^H K b with
+    b = c e^{-iEt} and K(k, k') = 2W sinc((k'-k) W / pi), shape (4, 4)."""
+    k, E, c = _zprofile_coefficients(p, d, rule)
+    b = c * np.exp(-1j * t * E)
+    kernel = np.sinc(np.subtract.outer(k, k) * (z_window / math.pi))
+    return 2.0 * z_window * (np.conj(b) @ kernel @ b.T)
+
+
 def packet_norm(p: PacketSpec, d: DimensionlessParams, t: float,
-                z_window: float, rule: MomentumRule | None = None,
-                z_order: int = 1200) -> float:
-    """Packet norm by quadrature of j^0 = psi^dag psi (phi-independent)."""
-    zr = QuadratureRule.window(-z_window, z_window, z_order)
-    h = packet_zprofile(p, d, t, zr.z_nodes, rule)
-    dens = np.sum(np.abs(h) ** 2, axis=0)
-    return float(2.0 * math.pi * (dens @ zr.z_weights))
+                z_window: float, rule: MomentumRule | None = None) -> float:
+    """Packet norm int dphi int_{-W}^{W} dz psi^dag psi, exact for the
+    momentum-quadrature packet (psi^dag psi is phi-independent)."""
+    P = _zprofile_gram(p, d, t, z_window, rule)
+    return float(2.0 * math.pi * np.trace(P).real)
 
 
 def packet_total_flux(p: PacketSpec, d: DimensionlessParams, t: float,
-                      z_window: float, rule: MomentumRule | None = None,
-                      z_order: int = 1200, phi_points: int = 64) -> float:
-    """z-integral of the direct longitudinal current over a wide window."""
-    zr = QuadratureRule.window(-z_window, z_window, z_order, phi_points)
-    i3 = longitudinal_current_packet_direct(p, d, t, zr.z_nodes, rule,
-                                            phi_points=phi_points)
-    return float(i3 @ zr.z_weights)
+                      z_window: float, rule: MomentumRule | None = None) -> float:
+    """z-integral of the direct longitudinal current over [-W, W], exact
+    for the momentum-quadrature packet."""
+    check_resolution(p, rule, d, t, [-z_window, z_window])
+    P = _zprofile_gram(p, d, t, z_window, rule)
+    return float(4.0 * math.pi * (P[0, 2] - P[1, 3]).real)

@@ -54,14 +54,17 @@ class PhysicalParams:
     b_field_T: float = 0.0
 
     def __post_init__(self):
-        if not self.mass_eV > 0:
-            raise ValueError(f"mass_eV must be positive, got {self.mass_eV}")
-        if not self.radius_nm > 0:
-            raise ValueError(f"radius_nm must be positive, got {self.radius_nm}")
-        if self.fermi_eV < 0:
-            raise ValueError(f"fermi_eV must be non-negative, got {self.fermi_eV}")
-        if self.length_nm is not None and not self.length_nm > 0:
-            raise ValueError(f"length_nm must be positive, got {self.length_nm}")
+        _check_physical(vars(self))
+
+
+def _check_physical(values) -> None:
+    """Range rules of the physical keys, shared with resolve_params."""
+    for key in ("mass_eV", "radius_nm", "length_nm"):
+        if values.get(key) is not None and not values[key] > 0:
+            raise ValueError(f"{key} must be positive, got {values[key]}")
+    fermi = values.get("fermi_eV", 0.0)
+    if not fermi >= 0:
+        raise ValueError(f"fermi_eV must be non-negative, got {fermi}")
 
 
 @dataclass(frozen=True)
@@ -190,6 +193,7 @@ def resolve_params(values: dict[str, float]) -> DimensionlessParams:
     for dkey, pkey in _CONFLICTS.items():
         if dkey in values and pkey in values:
             raise ConfigError(f"give either {dkey} or {pkey}, not both")
+    _check_physical(values)
 
     def _radius_nm() -> float:
         if "radius_nm" not in values:

@@ -115,8 +115,6 @@ class FermiSea:
     half-odd-integer lambda from lambda_lo to lambda_hi."""
 
     columns: tuple[tuple[int, float, float], ...]
-    criterion: str = "exact"
-    ring_like: bool = False
 
     @property
     def empty(self) -> bool:
@@ -169,7 +167,8 @@ def enumerate_fermi_sea(d: DimensionlessParams,
 
     Column n occupies one run, |lambda+beta| <= sqrt(alpha^2 - nu^2 n^2);
     its ends are settled by the occupation test itself, so ties and sqrt
-    rounding decide as a test of every state would.  Cost is O(n_F).
+    rounding decide as a test of every state would.  alpha^2 - nu^2 n^2
+    falls with n, so the first empty column ends the sea.  Cost is O(n_F).
     """
     if criterion not in ("exact", "quadratic"):
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -193,8 +192,8 @@ def enumerate_fermi_sea(d: DimensionlessParams,
             lo += 1.0
         while lo <= hi and (hi + beta) ** 2 > rem:
             hi -= 1.0
-        if lo <= hi:
-            columns.append((n, lo, hi))
+        if lo > hi:
+            break
+        columns.append((n, lo, hi))
 
-    return FermiSea(columns=tuple(columns), criterion=criterion,
-                    ring_like=d.nu > d.alpha)
+    return FermiSea(columns=tuple(columns))

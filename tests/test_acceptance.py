@@ -241,9 +241,8 @@ def test_criterion_11_packet_longitudinal_current():
     fluxes = []
     for t in (0.0, 5.0, 20.0):
         window = abs(t) + 30.0
-        norm = packet_norm(p, d, t, window, rule, z_order=1400)
-        flux = packet_total_flux(p, d, t, window, rule, z_order=1400,
-                                 phi_points=8)
+        norm = packet_norm(p, d, t, window, rule)
+        flux = packet_total_flux(p, d, t, window, rule)
         fluxes.append(flux)
         worst = max(worst, abs(norm - 1.0), abs(flux - v))
     worst = max(worst, max(fluxes) - min(fluxes))

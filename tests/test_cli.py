@@ -1,11 +1,19 @@
+import argparse
 import functools
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from abcyl import spinors
-from abcyl.cli import _half_odd_range, main
+from abcyl.cli import _half_odd_range, build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -138,14 +146,85 @@ def test_packet_resolution_exit_4(capsys):
     (("--zsteps", "1"), "packet needs zsteps >= 2"),
     (("--zsteps", "0"), "packet needs zsteps >= 2"),
     (("--zsteps", "-3"), "packet needs zsteps >= 2"),
-    (("--quad-order", "0"), "packet needs quad-order >= 1"),
-    (("--quad-order", "-5"), "packet needs quad-order >= 1"),
+    (("--korder", "1"), "momentum quadrature needs order >= 2, got 1"),
+    (("--korder", "0"), "momentum quadrature needs order >= 2, got 0"),
+    (("--korder", "-3"), "momentum quadrature needs order >= 2, got -3"),
 ])
 def test_packet_rejects_bad_grid_sizes(capsys, flag, message):
     code, out, err = run(capsys, "packet", "--mu", "1", "--korder", "200",
                          *flag)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_quad_order_flag_is_gone(capsys, before):
+    # the packet norm is exact over its window, so no z order is left to set
+    flag = ("--quad-order", "300")
+    argv = ("packet", "--mu", "1", "--korder", "200")
+    with pytest.raises(SystemExit) as exc:
+        main([*flag, *argv] if before else [*argv, *flag])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_packet_request_solves_one_gauss_legendre_order(capsys):
+    # the momentum rule is the only Gauss-Legendre order a packet needs
+    spinors.leggauss.cache_clear()
+    code, _, _ = run(capsys, "packet", "--mu", "1", "--k0", "1",
+                     "--width", "0.5", "--korder", "400")
+    assert code == 0
+    assert spinors.leggauss.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--length-nm", "0", "--fermi-eV", "1"),
+     "length_nm must be positive, got 0.0"),
+    (("--length-nm", "5", "--fermi-eV", "-0.1"),
+     "fermi_eV must be non-negative, got -0.1"),
+    (("--length-nm", "5", "--radius-nm", "0"),
+     "radius_nm must be positive, got 0.0"),
+    (("--length-nm", "5", "--mass-eV=-1"),
+     "mass_eV must be positive, got -1.0"),
+])
+def test_physical_keys_out_of_range_exit_2(capsys, flags, message):
+    code, out, err = run(capsys, "persistent", "--mass-eV", "1",
+                         "--radius-nm", "1", *flags)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_persistent_stops_at_first_empty_column():
+    # nu = 1e-9 puts 1e8 columns below alpha = 0.1, all of them empty
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "abcyl.cli", "persistent",
+                           "--mu", "1", "--nu", "1e-9", "--alpha", "0.1"],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert "empty Fermi sea" in proc.stderr
+    assert proc.stdout.splitlines()[2] == "exact,0,0,0,,"
+
+
+def _option_strings(parser) -> set[str]:
+    return {opt for action in parser._actions
+            for opt in action.option_strings if opt.startswith("--")}
+
+
+def test_readme_command_line_flags_match_parser():
+    # every flag README's "Command line" section names is defined, and
+    # every top-level flag is documented there
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[A-Za-z][A-Za-z0-9-]*", section))
+    parser = build_parser()
+    (sub,) = [action for action in parser._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    top = _option_strings(parser) - {"--help"}
+    defined = top.union(*map(_option_strings, sub.choices.values()))
+    assert documented <= defined, sorted(documented - defined)
+    assert top <= documented, sorted(top - documented)
 
 
 def test_sweep_lambda_saturation(capsys):
@@ -256,7 +335,6 @@ _COMMAND_ARGV = {
 }
 _GLOBAL_FLAGS = {
     ("--physical",): ("spectrum",),
-    ("--quad-order", "300"): ("packet",),
     ("--seed", "2"): ("verify",),
     ("--config", "params.cfg"): ("spectrum", "persistent", "packet", "sweep"),
 }
@@ -267,10 +345,16 @@ def _with_flag(flag, command, before):
     return (*flag, *argv) if before else (*argv, *flag)
 
 
+_REJECTED = [(flag, command) for flag, owners in _GLOBAL_FLAGS.items()
+             for command in _COMMAND_ARGV if command not in owners]
+# case ids flag4..flag7 were the four commands that rejected the retired
+# --quad-order flag; they stay unused so that no other case id moves
+_REJECTED_IDS = [f"flag{i + 4 * (i >= 4)}-{command}"
+                 for i, (_, command) in enumerate(_REJECTED)]
+
+
 @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
-@pytest.mark.parametrize("flag,command", [
-    (flag, command) for flag, owners in _GLOBAL_FLAGS.items()
-    for command in _COMMAND_ARGV if command not in owners])
+@pytest.mark.parametrize("flag,command", _REJECTED, ids=_REJECTED_IDS)
 def test_global_flag_rejected_where_ignored(capsys, flag, command, before):
     code, out, err = run(capsys, *_with_flag(flag, command, before))
     assert code == 2 and out == ""
@@ -278,7 +362,7 @@ def test_global_flag_rejected_where_ignored(capsys, flag, command, before):
     assert err == f"error: {flag[0]} applies to {owners} only, not to {command}\n"
 
 
-@pytest.mark.parametrize("flag", [("--physical",), ("--quad-order", "300")])
+@pytest.mark.parametrize("flag", [("--physical",)])
 def test_global_flag_accepted_in_either_position(capsys, flag):
     (command,) = _GLOBAL_FLAGS[flag]
     code, plain, _ = run(capsys, *_COMMAND_ARGV[command])

@@ -15,9 +15,9 @@ from abcyl.currents import (GaussianPacket, MixedState, MomentumRule,
                             longitudinal_current_packet_formula,
                             packet_energy, packet_grid, packet_norm,
                             packet_polarization, packet_total_flux,
-                            packet_velocity_expectation)
+                            packet_velocity_expectation, packet_zprofile)
 from abcyl.params import DimensionlessParams
-from abcyl.spinors import leggauss
+from abcyl.spinors import QuadratureRule, leggauss
 
 D = DimensionlessParams(mu=1.0, nu=1.0, beta=0.3)
 
@@ -150,10 +150,70 @@ def test_packet_norm_and_flux_conservation():
     rule = MomentumRule(order=400)
     v = packet_velocity_expectation(p, d, rule)
     for t in (0.0, 2.0):
-        assert packet_norm(p, d, t, 20.0, rule, z_order=600) \
+        assert packet_norm(p, d, t, 20.0, rule) \
             == pytest.approx(1.0, abs=1e-8)
-        assert packet_total_flux(p, d, t, 20.0, rule, z_order=600,
-                                 phi_points=8) == pytest.approx(v, abs=1e-8)
+        assert packet_total_flux(p, d, t, 20.0, rule) \
+            == pytest.approx(v, abs=1e-8)
+
+
+def _grid_direct(p, d, t, z, rule):
+    """R int dphi j^3 on a 64-point phi grid: the reference for the
+    closed-form phi integral of longitudinal_current_packet_direct."""
+    phi_points = 64
+    h = packet_zprofile(p, d, t, z, rule)
+    phi = np.arange(phi_points) * (2.0 * math.pi / phi_points)
+    lamm, lamp = p.lam - 0.5, p.lam + 0.5
+    psi = np.stack([
+        np.exp(1j * lamm * phi)[:, None] * h[0][None, :],
+        np.exp(1j * lamp * phi)[:, None] * h[1][None, :],
+        np.exp(1j * lamm * phi)[:, None] * h[2][None, :],
+        np.exp(1j * lamp * phi)[:, None] * h[3][None, :],
+    ])
+    j3 = (np.conj(psi[0]) * psi[2] + np.conj(psi[2]) * psi[0]
+          - np.conj(psi[1]) * psi[3] - np.conj(psi[3]) * psi[1])
+    return ((2.0 * math.pi / phi_points) * np.sum(j3, axis=0)).real
+
+
+def _grid_norm_and_flux(p, d, t, z_window, rule):
+    """Norm and z-integrated flux on an order-1200 Gauss-Legendre z rule:
+    the reference for the closed-form z integrals."""
+    zr = QuadratureRule.window(-z_window, z_window, 1200)
+    h = packet_zprofile(p, d, t, zr.z_nodes, rule)
+    norm = 2.0 * math.pi * (np.sum(np.abs(h) ** 2, axis=0) @ zr.z_weights)
+    return norm, _grid_direct(p, d, t, zr.z_nodes, rule) @ zr.z_weights
+
+
+# (packet, beta, t, z window); the last packet has left the window in part
+_EXACT_CASES = [
+    (GaussianPacket(lam=0.5, k0=1.0, width=0.5), 0.0, 0.0, 20.0),
+    (GaussianPacket(lam=1.5, k0=0.8, width=0.5, weight_minus=0.6 - 0.3j),
+     0.2, 3.0, 15.0),
+    (GaussianPacket(lam=-2.5, k0=-0.6, width=0.7, weight_plus=0.3,
+                    weight_minus=1.0), -0.4, -4.0, 12.0),
+    (GaussianPacket(lam=0.5, k0=1.5, width=0.5), 0.0, 8.0, 6.0),
+]
+
+
+@pytest.mark.parametrize("p, beta, t, z_window", _EXACT_CASES)
+def test_exact_integrals_match_quadrature(p, beta, t, z_window):
+    d = DimensionlessParams(mu=1.0, beta=beta)
+    rule = MomentumRule(order=400)
+    want_norm, want_flux = _grid_norm_and_flux(p, d, t, z_window, rule)
+    assert packet_norm(p, d, t, z_window, rule) \
+        == pytest.approx(want_norm, abs=1e-12)
+    assert packet_total_flux(p, d, t, z_window, rule) \
+        == pytest.approx(want_flux, abs=1e-12)
+    zs = np.linspace(-z_window, z_window, 41)
+    want = _grid_direct(p, d, t, zs, rule)
+    got = longitudinal_current_packet_direct(p, d, t, zs, rule)
+    assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
+
+
+def test_norm_of_packet_partly_outside_window():
+    # at t = 8 the packet centre (velocity 0.80) is past z = 6
+    d = DimensionlessParams(mu=1.0)
+    p = GaussianPacket(lam=0.5, k0=1.5, width=0.5)
+    assert packet_norm(p, d, 8.0, 6.0) == pytest.approx(0.430, abs=5e-4)
 
 
 def test_resolution_error():

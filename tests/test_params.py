@@ -92,6 +92,31 @@ def test_resolve_conflicts():
         resolve_params({})
 
 
+_BASE = {"mass_eV": 1.0, "radius_nm": 1.0, "length_nm": 5.0,
+         "fermi_eV": 1.0}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("mass_eV", -1.0, "mass_eV must be positive, got -1.0"),
+    ("radius_nm", 0.0, "radius_nm must be positive, got 0.0"),
+    ("fermi_eV", -0.1, "fermi_eV must be non-negative, got -0.1"),
+    ("length_nm", 0.0, "length_nm must be positive, got 0.0"),
+])
+def test_resolve_applies_physical_ranges(key, value, message):
+    # resolve_params and PhysicalParams reject the same values with the
+    # same message
+    values = {**_BASE, key: value}
+    with pytest.raises(ValueError) as from_values:
+        resolve_params(values)
+    with pytest.raises(ValueError) as from_params:
+        PhysicalParams(**values)
+    assert str(from_values.value) == str(from_params.value) == message
+    # also when the key is not needed for the conversion
+    if key in ("radius_nm", "length_nm"):
+        with pytest.raises(ValueError, match=message):
+            resolve_params({"mu": 1.0, key: value})
+
+
 def test_resolve_matches_to_dimensionless():
     p = PhysicalParams(mass_eV=5e5, radius_nm=50.0, fermi_eV=0.1,
                        length_nm=500.0, b_field_T=2.0)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from abcyl.params import DimensionlessParams
+from abcyl.params import DimensionlessParams, validate_regime
 from abcyl.spectrum import (FermiSea, ModeSpec, denergy_dbeta, energy_finite,
                             energy_infinite, enumerate_fermi_sea,
                             lambda_n_continuous, largest_half_odd,
@@ -93,7 +93,8 @@ def test_fermi_sea_boundary_tie_occupied():
 def test_fermi_sea_empty():
     sea = enumerate_fermi_sea(DimensionlessParams(mu=1.0, nu=2.0, alpha=1.0))
     assert sea.empty and sea.N_e == 0 and sea.n_F == 0
-    assert sea.ring_like
+    assert "ring-like" in validate_regime(
+        DimensionlessParams(mu=1.0, nu=2.0, alpha=1.0))
 
 
 def test_fermi_sea_exact_uses_beta():
