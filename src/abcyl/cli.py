@@ -33,6 +33,11 @@ EXIT_CONFIG = 2
 EXIT_REGIME = 3
 EXIT_RESOLUTION = 4
 
+# Largest Fermi sea, in columns n, that persistent and the persistent_*
+# sweeps build; the sums cost tens of microseconds per column, so a
+# persistent request at the cap takes a few seconds.
+MAX_SEA_COLUMNS = 30_000
+
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -147,10 +152,25 @@ def _report_dict(rep: fermi.PersistentReport) -> dict:
     return out
 
 
+def _check_sea_columns(d: DimensionlessParams) -> None:
+    """Exit 3 for a sea of more than MAX_SEA_COLUMNS columns.
+
+    Column n holds a state while nu n <= sqrt(alpha^2 - delta^2), delta
+    the least |lambda + beta| over half-odd lambda: ceil(alpha/nu)
+    columns, less the ones beyond the first empty column.
+    """
+    delta = abs(d.beta - 0.5 - round(d.beta - 0.5))
+    columns = math.ceil(math.sqrt(max(d.alpha**2 - delta**2, 0.0)) / d.nu)
+    if columns > MAX_SEA_COLUMNS:
+        raise _Failure(EXIT_REGIME, f"the Fermi sea spans {columns} columns "
+                       f"(about alpha/nu); the cap is {MAX_SEA_COLUMNS}")
+
+
 def cmd_persistent(args) -> int:
     d = _gather_params(args)
     if d.nu <= 0.0:
         raise _Failure(EXIT_REGIME, "persistent currents need nu > 0")
+    _check_sea_columns(d)
     reports = fermi.persistent_all(d)
     if reports["exact"].N_e == 0:
         _diag("warning: empty Fermi sea (no state below the Fermi level)")
@@ -261,12 +281,15 @@ def cmd_sweep(args) -> int:
             kw[args.param] = value
         return DimensionlessParams(**kw)
 
-    rows = []
-    for x in points:
-        d = at(x)
+    grid = [(x, at(x)) for x in points]
+    for _, d in grid:
         if d.nu <= 0.0:
             raise _Failure(EXIT_REGIME, f"sweep of {args.observable} needs "
                            "nu > 0 (or length_nm)")
+        if args.observable.startswith("persistent_"):
+            _check_sea_columns(d)
+    rows = []
+    for x, d in grid:
         lam = x if args.param == "lambda" else args.lam
         n = x if args.param == "n" else args.n
         rows.append([x, _SWEEP_OBSERVABLES[args.observable](n, lam, d)])

@@ -10,19 +10,38 @@ Five method chains, from exact to most approximate:
 
 The compact sums consume the exact half-odd-integer lambda_n from the
 enumeration; the continuous boundary value is reported alongside but
-never silently substituted.  Summation is ascending (n, lambda) with
-error-free accumulation (math.fsum), so results are bit-stable.
+never silently substituted.
+
+The exact and linearized sums cost O(n_F), not O(N_e).  Column n
+(s = mu^2 + nu^2 n^2) holds a unit-step run of q = lambda + beta, and
+both summands have elementary antiderivatives: chi = q/sqrt(s+q^2)
+integrates to sqrt(s+q^2), and j = s/(s+lambda^2)^(3/2) = chi' to chi.
+Terms with |q| below a window Q(s) are summed one by one; each tail
+beyond it is summed by the midpoint Euler-Maclaurin formula
+
+    sum of f(a..b) = F(b+1/2) - F(a-1/2) - [f']/24 + 7[f^(3)]/5760
+                     - 31[f^(5)]/967680,
+
+truncated after p = 1, 2 or 3 of those corrections.  Q and p come from a
+bound on the first omitted term: with h = chi' = j,
+|h^(m)(x)| <= s (m+2)!/2 (s+x^2)^(-(m+3)/2) (the Gegenbauer form of the
+derivatives), and four such terms at |x| >= Q - 1/2 are held to eps/16
+of the column's sum of |terms|.  The left and right chi tails are paired
+into differences (B-A)(B+A)/(sqrt(s+B^2)+sqrt(s+A^2)) that do not
+cancel, each column is built symmetrically (the -beta sea gives exactly
+the negated terms), and every term is accumulated with math.fsum.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .currents import chi
 from .params import DimensionlessParams, validate_regime
-from .spectrum import FermiSea, enumerate_fermi_sea, largest_half_odd
+from .spectrum import (FermiSea, enumerate_fermi_sea, half_odd_run,
+                       largest_half_odd)
 
 __all__ = [
     "PersistentReport",
@@ -74,16 +93,136 @@ def _sea_report(method: str, d: DimensionlessParams, sea: FermiSea,
         **fields)
 
 
+# B_2k(1/2)/(2k)!: over x = a, a+1, ..., b the midpoint Euler-Maclaurin
+# formula is sum f(x) = F(b+1/2) - F(a-1/2) + sum_k _EM[k-1] [f^(2k-1)],
+# the brackets taken from a-1/2 to b+1/2.  The last entry only bounds
+# the first omitted term of a third-order sum.
+_EM = (-1.0 / 24.0, 7.0 / 5760.0, -31.0 / 967680.0, 127.0 / 154828800.0)
+
+# each column's truncation bound, as a share of its sum of |terms|
+_EM_TOL = sys.float_info.epsilon / 16.0
+
+
+def _chi_odd_derivatives(x: float, s: float) -> tuple[float, float, float]:
+    """chi', chi^(3) and chi^(5) at x, where chi' = s (s+x^2)^(-3/2) = j."""
+    r2 = 1.0 / (s + x * x)
+    t2 = x * x * r2
+    d1 = s * r2 * math.sqrt(r2)
+    return (d1, 3.0 * d1 * r2 * (5.0 * t2 - 1.0),
+            45.0 * d1 * r2 * r2 * ((21.0 * t2 - 14.0) * t2 + 1.0))
+
+
+def _j_odd_derivatives(x: float, s: float) -> tuple[float, float, float]:
+    """j', j^(3) and j^(5) at x, where j = s (s+x^2)^(-3/2)."""
+    r2 = 1.0 / (s + x * x)
+    t2 = x * x * r2
+    d1 = -3.0 * s * x * r2 * r2 * math.sqrt(r2)
+    return (d1, 5.0 * d1 * r2 * (7.0 * t2 - 3.0),
+            105.0 * d1 * r2 * r2 * ((33.0 * t2 - 30.0) * t2 + 5.0))
+
+
+def _window(s: float, tol: float, offset: int) -> tuple[float, int]:
+    """Explicit window Q and Euler-Maclaurin order p for one column.
+
+    The first omitted term at an end x is _EM[p] f^(2p+1)(x), and
+    f^(2p+1) = h^(m) with h = chi' = j and m = 2p + offset (offset 0 for
+    the chi sum, 1 for the j sum).  h^(m)(x) = (-1)^m m! C_m(t) s
+    (s+x^2)^(-(m+3)/2), with t = x/sqrt(s+x^2) and C_m the Gegenbauer
+    polynomial of index 3/2, and |C_m(t)| <= C_m(1) = (m+1)(m+2)/2, so
+    |h^(m)(x)| <= s (m+2)!/2 (s+x^2)^(-(m+3)/2).  Q keeps four such
+    terms, at ends |x| >= Q - 1/2, within tol.  The lowest order that
+    brings Q down to 1 is taken, else order 3.
+    """
+    for p in (1, 2, 3):
+        m = 2 * p + offset
+        w = (2.0 * abs(_EM[p]) * math.factorial(m + 2) * s / tol) ** (1.0 / (m + 3))
+        q = 0.5 + math.sqrt(max(w * w - s, 0.0))
+        if q <= 1.0:
+            return 1.0, p
+    return q, 3
+
+
+def _first_at_least(lo: float, hi: float, beta: float, bound: float) -> float:
+    """Smallest lambda in the run lo..hi with beta + lambda >= bound, or
+    hi + 1; decided by that test itself, as the sea's ends are."""
+    lam = min(max(math.ceil(bound - beta - 0.5) + 0.5, lo), hi + 1.0)
+    while lam > lo and beta + (lam - 1.0) >= bound:
+        lam -= 1.0
+    while lam <= hi and beta + lam < bound:
+        lam += 1.0
+    return lam
+
+
+def _chi_column(lo: float, hi: float, beta: float, s: float) -> list[float]:
+    """Terms whose sum is chi summed over the column run lo..hi.
+
+    Mirroring the run and beta (lo, hi, beta -> -hi, -lo, -beta) negates
+    every term exactly.
+    """
+    half = 0.5 * (hi - lo + 1.0)
+    tol = _EM_TOL * 2.0 * half**2 / (math.sqrt(s + half**2) + math.sqrt(s))
+    bound, p = _window(s, tol, 0)
+    lam_r = _first_at_least(lo, hi, beta, bound)
+    lam_l = -_first_at_least(-hi, -lo, -beta, bound)
+    if lam_r > hi or lam_l < lo:
+        # a tail is empty; in a sea |q| <= r the other then holds at most
+        # one state
+        lam_l, lam_r = lo - 1.0, hi + 1.0
+    terms = []
+    for lam in half_odd_run(lam_l + 1.0, lam_r - 1.0):
+        q = beta + lam
+        terms.append(q / math.sqrt(s + q**2))
+    if lam_r > hi:
+        return terms
+    # sqrt(s+q^2) over [x_in, x_out] minus over [y_in, y_out], paired as
+    # outer and inner differences with exact B-A and B+A
+    x_out, y_out = (beta + hi) + 0.5, 0.5 - (beta + lo)
+    x_in, y_in = (beta + lam_r) - 0.5, -(beta + lam_l) - 0.5
+    terms.append(((hi + lo) + 2.0 * beta) * (hi - lo + 1.0)
+                 / (math.sqrt(s + x_out**2) + math.sqrt(s + y_out**2)))
+    terms.append(-((lam_r + lam_l) + 2.0 * beta) * (lam_r - lam_l - 1.0)
+                 / (math.sqrt(s + x_in**2) + math.sqrt(s + y_in**2)))
+    d_xo, d_yo, d_xi, d_yi = (_chi_odd_derivatives(x, s)
+                              for x in (x_out, y_out, x_in, y_in))
+    terms += (_EM[k] * ((d_xo[k] - d_yo[k]) - (d_xi[k] - d_yi[k]))
+              for k in range(p))
+    return terms
+
+
+def _j_column(lo: float, hi: float, s: float) -> list[float]:
+    """Terms whose sum is j summed over the lambda > 0 part of lo..hi."""
+    lo = max(lo, 0.5)
+    if lo > hi:
+        return []
+    tol = _EM_TOL * hi / math.sqrt(s + hi**2)
+    bound, p = _window(s, tol, 1)
+    lam_r = max(math.ceil(bound - 0.5) + 0.5, lo)
+    terms = [s / (s + lam**2) ** 1.5
+             for lam in half_odd_run(lo, min(lam_r - 1.0, hi))]
+    if lam_r > hi:
+        return terms
+    # chi(b) - chi(a) with exact b-a and b+a
+    a, b = lam_r - 0.5, hi + 0.5
+    ra, rb = math.sqrt(s + a * a), math.sqrt(s + b * b)
+    terms.append(s * (b - a) * (b + a) / (ra * rb * (b * ra + a * rb)))
+    d_b, d_a = _j_odd_derivatives(b, s), _j_odd_derivatives(a, s)
+    terms += (_EM[k] * (d_b[k] - d_a[k]) for k in range(p))
+    return terms
+
+
 def persistent_exact(d: DimensionlessParams,
                      sea: FermiSea | None = None) -> PersistentReport:
     """Exact sum of the mode circular currents over the occupied sea.
 
     No small-beta expansion anywhere: the sea uses the condition with
-    the actual beta and chi is summed over both lambda signs.
+    the actual beta and chi is summed over both lambda signs, column by
+    column in closed form (see the module docstring).
     """
     sea = sea or enumerate_fermi_sea(d, "exact")
-    total = math.fsum(chi(n, lam, d) for n, lam in sea.states())
-    return _sea_report("exact", d, sea, total / (2.0 * math.pi))
+    terms = []
+    for n, lo, hi in sea.columns:
+        terms += _chi_column(lo, hi, d.beta, d.mu**2 + (d.nu * n) ** 2)
+    return _sea_report("exact", d, sea, math.fsum(terms) / (2.0 * math.pi))
 
 
 def j_coeff(n: int, lam: float, d: DimensionlessParams) -> float:
@@ -99,7 +238,10 @@ def c_coefficient_exact(d: DimensionlessParams,
     """c(mu, nu) = sum of j(n, lambda) over the occupied lambda > 0 states
     of the beta-free (quadratic) sea."""
     sea = sea or enumerate_fermi_sea(d, "quadratic")
-    return math.fsum(j_coeff(n, lam, d) for n, lam in sea.states() if lam > 0)
+    terms = []
+    for n, lo, hi in sea.columns:
+        terms += _j_column(lo, hi, d.mu**2 + (d.nu * n) ** 2)
+    return math.fsum(terms)
 
 
 def persistent_linearized(d: DimensionlessParams,
@@ -162,33 +304,33 @@ def persistent_short(d: DimensionlessParams) -> PersistentReport:
     under the Fermi level.  For nu > alpha no longitudinal state fits
     at all and the ring limit applies instead: nu -> 0 and alpha ->
     lambda_F, which is what the returned report then carries (with a
-    note), rather than an unusable formula.
+    note), rather than an unusable formula.  When no half-odd lambda
+    fits below lambda_F, either way, it reports 0 and "empty-sea", as
+    the sea methods do.
     """
     flags = validate_regime(d)
-    notes: list[str] = []
-    if d.nu > d.alpha:
-        # ring substitution
-        lam_F = largest_half_odd(d.alpha)
-        if lam_F is None:
-            return PersistentReport(method="short", value=0.0, N_e=0,
-                                    flags=flags | {"empty-sea"},
-                                    notes=("ring substitution: no state below "
-                                           "the Fermi level",))
+    ring = d.nu > d.alpha
+    lam2 = d.alpha**2 - d.nu**2
+    lam_F_cont = d.alpha if ring else math.sqrt(lam2)
+    lam_F = largest_half_odd(lam_F_cont)
+    if lam_F is None:
+        return PersistentReport(
+            method="short", value=0.0, N_e=0, flags=flags | {"empty-sea"},
+            notes=(("ring substitution: " if ring else "")
+                   + "no state below the Fermi level",))
+    if ring:
         value = (d.beta / math.pi) * lam_F / math.sqrt(lam_F**2 + d.mu**2)
         return PersistentReport(
             method="short", value=value, N_e=int(2 * lam_F + 1), n_F=0,
             lambda_F=lam_F, flags=flags,
             notes=("ring substitution applied: nu := 0, alpha := lambda_F",))
+    notes: list[str] = []
     if "short" not in flags:
         notes.append("outside the short-cylinder regime; formula applied anyway")
-    lam2 = d.alpha**2 - d.nu**2
-    lam_F_cont = math.sqrt(lam2)
-    lam_F = largest_half_odd(lam_F_cont)
     value = (d.beta / math.pi) * math.sqrt(lam2 / (d.alpha**2 + d.mu**2))
-    n_e = int(2 * lam_F + 1) if lam_F is not None else 0
     return PersistentReport(
-        method="short", value=value, N_e=n_e, n_F=1, lambda_F=lam_F,
-        sum_lambda_n=lam_F, flags=flags,
+        method="short", value=value, N_e=int(2 * lam_F + 1), n_F=1,
+        lambda_F=lam_F, sum_lambda_n=lam_F, flags=flags,
         notes=tuple(notes) + (f"continuous lambda_F = {lam_F_cont!r}",))
 
 

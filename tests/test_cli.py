@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from abcyl import spinors
-from abcyl.cli import _half_odd_range, build_parser, main
+from abcyl.cli import MAX_SEA_COLUMNS, _half_odd_range, build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -194,17 +194,64 @@ def test_physical_keys_out_of_range_exit_2(capsys, flags, message):
     assert err == f"error: {message}\n"
 
 
-def test_persistent_stops_at_first_empty_column():
-    # nu = 1e-9 puts 1e8 columns below alpha = 0.1, all of them empty
+def _cli_subprocess(*argv, timeout):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-m", "abcyl.cli", "persistent",
-                           "--mu", "1", "--nu", "1e-9", "--alpha", "0.1"],
-                          capture_output=True, text=True, env=env, timeout=20)
+    return subprocess.run([sys.executable, "-m", "abcyl.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
+
+
+def test_persistent_stops_at_first_empty_column():
+    # nu = 1e-9 puts 1e8 columns below alpha = 0.1, all of them empty
+    proc = _cli_subprocess("persistent", "--mu", "1", "--nu", "1e-9",
+                           "--alpha", "0.1", timeout=20)
     assert proc.returncode == 0, proc.stderr
     assert "empty Fermi sea" in proc.stderr
     assert proc.stdout.splitlines()[2] == "exact,0,0,0,,"
+
+
+def test_short_reports_zero_on_an_empty_sea(capsys):
+    # nu <= alpha, but no half-odd lambda fits below sqrt(alpha^2 - nu^2)
+    argv = ("persistent", "--mu", "1", "--nu", "1e-9", "--alpha", "0.1",
+            "--beta", "0.1")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and "empty Fermi sea" in err
+    assert out.splitlines()[1:] == [f"{m},0,0,0,," for m in
+                                    ("compact", "exact", "linearized",
+                                     "nonrel", "short")]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert "empty-sea" in json.loads(out)["methods"]["short"]["flags"]
+
+
+_SEA_SIZE = ("--mu", "1", "--nu", "1e-6", "--alpha", "50")
+_BETA_SWEEP = ("--param", "beta", "--start", "0", "--stop", "0.4",
+               "--steps", "3")
+
+
+@pytest.mark.parametrize("argv", [
+    ("persistent", *_SEA_SIZE),
+    ("sweep", *_SEA_SIZE, *_BETA_SWEEP, "--observable", "persistent_exact"),
+    ("sweep", *_SEA_SIZE, *_BETA_SWEEP, "--observable",
+     "persistent_linearized"),
+    # only the last point is over the cap, and it is refused up front
+    ("sweep", "--mu", "1", "--nu", "1", "--param", "alpha", "--start", "1",
+     "--stop", "5e4", "--steps", "3", "--observable", "persistent_exact"),
+])
+def test_sea_over_the_column_cap_exits_3(argv):
+    # 5e7 columns (5e4 at the alpha sweep's last point)
+    proc = _cli_subprocess(*argv, timeout=20)
+    assert proc.returncode == 3 and proc.stdout == ""
+    columns = int(re.search(r"spans (\d+) columns", proc.stderr).group(1))
+    assert columns > MAX_SEA_COLUMNS
+    assert f"the cap is {MAX_SEA_COLUMNS}" in proc.stderr
+
+
+def test_column_cap_leaves_other_observables_alone(capsys):
+    code, out, _ = run(capsys, "sweep", *_SEA_SIZE, *_BETA_SWEEP,
+                       "--observable", "chi")
+    assert code == 0 and len(out.splitlines()) == 4
 
 
 def _option_strings(parser) -> set[str]:

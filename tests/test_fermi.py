@@ -13,7 +13,23 @@ from abcyl.fermi import (IntegralSumEstimate, c_coefficient_exact,
                          persistent_exact, persistent_linearized,
                          persistent_nonrel, persistent_short, sum_lambda_n)
 from abcyl.params import DimensionlessParams
-from abcyl.spectrum import enumerate_fermi_sea
+from abcyl.spectrum import FermiSea, enumerate_fermi_sea, half_odd_run
+
+_ULP = sys.float_info.epsilon
+
+
+def _chi_per_state(d):
+    """The per-state oracle: the sum of chi and of |chi| over the exact
+    sea, one state at a time."""
+    chis = [chi(n, lam, d) for n, lam in enumerate_fermi_sea(d).states()]
+    return math.fsum(chis), math.fsum(map(abs, chis))
+
+
+def _c_per_state(d):
+    """The per-state oracle of c: j summed over the lambda > 0 states of
+    the quadratic sea."""
+    sea = enumerate_fermi_sea(d, "quadratic")
+    return math.fsum(j_coeff(n, lam, d) for n, lam in sea.states() if lam > 0)
 
 
 def test_exact_is_sum_of_mode_currents():
@@ -103,14 +119,16 @@ def test_printed_closed_form_is_off_by_one_over_nu_squared(alpha, nu):
 
 
 def test_import_leaves_scipy_out():
+    # neither scipy nor the tests' mpmath oracle is a runtime dependency
     import abcyl
     src = os.path.dirname(os.path.dirname(abcyl.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, abcyl; print('scipy' in sys.modules)"],
+         "import sys, abcyl; print([m for m in ('scipy', 'mpmath') "
+         "if m in sys.modules])"],
         env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_short_cylinder_formula():
@@ -204,3 +222,56 @@ def test_exact_is_flux_periodic(mu, nu, alpha, beta):
                                                        alpha))
         assert shifted.N_e == sea.N_e
         assert abs(shifted.value - value) <= atol
+
+
+@given(mu=st.floats(0.5, 300.0), nu=st.floats(0.1, 2.0),
+       alpha=st.floats(0.0, 300.0),
+       beta=st.floats(-0.5, 0.5, exclude_min=True))
+@settings(max_examples=20, deadline=None)
+def test_column_sums_match_per_state_sums(mu, nu, alpha, beta):
+    # the closed-form column sums against the per-state fsum: chi within
+    # 1 ulp of sum |chi|, c within 4 ulp of c
+    d = DimensionlessParams(mu, nu, beta, alpha)
+    total, abs_total = _chi_per_state(d)
+    assert (abs(persistent_exact(d).value - total / (2 * math.pi))
+            <= _ULP * abs_total / (2 * math.pi))
+    c = _c_per_state(d)
+    assert abs(c_coefficient_exact(d) - c) <= 4 * _ULP * c
+
+
+# (mu, nu, alpha, beta): a heavy dense sea, the README's point and two
+# light fermions, where the explicit window and the order matter most
+@pytest.mark.parametrize("mu, nu, alpha, beta", [
+    (250.0, 1.0, 200.0, 0.3), (25.0, 1.0, 10.3, 0.05),
+    (1.0, 0.5, 60.0, 0.37), (1.0, 0.1, 100.0, 0.2)])
+def test_exact_against_mpmath(mu, nu, alpha, beta):
+    # both the column sums and the per-state sum within 1 ulp of sum |chi|
+    # of a 30-digit sum over the same sea
+    mpmath = pytest.importorskip("mpmath")
+    d = DimensionlessParams(mu, nu, beta, alpha)
+    sea = enumerate_fermi_sea(d)
+    with mpmath.workdps(30):
+        q0, two_pi = mpmath.mpf(beta), 2 * mpmath.pi
+        exact = mpmath.fsum(
+            q / mpmath.sqrt(s + q * q)
+            for n, lo, hi in sea.columns
+            for s in (mpmath.mpf(mu) ** 2 + (mpmath.mpf(nu) * n) ** 2,)
+            for q in (q0 + lam for lam in half_odd_run(lo, hi))) / two_pi
+        total, abs_total = _chi_per_state(d)
+        tol = _ULP * abs_total / (2 * math.pi)
+        column_err = float(abs(persistent_exact(d, sea).value - exact))
+        state_err = float(abs(total / (2 * math.pi) - exact))
+    assert column_err <= tol and state_err <= tol, (column_err / tol,
+                                                     state_err / tol)
+
+
+def test_persistent_all_walks_no_state(monkeypatch):
+    # every method sums per column: no per-state walk is left
+    def walk(self):
+        raise AssertionError("per-state walk of the Fermi sea")
+
+    monkeypatch.setattr(FermiSea, "states", walk)
+    d = DimensionlessParams(mu=250.0, nu=1.0, beta=1e-4, alpha=1500.0)
+    reports = persistent_all(d)
+    assert reports["exact"].N_e > 3_000_000
+    assert reports["linearized"].value > 0.0
