@@ -23,8 +23,8 @@ from .fermi import (PersistentReport, persistent_all, persistent_compact,
                     persistent_exact, persistent_linearized,
                     persistent_nonrel, persistent_short, sum_lambda_n)
 from .params import (ConfigError, DimensionlessParams, PhysicalParams,
-                     RegimeThresholds, parse_config_text, resolve_params,
-                     to_dimensionless, validate_regime)
+                     parse_config_text, resolve_params, to_dimensionless,
+                     validate_regime)
 from .spectrum import (FermiSea, ModeSpec, energy_finite, energy_infinite,
                        enumerate_fermi_sea, mode_energy)
 from .spinors import (STANDARD_GAMMAS, GammaSet, QuadratureRule,
@@ -35,8 +35,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "DimensionlessParams", "PhysicalParams",
-    "RegimeThresholds", "parse_config_text", "resolve_params",
-    "to_dimensionless", "validate_regime",
+    "parse_config_text", "resolve_params", "to_dimensionless",
+    "validate_regime",
     "FermiSea", "ModeSpec", "energy_finite", "energy_infinite",
     "enumerate_fermi_sea", "mode_energy",
     "STANDARD_GAMMAS", "GammaSet", "QuadratureRule",

@@ -119,6 +119,9 @@ def cmd_spectrum(args) -> int:
         current_scale = E_TIMES_C / radius_m             # -> A
     rows = []
     if args.geometry == "finite":
+        if args.k is not None or args.lam is not None:
+            raise _Failure(EXIT_CONFIG, "--k and --lambda apply to "
+                           "--geometry infinite only")
         if d.nu <= 0.0:
             raise _Failure(EXIT_REGIME, "finite spectrum needs nu > 0 "
                            "(or length_nm)")
@@ -251,6 +254,10 @@ def cmd_sweep(args) -> int:
         raise _Failure(EXIT_CONFIG, f"unknown sweep parameter {args.param!r}")
     if args.observable not in _SWEEP_OBSERVABLES:
         raise _Failure(EXIT_CONFIG, f"unknown observable {args.observable!r}")
+    mode_param = args.param in ("lambda", "n")
+    if mode_param and args.observable.startswith("persistent_"):
+        raise _Failure(EXIT_CONFIG, f"{args.observable} sums the whole Fermi "
+                       f"sea and does not depend on {args.param}")
     if args.param == "lambda":
         lam = math.floor(args.start - 0.5) + 0.5
         if lam < args.start:
@@ -274,14 +281,9 @@ def cmd_sweep(args) -> int:
             points = [args.start + i * (args.stop - args.start) / (args.steps - 1)
                       for i in range(args.steps)]
 
-    def at(value: float) -> DimensionlessParams:
-        kw = {"mu": base.mu, "nu": base.nu, "beta": base.beta,
-              "alpha": base.alpha, "radius_natural": base.radius_natural}
-        if args.param not in ("lambda", "n"):
-            kw[args.param] = value
-        return DimensionlessParams(**kw)
-
-    grid = [(x, at(x)) for x in points]
+    grid = [(x, base if mode_param
+             else dataclasses.replace(base, **{args.param: x}))
+            for x in points]
     for _, d in grid:
         if d.nu <= 0.0:
             raise _Failure(EXIT_REGIME, f"sweep of {args.observable} needs "

@@ -78,7 +78,6 @@ class GaussianPacket:
     width: float
     weight_plus: complex = 1.0
     weight_minus: complex = 0.0
-    normalize: bool = True
 
     def __post_init__(self):
         if not self.width > 0:
@@ -99,7 +98,6 @@ class TabulatedPacket:
     k_grid: tuple[float, ...]
     a_plus: tuple[complex, ...]
     a_minus: tuple[complex, ...]
-    normalize: bool = True
 
     def __post_init__(self):
         k = np.asarray(self.k_grid, dtype=float)
@@ -159,13 +157,14 @@ def _mixed_components(state: MixedState, d: DimensionlessParams, t, phi, z):
 
 
 def circular_current_mode_quadrature(state: MixedState, d: DimensionlessParams,
-                                     rule: QuadratureRule | None = None,
-                                     t: float = 0.0) -> float:
+                                     rule: QuadratureRule | None = None
+                                     ) -> float:
     """Brute-force oracle: (1/2pi) int dphi int dz j^phi over the
-    mixed-state spinor, j^phi = psi^dag g0 g_phi psi."""
+    mixed-state spinor at t = 0, j^phi = psi^dag g0 g_phi psi (the state
+    is stationary, so the current does not depend on t)."""
     rule = rule or QuadratureRule.finite(d)
     phi = rule.phi_nodes[:, None]
-    psi = _mixed_components(state, d, t, phi, rule.z_nodes[None, :])
+    psi = _mixed_components(state, d, 0.0, phi, rule.z_nodes[None, :])
     c1, c2, c3, c4 = psi
     # psi^dag g0 gamma_phi psi with the phi dependence written out
     jphi = 2.0 * np.real(-1j * np.exp(-1j * phi) * np.conj(c1) * c4
@@ -192,12 +191,8 @@ def packet_grid(p: PacketSpec, rule: MomentumRule | None = None):
         edges = np.pad(k, 1, mode="edge")
         wk = 0.5 * (edges[2:] - edges[:-2])  # trapezoid weights
     norm = np.sum(wk * (np.abs(ap) ** 2 + np.abs(am) ** 2))
-    if p.normalize:
-        scale = 1.0 / math.sqrt(norm)
-        ap, am = ap * scale, am * scale
-    elif abs(norm - 1.0) > _NORM_TOL:
-        raise ValueError(f"packet is not normalized: int |a|^2 dk = {norm!r}")
-    return k, wk, ap, am
+    scale = 1.0 / math.sqrt(norm)
+    return k, wk, ap * scale, am * scale
 
 
 def _packet_energies(p: PacketSpec, k: np.ndarray, d: DimensionlessParams):

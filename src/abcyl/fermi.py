@@ -9,8 +9,9 @@ Five method chains, from exact to most approximate:
     nonrel      R*I ~= (beta/pi) lambda_F/mu ~= (beta/pi) N_e/(2 mu)
 
 The compact sums consume the exact half-odd-integer lambda_n from the
-enumeration; the continuous boundary value is reported alongside but
-never silently substituted.
+enumeration, never the continuous boundary value sqrt(alpha^2 - nu^2 n^2).
+Only persistent_short reports a continuous value: its notes carry the
+continuous lambda_F next to the half-odd lambda_F it uses.
 
 The exact and linearized sums cost O(n_F), not O(N_e).  Column n
 (s = mu^2 + nu^2 n^2) holds a unit-step run of q = lambda + beta, and

@@ -23,7 +23,6 @@ __all__ = [
     "PARAM_KEYS",
     "PhysicalParams",
     "DimensionlessParams",
-    "RegimeThresholds",
     "to_dimensionless",
     "validate_regime",
     "parse_config_text",
@@ -112,31 +111,25 @@ def to_dimensionless(p: PhysicalParams) -> DimensionlessParams:
     return resolve_params(values)
 
 
-@dataclass(frozen=True)
-class RegimeThresholds:
-    """Engineering thresholds; the source formulas only say "very short"
-    (1 << nu) and "non-relativistic" (alpha << mu), so these are
-    configurable choices, not derived numbers."""
-
-    short_nu_min: float = 10.0
-    nonrel_alpha_over_mu: float = 0.1
+# The source formulas only say "very short" (1 << nu) and
+# "non-relativistic" (alpha << mu); these cut-offs are engineering choices.
+_SHORT_NU_MIN = 10.0
+_NONREL_ALPHA_OVER_MU = 0.1
 
 
-def validate_regime(d: DimensionlessParams,
-                    thresholds: RegimeThresholds | None = None) -> frozenset[str]:
+def validate_regime(d: DimensionlessParams) -> frozenset[str]:
     """Classify the parameter point; returns the set of regime flags.
 
-    short:      nu >= short_nu_min and nu < alpha < 2 nu (single n column)
+    short:      nu >= 10 and nu < alpha < 2 nu (single n column)
     ring-like:  nu > alpha (no longitudinal state fits below the Fermi level)
-    non-relativistic: alpha <= nonrel_alpha_over_mu * mu
+    non-relativistic: alpha <= mu / 10
     """
-    th = thresholds or RegimeThresholds()
     flags = set()
-    if d.nu >= th.short_nu_min and d.nu < d.alpha < 2.0 * d.nu:
+    if d.nu >= _SHORT_NU_MIN and d.nu < d.alpha < 2.0 * d.nu:
         flags.add("short")
     if d.nu > d.alpha:
         flags.add("ring-like")
-    if d.alpha <= th.nonrel_alpha_over_mu * d.mu:
+    if d.alpha <= _NONREL_ALPHA_OVER_MU * d.mu:
         flags.add("non-relativistic")
     return frozenset(flags)
 

@@ -21,9 +21,7 @@ __all__ = [
     "energy_infinite",
     "energy_finite",
     "mode_energy",
-    "denergy_dbeta",
     "largest_half_odd",
-    "lambda_n_continuous",
     "half_odd_run",
     "enumerate_fermi_sea",
 ]
@@ -84,28 +82,11 @@ def mode_energy(mode: ModeSpec, d: DimensionlessParams) -> float:
     return energy_finite(mode.n, mode.lam, d)
 
 
-def denergy_dbeta(mode: ModeSpec, d: DimensionlessParams) -> float:
-    """Analytic d(R*E)/d(beta) = (lambda+beta)/(R*E)."""
-    return (mode.lam + d.beta) / mode_energy(mode, d)
-
-
 def largest_half_odd(x: float) -> float | None:
     """Largest half-odd-integer <= x, or None if x < 1/2."""
     if x < 0.5:
         return None
     return math.floor(x - 0.5) + 0.5
-
-
-def lambda_n_continuous(n: int, d: DimensionlessParams) -> float:
-    """Continuous boundary value sqrt(alpha^2 - nu^2 n^2).
-
-    This is the smooth estimate the compact formulas are built on; it is
-    deliberately kept separate from the exact half-odd-integer lambda_n.
-    """
-    rem = d.alpha**2 - (d.nu * n) ** 2
-    if rem < 0.0:
-        raise ValueError(f"no occupied states in column n={n}")
-    return math.sqrt(rem)
 
 
 @dataclass(frozen=True)

@@ -67,10 +67,6 @@ class GammaSet:
         """Azimuthal matrix (-g1 sin(phi) + g2 cos(phi)) / R, R = 1."""
         return -self.g1 * math.sin(phi) + self.g2 * math.cos(phi)
 
-    def spin3(self) -> np.ndarray:
-        """S3 = diag(sigma3, sigma3) / 2."""
-        return 0.5 * _block(_SIGMA3, _ZERO2, _ZERO2, _SIGMA3)
-
 
 STANDARD_GAMMAS = GammaSet(
     g0=_block(np.eye(2, dtype=complex), _ZERO2, _ZERO2, -np.eye(2, dtype=complex)),
@@ -83,6 +79,9 @@ STANDARD_GAMMAS = GammaSet(
 # numpy's leggauss solves an order x order eigenproblem; solve each order
 # once per process.  The cached arrays are shared: never write to them.
 leggauss = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+
+# phi nodes of every QuadratureRule; exact for e^{i m phi} with |m| < 256
+_PHI_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -99,13 +98,13 @@ class QuadratureRule:
             raise ValueError("quadrature weights must be positive")
 
     @classmethod
-    def finite(cls, d: DimensionlessParams, z_order: int = 64,
-               phi_points: int = 256) -> "QuadratureRule":
-        return cls.window(0.0, d.length, z_order, phi_points)
+    def finite(cls, d: DimensionlessParams,
+               z_order: int = 64) -> "QuadratureRule":
+        return cls.window(0.0, d.length, z_order)
 
     @classmethod
-    def window(cls, zmin: float, zmax: float, z_order: int = 64,
-               phi_points: int = 256) -> "QuadratureRule":
+    def window(cls, zmin: float, zmax: float,
+               z_order: int = 64) -> "QuadratureRule":
         if not zmax > zmin:
             raise ValueError("empty z window")
         x, w = leggauss(z_order)
@@ -113,8 +112,8 @@ class QuadratureRule:
         return cls(
             z_nodes=zmin + half * (x + 1.0),
             z_weights=half * w,
-            phi_nodes=np.arange(phi_points) * (2.0 * math.pi / phi_points),
-            phi_weight=2.0 * math.pi / phi_points,
+            phi_nodes=np.arange(_PHI_POINTS) * (2.0 * math.pi / _PHI_POINTS),
+            phi_weight=2.0 * math.pi / _PHI_POINTS,
         )
 
 
@@ -213,7 +212,7 @@ def inner_product(a: ModeSpec, b: ModeSpec, d: DimensionlessParams,
         if a.k != b.k:
             raise ValueError("infinite-geometry inner product is defined "
                              "at equal k only (norm density check)")
-        rule = rule or QuadratureRule.window(0.0, 1.0, 8, 256)
+        rule = rule or QuadratureRule.window(0.0, 1.0, 8)
         pa = mode_components(a, d, 0.0, rule.phi_nodes, 0.0)
         pb = mode_components(b, d, 0.0, rule.phi_nodes, 0.0)
         dens = np.einsum("cp,cp->p", pa.conj(), pb)
@@ -389,17 +388,14 @@ def apply_restricted_dirac(field: FourierSpinorField, d: DimensionlessParams
 
 
 def field_inner_product(a: FourierSpinorField, b: FourierSpinorField,
-                        d: DimensionlessParams, rule: QuadratureRule,
-                        dirac: bool = False) -> complex:
+                        d: DimensionlessParams, rule: QuadratureRule) -> complex:
     """Quadrature scalar product of two test fields, R = 1.
 
-    With dirac=True the integrand is the Lorentz-invariant bilinear
-    a-bar b = a^dag g0 b, the product under which the restricted Dirac
-    operator is self-adjoint; the plain a^dag b product (dirac=False)
-    is the one mode norms use.
+    The integrand is the Lorentz-invariant bilinear a-bar b = a^dag g0 b,
+    the product under which the restricted Dirac operator is
+    self-adjoint; mode norms use the plain a^dag b product instead.
     """
     pa = a.evaluate(rule.phi_nodes[:, None], rule.z_nodes[None, :], d.nu)
     pb = b.evaluate(rule.phi_nodes[:, None], rule.z_nodes[None, :], d.nu)
-    if dirac:
-        pb = pb * np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
+    pb = pb * np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
     return _finite_product(pa.conj(), pb, rule)

@@ -52,7 +52,7 @@ def test_criterion_01_orthonormality():
     worst = 0.0
     for beta in (0.0, 0.3, 0.9):
         d = DimensionlessParams(mu=1.0, nu=1.0, beta=beta)
-        rule = QuadratureRule.finite(d, z_order=64, phi_points=256)
+        rule = QuadratureRule.finite(d, z_order=64)
         modes = _mode_set()
         A = np.stack([
             mode_components(m, d, 0.0, rule.phi_nodes[:, None],

@@ -58,6 +58,15 @@ def test_spectrum_infinite_rest_energy(capsys):
     assert float(row[2]) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("flag", [("--k", "5"), ("--lambda", "1.5")])
+def test_finite_spectrum_rejects_infinite_only_flags(capsys, flag):
+    # the finite table is set by --nmax and --lmax; it has no k, and it
+    # would print the whole --lmax range in place of a given lambda
+    code, out, err = run(capsys, "spectrum", "--mu", "1", "--nu", "1",
+                         "--nmax", "1", "--lmax", "0.5", *flag)
+    assert code == 2 and out == "" and flag[0] in err
+
+
 def test_config_file_and_override(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mu = 1\nnu = 1\n# comment\nbeta = 0\n")
@@ -336,6 +345,19 @@ def test_sweep_at_nu_zero_is_regime_error(capsys, observable):
                      "beta", "--start", "0", "--stop", "0.1",
                      "--observable", observable)
     assert code == 2
+
+
+@pytest.mark.parametrize("param, observable", [
+    ("lambda", "persistent_exact"), ("n", "persistent_linearized")])
+def test_sweep_persistent_over_mode_number_exit_2(capsys, param, observable):
+    # a persistent current sums the whole sea, so every row would repeat
+    # one value
+    code, out, err = run(capsys, "sweep", "--mu", "1", "--nu", "1",
+                         "--alpha", "5", "--beta", "0.1", "--param", param,
+                         "--start", "0.5", "--stop", "3.5",
+                         "--observable", observable)
+    assert code == 2 and out == ""
+    assert observable in err and err.rstrip().endswith(f"depend on {param}")
 
 
 def test_sweep_unknown_observable_exit_2(capsys):

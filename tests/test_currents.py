@@ -83,12 +83,6 @@ def test_packet_grid_solves_each_order_once():
     assert np.array_equal(wk2, 8.0 * 0.7 * w)
 
 
-def test_packet_rejects_unnormalized():
-    p = GaussianPacket(lam=0.5, k0=1.0, width=0.5, normalize=False)
-    with pytest.raises(ValueError):
-        packet_grid(p)
-
-
 def test_packet_validation():
     with pytest.raises(ValueError):
         GaussianPacket(lam=0.5, k0=0.0, width=0.0)
@@ -113,7 +107,7 @@ def test_tabulated_packet_trapezoid_weights():
     # (h/2 at each end) a_plus = 1 on a uniform [0, 1] grid has norm 1
     k = np.linspace(0.0, 1.0, 11)
     p = TabulatedPacket(lam=0.5, k_grid=tuple(k), a_plus=(1.0,) * 11,
-                        a_minus=(0.0,) * 11, normalize=False)
+                        a_minus=(0.0,) * 11)
     _, wk, ap, _ = packet_grid(p)
     assert wk[[0, -1]] == pytest.approx([0.05, 0.05], rel=1e-14)
     assert np.sum(wk * np.abs(ap) ** 2) == pytest.approx(1.0, abs=1e-15)

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from abcyl.params import (E_OVER_2HBAR_PER_NM2_T, E_TIMES_C, HBARC_EV_NM,
                           ConfigError, DimensionlessParams, PhysicalParams,
-                          RegimeThresholds, parse_config_text, resolve_params,
-                          to_dimensionless, validate_regime)
+                          parse_config_text, resolve_params, to_dimensionless,
+                          validate_regime)
 
 
 def test_constants():
@@ -140,9 +140,15 @@ def test_regime_flags():
         DimensionlessParams(mu=1.0, nu=2.0, alpha=1.0))
     assert "non-relativistic" in validate_regime(
         DimensionlessParams(mu=100.0, nu=1.0, alpha=5.0))
-    assert validate_regime(DimensionlessParams(mu=1.0, nu=1.0, alpha=5.0),
-                           RegimeThresholds(short_nu_min=0.5)) == \
-        frozenset()
+    assert validate_regime(DimensionlessParams(mu=1.0, nu=1.0, alpha=5.0)) \
+        == frozenset()
+    # the fixed cut-offs: short needs nu >= 10, non-relativistic alpha <= mu/10
+    assert "short" not in validate_regime(
+        DimensionlessParams(mu=300.0, nu=9.999, alpha=15.0))
+    assert "non-relativistic" in validate_regime(
+        DimensionlessParams(mu=100.0, nu=1.0, alpha=10.0))
+    assert "non-relativistic" not in validate_regime(
+        DimensionlessParams(mu=100.0, nu=1.0, alpha=10.001))
 
 
 @given(mass=st.floats(1e3, 1e7), radius=st.floats(1.0, 500.0),

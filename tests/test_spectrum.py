@@ -5,10 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abcyl.params import DimensionlessParams, validate_regime
-from abcyl.spectrum import (FermiSea, ModeSpec, denergy_dbeta, energy_finite,
+from abcyl.spectrum import (FermiSea, ModeSpec, energy_finite,
                             energy_infinite, enumerate_fermi_sea,
-                            lambda_n_continuous, largest_half_odd,
-                            mode_energy)
+                            largest_half_odd, mode_energy)
 
 half_odd = st.integers(-9, 8).map(lambda m: m + 0.5)
 
@@ -50,28 +49,11 @@ def test_mode_energy_dispatch():
     assert mode_energy(inf, d) == pytest.approx(energy_infinite(1.4, 1.5, d))
 
 
-def test_denergy_dbeta_matches_finite_difference():
-    d = DimensionlessParams(mu=1.3, nu=0.8, beta=0.12)
-    mode = ModeSpec(geometry="finite", lam=2.5, sigma=0.5, n=3)
-    h = 1e-6
-    dp = DimensionlessParams(mu=1.3, nu=0.8, beta=0.12 + h)
-    dm = DimensionlessParams(mu=1.3, nu=0.8, beta=0.12 - h)
-    fd = (mode_energy(mode, dp) - mode_energy(mode, dm)) / (2 * h)
-    assert denergy_dbeta(mode, d) == pytest.approx(fd, rel=1e-8)
-
-
 def test_largest_half_odd():
     assert largest_half_odd(0.4) is None
     assert largest_half_odd(0.5) == 0.5
     assert largest_half_odd(3.2) == 2.5
     assert largest_half_odd(3.5) == 3.5
-
-
-def test_lambda_n_continuous():
-    d = DimensionlessParams(mu=1.0, nu=1.0, alpha=2.0)
-    assert lambda_n_continuous(1, d) == pytest.approx(math.sqrt(3.0))
-    with pytest.raises(ValueError):
-        lambda_n_continuous(3, d)
 
 
 def test_fermi_sea_hand_case():
