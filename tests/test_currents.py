@@ -110,7 +110,10 @@ def test_tabulated_packet_trapezoid_weights():
                         a_minus=(0.0,) * 11)
     _, wk, ap, _ = packet_grid(p)
     assert wk[[0, -1]] == pytest.approx([0.05, 0.05], rel=1e-14)
-    assert np.sum(wk * np.abs(ap) ** 2) == pytest.approx(1.0, abs=1e-15)
+    # packet_grid rescales by 1/sqrt(norm): the amplitudes stay 1 only if
+    # all the weights, interior ones included, integrate a_plus = 1 to 1
+    assert np.sum(wk) == pytest.approx(1.0, abs=1e-15)
+    assert ap == pytest.approx(np.ones(11), rel=1e-15)
 
 
 @pytest.mark.parametrize("grid", [(0.0,), (0.0, 1.0, 0.5), (0.0, 0.0, 1.0),
