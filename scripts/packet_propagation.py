@@ -15,9 +15,10 @@ import sys
 
 import numpy as np
 
-from abcyl import (DimensionlessParams, GaussianPacket, MomentumRule,
-                   longitudinal_current_packet_direct, packet_norm,
-                   packet_total_flux, packet_velocity_expectation)
+from abcyl.currents import (GaussianPacket, MomentumRule,
+                            longitudinal_current_packet_direct, packet_norm,
+                            packet_total_flux, packet_velocity_expectation)
+from abcyl.params import DimensionlessParams
 
 
 def main() -> int:

@@ -14,7 +14,8 @@ import csv
 import math
 import sys
 
-from abcyl import DimensionlessParams, persistent_all
+from abcyl.fermi import persistent_all
+from abcyl.params import DimensionlessParams
 
 
 def main() -> int:

@@ -13,7 +13,8 @@ import argparse
 import csv
 import sys
 
-from abcyl import DimensionlessParams, chi
+from abcyl.params import DimensionlessParams
+from abcyl.spectrum import chi
 
 
 def main() -> int:

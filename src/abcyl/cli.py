@@ -23,7 +23,7 @@ from .currents import GaussianPacket, MomentumRule, ResolutionError
 from .params import (E_TIMES_C, HBARC_EV_NM, PARAM_KEYS, ConfigError,
                      DimensionlessParams, parse_config_text, resolve_params,
                      validate_regime)
-from .spectrum import energy_finite, energy_infinite, half_odd_run
+from .spectrum import chi, energy_finite, energy_infinite, half_odd_run
 
 SCHEMA_VERSION = 1
 
@@ -75,10 +75,7 @@ def _gather_params(args) -> DimensionlessParams:
         v = getattr(args, f"par_{key}", None)
         if v is not None:
             values[key] = v
-    try:
-        return resolve_params(values)
-    except (ConfigError, ValueError) as exc:
-        raise _Failure(EXIT_CONFIG, str(exc))
+    return resolve_params(values)
 
 
 def _emit(args, header: list[str], rows: list[list], json_payload=None) -> None:
@@ -128,12 +125,15 @@ def cmd_spectrum(args) -> int:
         for n in range(1, args.nmax + 1):
             for lam in _half_odd_range(args.lmax):
                 re_ = energy_finite(n, lam, d)
-                ch = currents.chi(n, lam, d)
+                ch = chi(n, lam, d)
                 rows.append([n, lam, re_ * energy_scale,
                              ch, ch / (2 * math.pi) * current_scale])
         rows.sort(key=lambda r: (r[2], r[0], r[1]))
         header = ["n", "lambda", "R_E", "chi", "R_Ic"]
     else:
+        if d.nu != 0.0:
+            raise _Failure(EXIT_REGIME, "infinite spectrum modes live on the "
+                           "infinite cylinder (nu must be 0)")
         if args.k is None:
             raise _Failure(EXIT_CONFIG, "infinite geometry needs --k")
         lams = ([args.lam] if args.lam is not None
@@ -213,13 +213,10 @@ def cmd_packet(args) -> int:
     rule = MomentumRule(order=args.korder)
     zs = [args.zmin + i * (args.zmax - args.zmin) / (args.zsteps - 1)
           for i in range(args.zsteps)]
-    try:
-        direct = currents.longitudinal_current_packet_direct(
-            packet, d, args.t, zs, rule)
-        formula = currents.longitudinal_current_packet_formula(
-            packet, d, args.t, zs, rule)
-    except ResolutionError as exc:
-        raise _Failure(EXIT_RESOLUTION, str(exc))
+    direct = currents.longitudinal_current_packet_direct(
+        packet, d, args.t, zs, rule)
+    formula = currents.longitudinal_current_packet_formula(
+        packet, d, args.t, zs, rule)
     ric = currents.circular_current_packet(packet, d, rule)
     re_ = currents.packet_energy(packet, d, rule)
     pol = currents.packet_polarization(packet, rule)
@@ -240,7 +237,7 @@ _SWEEP_PARAMS = ("beta", "mu", "nu", "alpha", "lambda", "n")
 
 # observable -> value at (n, lambda, d); all live on the finite cylinder
 _SWEEP_OBSERVABLES = {
-    "chi": currents.chi,
+    "chi": chi,
     "energy": energy_finite,
     "persistent_exact": lambda n, lam, d: fermi.persistent_exact(d).value,
     "persistent_linearized":
@@ -306,7 +303,7 @@ def cmd_verify(args) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "passed": ok,
-        "suites": [r.to_dict() for r in results],
+        "suites": [dataclasses.asdict(r) for r in results],
     }
     header = ["suite", "tolerance", "worst", "passed"]
     rows = [[r.suite, r.tolerance, r.worst, r.passed] for r in results]

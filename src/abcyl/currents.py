@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import DimensionlessParams
-from .spectrum import ModeSpec, energy_infinite, energy_finite
+from .spectrum import ModeSpec, chi
 from .spinors import QuadratureRule, leggauss, mode_components
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "TabulatedPacket",
     "MomentumRule",
     "ResolutionError",
-    "chi",
     "circular_current_mode",
     "circular_current_mode_quadrature",
     "packet_grid",
@@ -104,6 +103,8 @@ class TabulatedPacket:
         if k.size < 2 or not np.all(np.diff(k) > 0.0):
             raise ValueError("k_grid needs at least 2 strictly increasing "
                              "points")
+        if not (any(self.a_plus) or any(self.a_minus)):
+            raise ValueError("empty packet")
 
 
 PacketSpec = GaussianPacket | TabulatedPacket
@@ -132,14 +133,6 @@ class ResolutionError(ValueError):
         super().__init__(
             f"momentum grid spacing {spacing:.3e} exceeds the resolution "
             f"bound {required:.3e}; use at least {min_points} points")
-
-
-def chi(n: int, lam: float, d: DimensionlessParams) -> float:
-    """Shape function of the circular currents, in (-1, 1)."""
-    if d.nu <= 0.0:
-        raise ValueError("chi is defined for the finite geometry (nu > 0)")
-    q = d.beta + lam
-    return q / math.sqrt(d.mu**2 + (d.nu * n) ** 2 + q**2)
 
 
 def circular_current_mode(state: MixedState, d: DimensionlessParams) -> float:

@@ -91,10 +91,6 @@ class DimensionlessParams:
             raise ValueError("beta must be finite")
 
     @property
-    def infinite(self) -> bool:
-        return self.nu == 0.0
-
-    @property
     def length(self) -> float:
         """Cylinder length L in units of R (requires nu > 0)."""
         if self.nu == 0.0:

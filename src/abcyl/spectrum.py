@@ -5,6 +5,8 @@ All energies are handled as the dimensionless product R*E:
     infinite:  R*E = sqrt(mu^2 + (kR)^2 + (lambda+beta)^2)
     finite:    R*E = sqrt(mu^2 + nu^2 n^2 + (lambda+beta)^2)
 
+Every circular current is set by chi = d(R*E)/d(beta) = (lambda+beta)/(R*E).
+
 Divide by DimensionlessParams.radius_natural to recover a physical energy.
 """
 
@@ -20,6 +22,7 @@ __all__ = [
     "FermiSea",
     "energy_infinite",
     "energy_finite",
+    "chi",
     "mode_energy",
     "largest_half_odd",
     "half_odd_run",
@@ -74,6 +77,14 @@ def energy_finite(n: int, lam: float, d: DimensionlessParams) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return math.sqrt(d.mu**2 + (d.nu * n) ** 2 + (lam + d.beta) ** 2)
+
+
+def chi(n: int, lam: float, d: DimensionlessParams) -> float:
+    """Shape function of the circular currents, in (-1, 1)."""
+    if d.nu <= 0.0:
+        raise ValueError("chi is defined for the finite geometry (nu > 0)")
+    q = d.beta + lam
+    return q / math.sqrt(d.mu**2 + (d.nu * n) ** 2 + q**2)
 
 
 def mode_energy(mode: ModeSpec, d: DimensionlessParams) -> float:

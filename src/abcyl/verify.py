@@ -17,7 +17,7 @@ actual identity and pins the sign-flip structure where it is not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,9 +36,6 @@ class SuiteResult:
     worst: float
     passed: bool
     detail: str = ""
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def _result(suite, tol, worst, detail=""):
@@ -173,7 +170,7 @@ def suite_saturation(seed: int = 0) -> SuiteResult:
     s = d.mu**2 + d.nu**2
     worst = 0.0
     for sgn in (1.0, -1.0):
-        err = abs(currents.chi(1, sgn * lam, d) - sgn)
+        err = abs(spectrum.chi(1, sgn * lam, d) - sgn)
         bound = s / (2.0 * lam**2) * (1.0 + 1e-3)
         worst = max(worst, err / bound)
     p = currents.GaussianPacket(lam=lam, k0=0.0, width=1.0)
@@ -187,7 +184,7 @@ def suite_beta_expansion(seed: int = 0) -> SuiteResult:
 
     def resid(beta):
         d = DimensionlessParams(mu=mu, nu=nu, beta=beta)
-        pair = currents.chi(n, lam, d) + currents.chi(n, -lam, d)
+        pair = spectrum.chi(n, lam, d) + spectrum.chi(n, -lam, d)
         return abs(pair - 2.0 * fermi.j_coeff(n, lam, d) * beta)
 
     ratio = resid(1e-2) / resid(1e-3)

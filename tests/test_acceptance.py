@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from abcyl.cli import main as cli_main
-from abcyl.currents import (GaussianPacket, MixedState, MomentumRule, chi,
+from abcyl.currents import (GaussianPacket, MixedState, MomentumRule,
                             circular_current_mode,
                             circular_current_mode_quadrature,
                             circular_current_packet,
@@ -27,8 +27,8 @@ from abcyl.fermi import (j_coeff, persistent_compact, persistent_exact,
                          persistent_linearized, persistent_nonrel,
                          persistent_short, sum_lambda_n)
 from abcyl.params import DimensionlessParams
-from abcyl.spectrum import ModeSpec, energy_finite, enumerate_fermi_sea, \
-    largest_half_odd, mode_energy
+from abcyl.spectrum import ModeSpec, chi, energy_finite, \
+    enumerate_fermi_sea, largest_half_odd, mode_energy
 from abcyl.spinors import (QuadratureRule, dirac_residual, eval_mode,
                            k_operator_apply, mode_components)
 

@@ -67,6 +67,17 @@ def test_finite_spectrum_rejects_infinite_only_flags(capsys, flag):
     assert code == 2 and out == "" and flag[0] in err
 
 
+@pytest.mark.parametrize("params", [
+    ("--mu", "1", "--nu", "1", "--alpha", "3"),
+    ("--mass-eV", "511000", "--radius-nm", "2", "--length-nm", "6")])
+def test_infinite_spectrum_rejects_finite_nu_exit_3(capsys, params):
+    # the infinite table has no n column, so it would print the nu = 0
+    # rows for a finite cylinder; packet refuses nu != 0 the same way
+    code, out, err = run(capsys, "spectrum", "--geometry", "infinite",
+                         "--k", "1.3", "--lmax", "0.5", *params)
+    assert code == 3 and out == "" and "nu must be 0" in err
+
+
 def test_config_file_and_override(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mu = 1\nnu = 1\n# comment\nbeta = 0\n")

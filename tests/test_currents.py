@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abcyl.currents import (GaussianPacket, MixedState, MomentumRule,
-                            ResolutionError, TabulatedPacket, chi,
+                            ResolutionError, TabulatedPacket,
                             circular_current_mode,
                             circular_current_mode_quadrature,
                             circular_current_packet,
@@ -17,6 +17,7 @@ from abcyl.currents import (GaussianPacket, MixedState, MomentumRule,
                             packet_polarization, packet_total_flux,
                             packet_velocity_expectation, packet_zprofile)
 from abcyl.params import DimensionlessParams
+from abcyl.spectrum import chi
 from abcyl.spinors import QuadratureRule, leggauss
 
 D = DimensionlessParams(mu=1.0, nu=1.0, beta=0.3)
@@ -122,6 +123,14 @@ def test_tabulated_packet_rejects_bad_grid(grid):
     with pytest.raises(ValueError):
         TabulatedPacket(lam=0.5, k_grid=grid, a_plus=(1.0,) * len(grid),
                         a_minus=(0.0,) * len(grid))
+
+
+def test_tabulated_packet_rejects_zero_amplitudes():
+    # as GaussianPacket does, at construction rather than at the first
+    # observable's normalization
+    with pytest.raises(ValueError, match="empty packet"):
+        TabulatedPacket(lam=0.5, k_grid=(0.0, 1.0), a_plus=(0.0, 0.0),
+                        a_minus=(0.0, 0j))
 
 
 def test_packet_polarization_pure():

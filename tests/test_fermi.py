@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abcyl.currents import chi
 from abcyl.fermi import (IntegralSumEstimate, c_coefficient_exact,
                          j_coeff, persistent_all, persistent_compact,
                          persistent_exact, persistent_linearized,
                          persistent_nonrel, persistent_short, sum_lambda_n)
 from abcyl.params import DimensionlessParams
-from abcyl.spectrum import FermiSea, enumerate_fermi_sea, half_odd_run
+from abcyl.spectrum import FermiSea, chi, enumerate_fermi_sea, half_odd_run
 
 _ULP = sys.float_info.epsilon
 
@@ -119,13 +118,18 @@ def test_printed_closed_form_is_off_by_one_over_nu_squared(alpha, nu):
 
 
 def test_import_leaves_scipy_out():
-    # neither scipy nor the tests' mpmath oracle is a runtime dependency
+    # neither scipy nor the tests' mpmath oracle is a runtime dependency,
+    # and the persistent-current layers and chi run without numpy
     import abcyl
     src = os.path.dirname(os.path.dirname(abcyl.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, abcyl; print([m for m in ('scipy', 'mpmath') "
+         "import sys, abcyl, abcyl.params, abcyl.spectrum, abcyl.fermi; "
+         "d = abcyl.params.DimensionlessParams(mu=250.0, nu=1.0, "
+         "alpha=50.0, beta=0.1); abcyl.fermi.persistent_all(d); "
+         "abcyl.spectrum.chi(1, 0.5, d); "
+         "print([m for m in ('scipy', 'mpmath', 'numpy') "
          "if m in sys.modules])"],
         env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"

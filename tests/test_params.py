@@ -57,7 +57,7 @@ def test_to_dimensionless_hand_values():
 
 def test_infinite_has_no_length():
     d = DimensionlessParams(mu=1.0)
-    assert d.infinite
+    assert d.nu == 0.0
     with pytest.raises(ValueError):
         _ = d.length
 
