@@ -21,8 +21,8 @@ import sys
 from . import currents, fermi, verify
 from .currents import GaussianPacket, MomentumRule, ResolutionError
 from .params import (E_TIMES_C, HBARC_EV_NM, PARAM_KEYS, ConfigError,
-                     DimensionlessParams, parse_config_text, resolve_params,
-                     validate_regime)
+                     DimensionlessParams, RegimeError, parse_config_text,
+                     resolve_params, validate_regime)
 from .spectrum import chi, energy_finite, energy_infinite, half_odd_run
 
 SCHEMA_VERSION = 1
@@ -49,13 +49,6 @@ def _diag(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-class _Failure(Exception):
-    def __init__(self, code: int, msg: str):
-        self.code = code
-        self.msg = msg
-        super().__init__(msg)
-
-
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("parameters (dimensionless or physical)")
     for flag in PARAM_KEYS:
@@ -63,19 +56,24 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
                        type=float, default=None)
 
 
-def _gather_params(args) -> DimensionlessParams:
+def _gather_values(args) -> dict[str, float]:
+    """The parameter keys of --config, overridden by the flags given."""
     values: dict[str, float] = {}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 values.update(parse_config_text(fh.read()))
         except OSError as exc:
-            raise _Failure(EXIT_CONFIG, f"cannot read config: {exc}")
+            raise ConfigError(f"cannot read config: {exc}")
     for key in PARAM_KEYS:
         v = getattr(args, f"par_{key}", None)
         if v is not None:
             values[key] = v
-    return resolve_params(values)
+    return values
+
+
+def _gather_params(args) -> DimensionlessParams:
+    return resolve_params(_gather_values(args))
 
 
 def _emit(args, header: list[str], rows: list[list], json_payload=None) -> None:
@@ -101,27 +99,44 @@ def _emit(args, header: list[str], rows: list[list], json_payload=None) -> None:
         sys.stdout.write(data)
 
 
+def _refuse_fermi_level(values: dict[str, float], command: str) -> None:
+    """Exit 2 on the keys that set a Fermi level, which command never reads."""
+    for key in ("alpha", "fermi_eV"):
+        if key in values:
+            raise ConfigError(f"{command} has no Fermi level and does not "
+                              f"read {key}")
+
+
 def _half_odd_range(lmax: float):
     run = list(half_odd_run(0.5, lmax + 1e-12))
     return sorted(run + [-lam for lam in run])
 
 
 def cmd_spectrum(args) -> int:
-    d = _gather_params(args)
+    values = _gather_values(args)
+    d = resolve_params(values)
     energy_scale = 1.0
     current_scale = 1.0
-    if args.physical:
-        energy_scale = 1.0 / d.radius_natural            # -> eV
-        radius_m = d.radius_natural * HBARC_EV_NM * 1e-9
-        current_scale = E_TIMES_C / radius_m             # -> A
     rows = []
     if args.geometry == "finite":
         if args.k is not None or args.lam is not None:
-            raise _Failure(EXIT_CONFIG, "--k and --lambda apply to "
-                           "--geometry infinite only")
+            raise ConfigError("--k and --lambda apply to --geometry "
+                              "infinite only")
         if d.nu <= 0.0:
-            raise _Failure(EXIT_REGIME, "finite spectrum needs nu > 0 "
-                           "(or length_nm)")
+            raise RegimeError("finite spectrum needs nu > 0 (or length_nm)")
+    elif d.nu != 0.0:
+        raise RegimeError("infinite spectrum modes live on the infinite "
+                          "cylinder (nu must be 0)")
+    elif args.k is None:
+        raise ConfigError("infinite geometry needs --k")
+    _refuse_fermi_level(values, "spectrum")
+    if args.physical:
+        if "radius_nm" not in values:
+            raise ConfigError("--physical needs radius_nm, the radius R "
+                              "that sets the units hbar c/R and e c/R")
+        energy_scale = HBARC_EV_NM / values["radius_nm"]        # -> eV
+        current_scale = E_TIMES_C / (values["radius_nm"] * 1e-9)  # -> A
+    if args.geometry == "finite":
         for n in range(1, args.nmax + 1):
             for lam in _half_odd_range(args.lmax):
                 re_ = energy_finite(n, lam, d)
@@ -131,11 +146,6 @@ def cmd_spectrum(args) -> int:
         rows.sort(key=lambda r: (r[2], r[0], r[1]))
         header = ["n", "lambda", "R_E", "chi", "R_Ic"]
     else:
-        if d.nu != 0.0:
-            raise _Failure(EXIT_REGIME, "infinite spectrum modes live on the "
-                           "infinite cylinder (nu must be 0)")
-        if args.k is None:
-            raise _Failure(EXIT_CONFIG, "infinite geometry needs --k")
         lams = ([args.lam] if args.lam is not None
                 else _half_odd_range(args.lmax))
         for lam in lams:
@@ -163,16 +173,18 @@ def _check_sea_columns(d: DimensionlessParams) -> None:
     columns, less the ones beyond the first empty column.
     """
     delta = abs(d.beta - 0.5 - round(d.beta - 0.5))
-    columns = math.ceil(math.sqrt(max(d.alpha**2 - delta**2, 0.0)) / d.nu)
-    if columns > MAX_SEA_COLUMNS:
-        raise _Failure(EXIT_REGIME, f"the Fermi sea spans {columns} columns "
-                       f"(about alpha/nu); the cap is {MAX_SEA_COLUMNS}")
+    extent = math.sqrt(max(d.alpha**2 - delta**2, 0.0)) / d.nu
+    if extent > MAX_SEA_COLUMNS:
+        # compared as a float: the extent overflows to inf as nu -> 0
+        columns = math.ceil(extent) if math.isfinite(extent) else extent
+        raise RegimeError(f"the Fermi sea spans {columns} columns (about "
+                          f"alpha/nu); the cap is {MAX_SEA_COLUMNS}")
 
 
 def cmd_persistent(args) -> int:
     d = _gather_params(args)
     if d.nu <= 0.0:
-        raise _Failure(EXIT_REGIME, "persistent currents need nu > 0")
+        raise RegimeError("persistent currents need nu > 0")
     _check_sea_columns(d)
     reports = fermi.persistent_all(d)
     if reports["exact"].N_e == 0:
@@ -201,12 +213,14 @@ def cmd_persistent(args) -> int:
 
 
 def cmd_packet(args) -> int:
-    d = _gather_params(args)
+    values = _gather_values(args)
+    d = resolve_params(values)
     if d.nu != 0.0:
-        raise _Failure(EXIT_REGIME, "packet states live on the infinite "
-                       "cylinder (nu must be 0)")
+        raise RegimeError("packet states live on the infinite cylinder "
+                          "(nu must be 0)")
     if args.zsteps < 2:
-        raise _Failure(EXIT_CONFIG, "packet needs zsteps >= 2")
+        raise ConfigError("packet needs zsteps >= 2")
+    _refuse_fermi_level(values, "packet")
     packet = GaussianPacket(lam=args.lam, k0=args.k0, width=args.width,
                             weight_plus=args.mix_plus,
                             weight_minus=args.mix_minus)
@@ -248,13 +262,13 @@ _SWEEP_OBSERVABLES = {
 def cmd_sweep(args) -> int:
     base = _gather_params(args)
     if args.param not in _SWEEP_PARAMS:
-        raise _Failure(EXIT_CONFIG, f"unknown sweep parameter {args.param!r}")
+        raise ConfigError(f"unknown sweep parameter {args.param!r}")
     if args.observable not in _SWEEP_OBSERVABLES:
-        raise _Failure(EXIT_CONFIG, f"unknown observable {args.observable!r}")
+        raise ConfigError(f"unknown observable {args.observable!r}")
     mode_param = args.param in ("lambda", "n")
     if mode_param and args.observable.startswith("persistent_"):
-        raise _Failure(EXIT_CONFIG, f"{args.observable} sums the whole Fermi "
-                       f"sea and does not depend on {args.param}")
+        raise ConfigError(f"{args.observable} sums the whole Fermi sea and "
+                          f"does not depend on {args.param}")
     if args.param == "lambda":
         lam = math.floor(args.start - 0.5) + 0.5
         if lam < args.start:
@@ -265,12 +279,12 @@ def cmd_sweep(args) -> int:
                             math.floor(args.stop) + 1))
     else:
         if args.steps < 2:
-            raise _Failure(EXIT_CONFIG, "sweep needs steps >= 2")
+            raise ConfigError("sweep needs steps >= 2")
         if not args.stop > args.start:
-            raise _Failure(EXIT_CONFIG, "sweep needs stop > start")
+            raise ConfigError("sweep needs stop > start")
         if args.scale == "log":
             if args.start <= 0:
-                raise _Failure(EXIT_CONFIG, "log sweep needs start > 0")
+                raise ConfigError("log sweep needs start > 0")
             lo, hi = math.log(args.start), math.log(args.stop)
             points = [math.exp(lo + i * (hi - lo) / (args.steps - 1))
                       for i in range(args.steps)]
@@ -283,8 +297,8 @@ def cmd_sweep(args) -> int:
             for x in points]
     for _, d in grid:
         if d.nu <= 0.0:
-            raise _Failure(EXIT_REGIME, f"sweep of {args.observable} needs "
-                           "nu > 0 (or length_nm)")
+            raise RegimeError(f"sweep of {args.observable} needs nu > 0 "
+                              "(or length_nm)")
         if args.observable.startswith("persistent_"):
             _check_sea_columns(d)
     rows = []
@@ -336,8 +350,9 @@ _FLAG_COMMAND = {"seed": ("verify",), "physical": ("spectrum",),
 def _check_global_flags(args) -> None:
     for dest, commands in _FLAG_COMMAND.items():
         if getattr(args, dest) is not None and args.command not in commands:
-            raise _Failure(EXIT_CONFIG, f"--{dest.replace('_', '-')} applies to "
-                           f"{', '.join(commands)} only, not to {args.command}")
+            raise ConfigError(f"--{dest.replace('_', '-')} applies to "
+                              f"{', '.join(commands)} only, not to "
+                              f"{args.command}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,14 +416,15 @@ def main(argv=None) -> int:
     try:
         _check_global_flags(args)
         return args.func(args)
-    except _Failure as exc:
-        _diag(f"error: {exc.msg}")
-        return exc.code
-    except ResolutionError as exc:
+    except ValueError as exc:
         _diag(f"error: {exc}")
-        return EXIT_RESOLUTION
-    except (ConfigError, ValueError) as exc:
-        _diag(f"error: {exc}")
+        if isinstance(exc, RegimeError):
+            return EXIT_REGIME
+        if isinstance(exc, ResolutionError):
+            return EXIT_RESOLUTION
+        return EXIT_CONFIG
+    except OverflowError as exc:
+        _diag(f"error: numeric overflow: {exc}")
         return EXIT_CONFIG
 
 

@@ -1,7 +1,7 @@
 """Circular and longitudinal currents of modes, mixed states and packets.
 
-Currents are reported as the dimensionless product R*I; divide by
-radius_natural for the physical value.  The closed forms are
+Currents are reported as the dimensionless product R*I; multiply by
+e c / R for the physical value.  The closed forms are
 
     mode:    R*I^c = chi(n, lambda) / (2 pi),
              chi = (beta+lambda)/sqrt(mu^2 + nu^2 n^2 + (beta+lambda)^2)
@@ -85,7 +85,10 @@ class GaussianPacket:
             raise ValueError("empty packet")
 
     def raw_amplitudes(self, k: np.ndarray):
-        g = np.exp(-((k - self.k0) ** 2) / (2.0 * self.width**2))
+        # the scalar first: a width whose square overflows raises
+        # OverflowError here, before numpy warns on (k - k0)**2
+        two_w2 = 2.0 * self.width**2
+        g = np.exp(-((k - self.k0) ** 2) / two_w2)
         return self.weight_plus * g, self.weight_minus * g
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .params import DimensionlessParams, validate_regime
@@ -219,7 +219,7 @@ def persistent_exact(d: DimensionlessParams,
     the actual beta and chi is summed over both lambda signs, column by
     column in closed form (see the module docstring).
     """
-    sea = sea or enumerate_fermi_sea(d, "exact")
+    sea = sea or enumerate_fermi_sea(d)
     terms = []
     for n, lo, hi in sea.columns:
         terms += _chi_column(lo, hi, d.beta, d.mu**2 + (d.nu * n) ** 2)
@@ -237,8 +237,8 @@ def j_coeff(n: int, lam: float, d: DimensionlessParams) -> float:
 def c_coefficient_exact(d: DimensionlessParams,
                         sea: FermiSea | None = None) -> float:
     """c(mu, nu) = sum of j(n, lambda) over the occupied lambda > 0 states
-    of the beta-free (quadratic) sea."""
-    sea = sea or enumerate_fermi_sea(d, "quadratic")
+    of the beta-free sea."""
+    sea = sea or enumerate_fermi_sea(replace(d, beta=0.0))
     terms = []
     for n, lo, hi in sea.columns:
         terms += _j_column(lo, hi, d.mu**2 + (d.nu * n) ** 2)
@@ -248,20 +248,20 @@ def c_coefficient_exact(d: DimensionlessParams,
 def persistent_linearized(d: DimensionlessParams,
                           sea: FermiSea | None = None) -> PersistentReport:
     """First order in beta: R*I = beta c(mu, nu) / pi."""
-    sea = sea or enumerate_fermi_sea(d, "quadratic")
+    sea = sea or enumerate_fermi_sea(replace(d, beta=0.0))
     c = c_coefficient_exact(d, sea)
     return _sea_report("linearized", d, sea, d.beta * c / math.pi, c=c)
 
 
 def c_compact(d: DimensionlessParams, sea: FermiSea | None = None) -> float:
     """Compact estimate c ~= (sum of exact lambda_n) / sqrt(mu^2+alpha^2)."""
-    sea = sea or enumerate_fermi_sea(d, "quadratic")
+    sea = sea or enumerate_fermi_sea(replace(d, beta=0.0))
     return sea.sum_lambda_n() / math.sqrt(d.mu**2 + d.alpha**2)
 
 
 def persistent_compact(d: DimensionlessParams,
                        sea: FermiSea | None = None) -> PersistentReport:
-    sea = sea or enumerate_fermi_sea(d, "quadratic")
+    sea = sea or enumerate_fermi_sea(replace(d, beta=0.0))
     c = c_compact(d, sea)
     return _sea_report("compact", d, sea, d.beta * c / math.pi, c=c)
 
@@ -287,7 +287,7 @@ def sum_lambda_n(d: DimensionlessParams) -> IntegralSumEstimate:
     continuum: the continuous n_F from the Fermi-surface identities, the
     integral int_0^{n_F} sqrt(nu^2 (n_F^2 - x^2) + 1/4) dx and the printed
     closed form n_F (1 + pi n_F / nu) / 4.  The exact sum is
-    FermiSea.sum_lambda_n() of the beta-free (quadratic) sea.
+    FermiSea.sum_lambda_n() of the beta-free sea.
     """
     if d.alpha**2 <= 0.25:
         return IntegralSumEstimate(0.0, 0.0, 0.0)
@@ -343,7 +343,7 @@ def persistent_nonrel(d: DimensionlessParams,
     (beta/pi) lambda_F/mu is reported in the notes.  lambda_F and N_e
     come from the exact enumeration.
     """
-    sea = sea or enumerate_fermi_sea(d, "quadratic")
+    sea = sea or enumerate_fermi_sea(replace(d, beta=0.0))
     if sea.empty:
         return _sea_report("nonrel", d, sea, 0.0)
     v_ne = (d.beta / math.pi) * sea.N_e / (2.0 * d.mu)
@@ -355,11 +355,11 @@ def persistent_nonrel(d: DimensionlessParams,
 def persistent_all(d: DimensionlessParams) -> dict[str, PersistentReport]:
     """All applicable methods, keyed by method tag; the three methods on
     the beta-free sea share one enumeration of it."""
-    quadratic = enumerate_fermi_sea(d, "quadratic")
+    beta_free = enumerate_fermi_sea(replace(d, beta=0.0))
     return {
         "exact": persistent_exact(d),
-        "linearized": persistent_linearized(d, quadratic),
-        "compact": persistent_compact(d, quadratic),
+        "linearized": persistent_linearized(d, beta_free),
+        "compact": persistent_compact(d, beta_free),
         "short": persistent_short(d),
-        "nonrel": persistent_nonrel(d, quadratic),
+        "nonrel": persistent_nonrel(d, beta_free),
     }

@@ -8,7 +8,9 @@ lengths measured in units of the cylinder radius R.  The four groups are
     beta  = e B R^2 / 2       (flux parameter)
     alpha = R sqrt(E_F (E_F + 2M))   (Fermi-condition radius)
 
-Only this module and the CLI ever see eV, nm or tesla.
+Inputs in eV, nm or tesla are converted here and nowhere else; the only
+way back is the CLI's `spectrum --physical`, which multiplies R*E by
+hbar c / R and R*I by e c / R from the radius_nm it was given.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ __all__ = [
     "E_OVER_2HBAR_PER_NM2_T",
     "E_TIMES_C",
     "PARAM_KEYS",
+    "ConfigError",
+    "RegimeError",
     "PhysicalParams",
     "DimensionlessParams",
     "to_dimensionless",
@@ -70,15 +74,15 @@ def _check_physical(values) -> None:
 class DimensionlessParams:
     """The parameter bundle every formula consumes.
 
-    radius_natural is R in natural-unit length (1/eV); it only matters
-    when converting dimensionless currents R*I back to physical ones.
+    All four groups are finite, and alpha and |beta| stay below 2**51:
+    the Fermi sea then holds only |lambda| < 2**52, where a step
+    lambda + 1 still lands on the next half-odd-integer.
     """
 
     mu: float
     nu: float = 0.0
     beta: float = 0.0
     alpha: float = 0.0
-    radius_natural: float = 1.0
 
     def __post_init__(self):
         if not self.mu > 0:
@@ -87,8 +91,12 @@ class DimensionlessParams:
             raise ValueError(f"nu must be non-negative, got {self.nu}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-        if not math.isfinite(self.beta):
-            raise ValueError("beta must be finite")
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        for name, value in (("alpha", self.alpha), ("|beta|", abs(self.beta))):
+            if value >= 2.0**51:
+                raise ValueError(f"{name} must be below 2**51, got {value}")
 
     @property
     def length(self) -> float:
@@ -147,6 +155,10 @@ _CONFLICTS = {
 
 class ConfigError(ValueError):
     """Malformed or contradictory configuration."""
+
+
+class RegimeError(ValueError):
+    """A valid parameter point outside the regime a computation covers."""
 
 
 def parse_config_text(text: str) -> dict[str, float]:
@@ -220,7 +232,4 @@ def resolve_params(values: dict[str, float]) -> DimensionlessParams:
     else:
         alpha = 0.0
 
-    radius_natural = (values["radius_nm"] / HBARC_EV_NM
-                      if "radius_nm" in values else 1.0)
-    return DimensionlessParams(mu=mu, nu=nu, beta=beta, alpha=alpha,
-                               radius_natural=radius_natural)
+    return DimensionlessParams(mu=mu, nu=nu, beta=beta, alpha=alpha)

@@ -7,7 +7,7 @@ All energies are handled as the dimensionless product R*E:
 
 Every circular current is set by chi = d(R*E)/d(beta) = (lambda+beta)/(R*E).
 
-Divide by DimensionlessParams.radius_natural to recover a physical energy.
+Multiply by hbar c / R to recover a physical energy.
 """
 
 from __future__ import annotations
@@ -141,34 +141,37 @@ class FermiSea:
 
 
 def half_odd_run(lo: float, hi: float):
-    """Yield lo, lo+1, ..., hi (half-odd-integer bounds)."""
+    """Yield lo, lo+1, ..., hi (half-odd-integer bounds).
+
+    Bounds of magnitude 2**52 or more are refused: there lam + 1 is no
+    longer the next half-odd-integer, and from 2**53 on it is lam itself.
+    """
+    if abs(lo) >= 2.0**52 or abs(hi) >= 2.0**52:
+        raise ValueError(f"half-odd-integer run {lo}..{hi} reaches 2**52")
     lam = lo
     while lam <= hi:
         yield lam
         lam += 1.0
 
 
-def enumerate_fermi_sea(d: DimensionlessParams,
-                        criterion: str = "exact") -> FermiSea:
+def enumerate_fermi_sea(d: DimensionlessParams) -> FermiSea:
     """The occupied (n, lambda) states at T=0, as per-column lambda runs.
 
-    criterion "exact" occupies states with nu^2 n^2 + (lambda+beta)^2
-    <= alpha^2 (equivalent to E <= E_F + M with the actual beta);
-    "quadratic" drops beta: nu^2 n^2 + lambda^2 <= alpha^2.  Boundary
-    ties count as occupied.
+    The sea holds the states with nu^2 n^2 + (lambda+beta)^2 <= alpha^2
+    (equivalent to E <= E_F + M); boundary ties count as occupied.  The
+    beta-free sea of the linearized methods is the sea of
+    dataclasses.replace(d, beta=0.0).
 
     Column n occupies one run, |lambda+beta| <= sqrt(alpha^2 - nu^2 n^2);
     its ends are settled by the occupation test itself, so ties and sqrt
     rounding decide as a test of every state would.  alpha^2 - nu^2 n^2
     falls with n, so the first empty column ends the sea.  Cost is O(n_F).
     """
-    if criterion not in ("exact", "quadratic"):
-        raise ValueError(f"unknown criterion {criterion!r}")
     if d.nu <= 0.0:
         raise ValueError("Fermi sea enumeration requires nu > 0")
 
     a2 = d.alpha**2
-    beta = d.beta if criterion == "exact" else 0.0
+    beta = d.beta
     columns: list[tuple[int, float, float]] = []
 
     for n in range(1, math.ceil(d.alpha / d.nu) + 2):

@@ -208,14 +208,14 @@ def suite_ladder(seed: int = 0) -> SuiteResult:
 def suite_appendix_b(seed: int = 0) -> SuiteResult:
     # B1-style inner sum at n=1
     d = DimensionlessParams(mu=250.0, nu=1.0, alpha=50.0)
-    sea = enumerate_fermi_sea(d, "quadratic")
+    sea = enumerate_fermi_sea(d)
     inner = math.fsum(fermi.j_coeff(1, lam, d)   # column n = 1, lambda > 0
                       for lam in spectrum.half_odd_run(0.5, sea.lambda_F))
     approx = sea.lambda_F / math.sqrt(d.mu**2 + d.alpha**2)
     worst = abs(inner - approx) / inner / 0.01
     # B2 sum-to-integral with a genuinely dense sea (n_F > 100, lambda_F >> 1)
     d2 = DimensionlessParams(mu=250.0, nu=1.0, alpha=150.0)
-    exact = enumerate_fermi_sea(d2, "quadratic").sum_lambda_n()
+    exact = enumerate_fermi_sea(d2).sum_lambda_n()
     est = fermi.sum_lambda_n(d2)
     worst = max(worst, abs(exact - est.quadrature) / exact / 0.01)
     return _result("appendix_b", 1.0, worst, detail="normalized to 1%")

@@ -197,14 +197,14 @@ def test_criterion_08_persistent_ladder():
 def test_criterion_09_appendix_b():
     # (B1) single-column sum vs lambda_n / sqrt(mu^2 + alpha^2)
     d = DimensionlessParams(mu=250.0, nu=1.0, alpha=50.0)
-    sea = enumerate_fermi_sea(d, "quadratic")
+    sea = enumerate_fermi_sea(d)
     inner = sum(j_coeff(1, lam, d)
                 for n, lam in sea.states() if n == 1 and lam > 0)
     compact = sea.lambda_n[1] / math.sqrt(d.mu**2 + d.alpha**2)
     b1 = abs(inner - compact) / inner
     # (B2) exact sum of lambda_n vs the integral estimate at n_F > 100
     d2 = DimensionlessParams(mu=250.0, nu=1.0, alpha=150.0)
-    exact = enumerate_fermi_sea(d2, "quadratic").sum_lambda_n()
+    exact = enumerate_fermi_sea(d2).sum_lambda_n()
     est = sum_lambda_n(d2)
     assert est.n_F_continuous > 100.0
     b2 = abs(est.quadrature - exact) / exact

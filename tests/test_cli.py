@@ -12,6 +12,7 @@ import pytest
 
 from abcyl import spinors
 from abcyl.cli import MAX_SEA_COLUMNS, _half_odd_range, build_parser, main
+from abcyl.spectrum import half_odd_run
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -268,6 +269,77 @@ def test_sea_over_the_column_cap_exits_3(argv):
     assert f"the cap is {MAX_SEA_COLUMNS}" in proc.stderr
 
 
+# inputs that hung, printed NaN rows with exit 0, or ended in a traceback
+# with exit 1 (the code of a failed verify)
+@pytest.mark.parametrize("argv, code", [
+    (("spectrum", "--mu", "1", "--nu", "nan"), 2),
+    (("persistent", "--mu", "1", "--nu", "1", "--alpha", "inf"), 2),
+    (("persistent", "--mu", "inf", "--nu", "1", "--alpha", "3"), 2),
+    (("persistent", "--mu", "1", "--nu", "1", "--alpha", "3", "--beta", "1e17"),
+     2),
+    (("persistent", "--mu", "1", "--nu", "1e13", "--alpha", "1e17"), 2),
+    (("persistent", "--mu", "1", "--nu", "1e-320", "--alpha", "1"), 3),
+    (("spectrum", "--mu", "1e200", "--nu", "1"), 2),
+    (("packet", "--mu", "1", "--width", "1e300", "--zsteps", "3"), 2),
+    (("persistent", "--mass-eV", "1", "--radius-nm", "1e200", "--length-nm",
+      "1", "--b-field-T", "1", "--alpha", "3"), 2),
+    (("packet", "--mu", "1", "--alpha", "3", "--zsteps", "3"), 2),
+    (("packet", "--mass-eV", "511000", "--radius-nm", "2", "--fermi-eV", "1",
+      "--zsteps", "3"), 2),
+    (("spectrum", "--mu", "1", "--nu", "1", "--alpha", "3"), 2),
+    (("spectrum", "--geometry", "infinite", "--mu", "1", "--alpha", "3",
+      "--k", "1.3"), 2),
+    (("spectrum", "--mu", "1", "--nu", "1", "--physical"), 2),
+])
+def test_bad_input_is_refused_with_one_error_line(argv, code):
+    proc = _cli_subprocess(*argv, timeout=20)
+    assert proc.returncode == code and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_half_odd_run_refuses_bounds_from_2_52(capsys):
+    # from 2**52 on, lambda + 1 is no longer the next half-odd-integer,
+    # and from 2**53 on it is lambda itself
+    for lo, hi in ((1e17, 1.0000000000000002e17), (0.5, 2.0**52),
+                   (-(2.0**52), 0.5)):
+        with pytest.raises(ValueError, match=r"2\*\*52"):
+            list(half_odd_run(lo, hi))
+    top = 2.0**52 - 0.5
+    assert list(half_odd_run(top - 1.0, top)) == [top - 1.0, top]
+    # a lambda sweep there never ended; it runs only after the refusal
+    # above has been seen to hold
+    code, out, err = run(capsys, "sweep", "--mu", "1", "--nu", "1",
+                         "--param", "lambda", "--start", "1e17",
+                         "--stop", "1.0000000000000002e17")
+    assert code == 2 and out == "" and "2**52" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("packet", "--zsteps", "3"),
+    ("spectrum", "--nu", "1"),
+    ("spectrum", "--geometry", "infinite", "--k", "1.3")])
+@pytest.mark.parametrize("key", ["alpha = 3", "fermi_eV = 1"])
+def test_fermi_level_refused_where_unread(capsys, tmp_path, command, key):
+    # neither packet nor spectrum has a Fermi level; a config key is
+    # refused as the flag is
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(f"mass_eV = 511000\nradius_nm = 2\n{key}\n")
+    code, out, err = run(capsys, *command, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == (f"error: {command[0]} has no Fermi level and does not "
+                   f"read {key.split()[0]}\n")
+
+
+def test_physical_needs_radius(capsys):
+    # R = hbar c / (1 eV) was assumed when no radius was given
+    code, out, err = run(capsys, "spectrum", "--mu", "1", "--nu", "1",
+                         "--physical")
+    assert code == 2 and out == "" and "needs radius_nm" in err
+    code, out, _ = run(capsys, "spectrum", "--mu", "1", "--nu", "1",
+                       "--radius-nm", "197.3269804", "--physical")
+    assert code == 0 and out.splitlines()[1].startswith("1,-0.5,1.5")
+
+
 def test_column_cap_leaves_other_observables_alone(capsys):
     code, out, _ = run(capsys, "sweep", *_SEA_SIZE, *_BETA_SWEEP,
                        "--observable", "chi")
@@ -445,11 +517,14 @@ def test_global_flag_rejected_where_ignored(capsys, flag, command, before):
 @pytest.mark.parametrize("flag", [("--physical",)])
 def test_global_flag_accepted_in_either_position(capsys, flag):
     (command,) = _GLOBAL_FLAGS[flag]
-    code, plain, _ = run(capsys, *_COMMAND_ARGV[command])
+    # --physical needs the radius that sets its units
+    radius = ("--radius-nm", "2")
+    code, plain, _ = run(capsys, *_COMMAND_ARGV[command], *radius)
     assert code == 0
     outs = set()
     for before in (True, False):
-        code, out, err = run(capsys, *_with_flag(flag, command, before))
+        code, out, err = run(capsys, *_with_flag(flag, command, before),
+                             *radius)
         assert code == 0 and err == ""
         outs.add(out)
     assert len(outs) == 1 and plain not in outs   # the flag took effect

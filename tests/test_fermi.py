@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -26,15 +27,15 @@ def _chi_per_state(d):
 
 def _c_per_state(d):
     """The per-state oracle of c: j summed over the lambda > 0 states of
-    the quadratic sea."""
-    sea = enumerate_fermi_sea(d, "quadratic")
+    the beta-free sea."""
+    sea = enumerate_fermi_sea(dataclasses.replace(d, beta=0.0))
     return math.fsum(j_coeff(n, lam, d) for n, lam in sea.states() if lam > 0)
 
 
 def test_exact_is_sum_of_mode_currents():
     d = DimensionlessParams(mu=1.0, nu=0.8, beta=0.2, alpha=3.0)
     rep = persistent_exact(d)
-    sea = enumerate_fermi_sea(d, "exact")
+    sea = enumerate_fermi_sea(d)
     manual = sum(chi(n, lam, d) for n, lam in sea.states()) / (2 * math.pi)
     assert rep.value == pytest.approx(manual, rel=1e-13)
     assert rep.N_e == sea.N_e
@@ -89,14 +90,14 @@ def test_compact_close_to_linearized():
 
 def test_c_coefficient_positive_lambda_only():
     d = DimensionlessParams(mu=1.0, nu=1.0, alpha=3.0)
-    sea = enumerate_fermi_sea(d, "quadratic")
+    sea = enumerate_fermi_sea(d)
     manual = sum(j_coeff(n, lam, d) for n, lam in sea.states() if lam > 0)
     assert c_coefficient_exact(d) == pytest.approx(manual, rel=1e-14)
 
 
 def test_sum_lambda_n_exact_vs_integral():
     d = DimensionlessParams(mu=250.0, nu=1.0, alpha=150.0)
-    exact = enumerate_fermi_sea(d, "quadratic").sum_lambda_n()
+    exact = enumerate_fermi_sea(d).sum_lambda_n()
     est = sum_lambda_n(d)
     assert isinstance(est, IntegralSumEstimate)
     assert est.n_F_continuous > 100.0
@@ -217,7 +218,7 @@ def test_exact_is_flux_periodic(mu, nu, alpha, beta):
     # lambda -> lambda -+ 1 and leaves the current unchanged; (lambda+1)+beta
     # and lambda+(beta+1) may round apart, so allow 4 ulp per |chi| term
     d = DimensionlessParams(mu, nu, beta, alpha)
-    sea = enumerate_fermi_sea(d, "exact")
+    sea = enumerate_fermi_sea(d)
     atol = (4 * sys.float_info.epsilon / (2 * math.pi)
             * math.fsum(abs(chi(n, lam, d)) for n, lam in sea.states()))
     value = persistent_exact(d).value

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,33 @@ def test_dimensionless_validation():
         DimensionlessParams(mu=1.0, alpha=-1.0)
     with pytest.raises(ValueError):
         DimensionlessParams(mu=1.0, beta=math.inf)
+
+
+def test_dimensionless_fields_are_the_four_groups():
+    assert [f.name for f in dataclasses.fields(DimensionlessParams)] == [
+        "mu", "nu", "beta", "alpha"]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("mu", math.inf, "mu must be finite, got inf"),
+    ("nu", math.nan, "nu must be finite, got nan"),
+    ("nu", math.inf, "nu must be finite, got inf"),
+    ("alpha", math.inf, "alpha must be finite, got inf"),
+    ("alpha", math.nan, "alpha must be finite, got nan"),
+    ("beta", -math.inf, "beta must be finite, got -inf"),
+    ("alpha", 2.0**51, "alpha must be below 2**51"),
+    ("beta", -(2.0**51), "|beta| must be below 2**51"),
+    ("beta", 1e17, "|beta| must be below 2**51"),
+])
+def test_dimensionless_range_rule(key, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DimensionlessParams(**{"mu": 1.0, "nu": 1.0, key: value})
+
+
+def test_dimensionless_range_rule_admits_the_largest_groups():
+    below = math.nextafter(2.0**51, 0.0)
+    d = DimensionlessParams(mu=1e300, nu=1e300, beta=-below, alpha=below)
+    assert d.alpha == below and d.beta == -below
 
 
 def test_to_dimensionless_hand_values():
@@ -178,7 +207,8 @@ def test_to_dimensionless_is_the_module_formulas(mass, radius, fermi,
     assert d.beta == b_field * radius**2 * E_OVER_2HBAR_PER_NM2_T
     assert d.alpha == radius * math.sqrt(fermi * (fermi + 2.0 * mass)) \
         / HBARC_EV_NM
-    assert d.radius_natural == radius / HBARC_EV_NM
+    # the units of spectrum --physical: hbar c / R turns R*E into eV
+    assert d.mu * (HBARC_EV_NM / radius) == pytest.approx(mass, rel=1e-15)
 
 
 @given(nu=st.floats(0.01, 50.0), alpha=st.floats(0.0, 50.0))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -81,8 +82,8 @@ def test_fermi_sea_empty():
 
 def test_fermi_sea_exact_uses_beta():
     d = DimensionlessParams(mu=1.0, nu=1.0, alpha=2.0, beta=0.4)
-    exact = enumerate_fermi_sea(d, "exact")
-    quad = enumerate_fermi_sea(d, "quadratic")
+    exact = enumerate_fermi_sea(d)
+    quad = enumerate_fermi_sea(dataclasses.replace(d, beta=0.0))
     # beta=0.4 pushes (1, 1.5) out: (1.5+0.4)^2 + 1 > 4
     assert (1, 1.5) in tuple(quad.states())
     assert (1, 1.5) not in tuple(exact.states())
@@ -91,9 +92,7 @@ def test_fermi_sea_exact_uses_beta():
 
 def test_fermi_sea_rejects_bad_input():
     with pytest.raises(ValueError):
-        enumerate_fermi_sea(DimensionlessParams(mu=1.0), "exact")
-    with pytest.raises(ValueError):
-        enumerate_fermi_sea(DimensionlessParams(mu=1.0, nu=1.0), "bogus")
+        enumerate_fermi_sea(DimensionlessParams(mu=1.0))
 
 
 @given(n=st.integers(1, 6), lam=half_odd,
@@ -125,7 +124,7 @@ def test_energy_monotone_in_n(n, lam, mu, nu):
 @settings(max_examples=60, deadline=None)
 def test_fermi_sea_criterion_is_sharp(mu, nu, alpha, beta):
     d = DimensionlessParams(mu=mu, nu=nu, alpha=alpha, beta=beta)
-    sea = enumerate_fermi_sea(d, "exact")
+    sea = enumerate_fermi_sea(d)
     a2 = alpha**2
     occupied = set(sea.states())
     for n, lam in occupied:
@@ -146,10 +145,7 @@ def test_fermi_sea_criterion_is_sharp(mu, nu, alpha, beta):
 @settings(max_examples=50, deadline=None)
 def test_fermi_sea_symmetric_without_beta(mu, nu, alpha):
     d = DimensionlessParams(mu=mu, nu=nu, alpha=alpha)
-    sea = enumerate_fermi_sea(d, "exact")
-    quad = enumerate_fermi_sea(d, "quadratic")
-    # criteria only differ through beta
-    assert tuple(sea.states()) == tuple(quad.states())
+    sea = enumerate_fermi_sea(d)
     occupied = set(sea.states())
     assert occupied == {(n, -lam) for n, lam in occupied}
 
@@ -160,14 +156,14 @@ def test_fermi_sea_is_frozen():
         sea.n_F = 1
 
 
-def scan_fermi_sea(d, criterion):
+def scan_fermi_sea(d):
     """Reference enumeration: test every half-odd lambda of every column.
 
     This is the per-state scan enumerate_fermi_sea replaced; returns
     (occupied, lambda_n) in ascending n then lambda.
     """
     a2 = d.alpha**2
-    beta = d.beta if criterion == "exact" else 0.0
+    beta = d.beta
     occupied = []
     lambda_n = {}
     n_max = math.ceil(d.alpha / d.nu) + 1
@@ -193,9 +189,9 @@ def scan_fermi_sea(d, criterion):
 
 
 def assert_matches_scan(d):
-    for criterion in ("exact", "quadratic"):
-        occupied, lambda_n = scan_fermi_sea(d, criterion)
-        sea = enumerate_fermi_sea(d, criterion)
+    for point in (d, dataclasses.replace(d, beta=0.0)):
+        occupied, lambda_n = scan_fermi_sea(point)
+        sea = enumerate_fermi_sea(point)
         assert tuple(sea.states()) == occupied
         assert type(sea.N_e) is int and sea.N_e == len(occupied)
         assert type(sea.n_F) is int and sea.n_F == max(lambda_n, default=0)
@@ -241,7 +237,7 @@ def decimal_points(draw):
 def test_boundary_tie_hand_cases():
     # nu n = 3, lambda + beta = 3.5 + 0.5 = 4, alpha = 5
     d = DimensionlessParams(mu=1.0, nu=1.0, beta=0.5, alpha=5.0)
-    assert (3, 3.5) in tuple(enumerate_fermi_sea(d, "exact").states())
+    assert (3, 3.5) in tuple(enumerate_fermi_sea(d).states())
     assert_matches_scan(d)
     # rounding puts a column end one step beyond the sqrt estimate
     # (column 21 at beta = +-1.3) or one step short of it (column 4)
