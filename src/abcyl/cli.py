@@ -23,7 +23,8 @@ from .currents import GaussianPacket, MomentumRule, ResolutionError
 from .params import (E_TIMES_C, HBARC_EV_NM, PARAM_KEYS, ConfigError,
                      DimensionlessParams, RegimeError, parse_config_text,
                      resolve_params, validate_regime)
-from .spectrum import chi, energy_finite, energy_infinite, half_odd_run
+from .spectrum import (check_sea_columns, chi, energy_finite, energy_infinite,
+                       half_odd_count, half_odd_run)
 
 SCHEMA_VERSION = 1
 
@@ -33,10 +34,9 @@ EXIT_CONFIG = 2
 EXIT_REGIME = 3
 EXIT_RESOLUTION = 4
 
-# Largest Fermi sea, in columns n, that persistent and the persistent_*
-# sweeps build; the sums cost tens of microseconds per column, so a
-# persistent request at the cap takes a few seconds.
-MAX_SEA_COLUMNS = 30_000
+# Largest table that spectrum and sweep build; every row is held in
+# memory until the table is printed.
+MAX_ROWS = 1_000_000
 
 
 def _fmt(x) -> str:
@@ -107,9 +107,10 @@ def _refuse_fermi_level(values: dict[str, float], command: str) -> None:
                               f"read {key}")
 
 
-def _half_odd_range(lmax: float):
-    run = list(half_odd_run(0.5, lmax + 1e-12))
-    return sorted(run + [-lam for lam in run])
+def _check_rows(count: int) -> None:
+    if count > MAX_ROWS:
+        raise ConfigError(f"the table would hold {count} rows; the cap is "
+                          f"{MAX_ROWS}")
 
 
 def cmd_spectrum(args) -> int:
@@ -136,9 +137,11 @@ def cmd_spectrum(args) -> int:
                               "that sets the units hbar c/R and e c/R")
         energy_scale = HBARC_EV_NM / values["radius_nm"]        # -> eV
         current_scale = E_TIMES_C / (values["radius_nm"] * 1e-9)  # -> A
+    lo, hi = -args.lmax - 1e-12, args.lmax + 1e-12
     if args.geometry == "finite":
-        for n in range(1, args.nmax + 1):
-            for lam in _half_odd_range(args.lmax):
+        _check_rows(max(args.nmax, 0) * half_odd_count(lo, hi))
+        for lam in half_odd_run(lo, hi):
+            for n in range(1, args.nmax + 1):
                 re_ = energy_finite(n, lam, d)
                 ch = chi(n, lam, d)
                 rows.append([n, lam, re_ * energy_scale,
@@ -146,8 +149,11 @@ def cmd_spectrum(args) -> int:
         rows.sort(key=lambda r: (r[2], r[0], r[1]))
         header = ["n", "lambda", "R_E", "chi", "R_Ic"]
     else:
-        lams = ([args.lam] if args.lam is not None
-                else _half_odd_range(args.lmax))
+        if args.lam is not None:
+            lams = [args.lam]
+        else:
+            _check_rows(half_odd_count(lo, hi))
+            lams = half_odd_run(lo, hi)
         for lam in lams:
             re_ = energy_infinite(args.k, lam, d)
             ch = (lam + d.beta) / re_
@@ -165,27 +171,8 @@ def _report_dict(rep: fermi.PersistentReport) -> dict:
     return out
 
 
-def _check_sea_columns(d: DimensionlessParams) -> None:
-    """Exit 3 for a sea of more than MAX_SEA_COLUMNS columns.
-
-    Column n holds a state while nu n <= sqrt(alpha^2 - delta^2), delta
-    the least |lambda + beta| over half-odd lambda: ceil(alpha/nu)
-    columns, less the ones beyond the first empty column.
-    """
-    delta = abs(d.beta - 0.5 - round(d.beta - 0.5))
-    extent = math.sqrt(max(d.alpha**2 - delta**2, 0.0)) / d.nu
-    if extent > MAX_SEA_COLUMNS:
-        # compared as a float: the extent overflows to inf as nu -> 0
-        columns = math.ceil(extent) if math.isfinite(extent) else extent
-        raise RegimeError(f"the Fermi sea spans {columns} columns (about "
-                          f"alpha/nu); the cap is {MAX_SEA_COLUMNS}")
-
-
 def cmd_persistent(args) -> int:
     d = _gather_params(args)
-    if d.nu <= 0.0:
-        raise RegimeError("persistent currents need nu > 0")
-    _check_sea_columns(d)
     reports = fermi.persistent_all(d)
     if reports["exact"].N_e == 0:
         _diag("warning: empty Fermi sea (no state below the Fermi level)")
@@ -270,18 +257,18 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"{args.observable} sums the whole Fermi sea and "
                           f"does not depend on {args.param}")
     if args.param == "lambda":
-        lam = math.floor(args.start - 0.5) + 0.5
-        if lam < args.start:
-            lam += 1.0
-        points = list(half_odd_run(lam, args.stop + 1e-12))
+        _check_rows(half_odd_count(args.start, args.stop + 1e-12))
+        points = half_odd_run(args.start, args.stop + 1e-12)
     elif args.param == "n":
-        points = list(range(max(1, math.ceil(args.start)),
-                            math.floor(args.stop) + 1))
+        first, last = max(1, math.ceil(args.start)), math.floor(args.stop)
+        _check_rows(last - first + 1)
+        points = range(first, last + 1)
     else:
         if args.steps < 2:
             raise ConfigError("sweep needs steps >= 2")
         if not args.stop > args.start:
             raise ConfigError("sweep needs stop > start")
+        _check_rows(args.steps)
         if args.scale == "log":
             if args.start <= 0:
                 raise ConfigError("log sweep needs start > 0")
@@ -295,12 +282,9 @@ def cmd_sweep(args) -> int:
     grid = [(x, base if mode_param
              else dataclasses.replace(base, **{args.param: x}))
             for x in points]
-    for _, d in grid:
-        if d.nu <= 0.0:
-            raise RegimeError(f"sweep of {args.observable} needs nu > 0 "
-                              "(or length_nm)")
-        if args.observable.startswith("persistent_"):
-            _check_sea_columns(d)
+    if args.observable.startswith("persistent_"):
+        for _, d in grid:
+            check_sea_columns(d)
     rows = []
     for x, d in grid:
         lam = x if args.param == "lambda" else args.lam
@@ -353,6 +337,16 @@ def _check_global_flags(args) -> None:
             raise ConfigError(f"--{dest.replace('_', '-')} applies to "
                               f"{', '.join(commands)} only, not to "
                               f"{args.command}")
+
+
+def _check_finite_flags(args) -> None:
+    """Exit 2 on a NaN or infinite float flag; the parameter flags are
+    checked where they become the four groups."""
+    for dest, value in vars(args).items():
+        if (isinstance(value, float) and not dest.startswith("par_")
+                and not math.isfinite(value)):
+            flag = "lambda" if dest == "lam" else dest.replace("_", "-")
+            raise ConfigError(f"--{flag} must be finite, got {value}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,6 +409,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_global_flags(args)
+        _check_finite_flags(args)
         return args.func(args)
     except ValueError as exc:
         _diag(f"error: {exc}")

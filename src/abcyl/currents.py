@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import DimensionlessParams
-from .spectrum import ModeSpec, chi
+from .spectrum import ModeSpec, _check_half_odd, chi
 from .spinors import QuadratureRule, leggauss, mode_components
 
 __all__ = [
@@ -79,16 +79,20 @@ class GaussianPacket:
     weight_minus: complex = 0.0
 
     def __post_init__(self):
-        if not self.width > 0:
-            raise ValueError("width must be positive")
+        _check_half_odd(self.lam)
+        if not 0 < self.width < math.inf:
+            raise ValueError(f"width must be positive and finite, "
+                             f"got {self.width}")
+        window = abs(self.k0) + _WINDOW_SIGMAS * self.width
+        if not math.isfinite(window * window):
+            raise ValueError(f"the momentum window |k0| + "
+                             f"{_WINDOW_SIGMAS:g} width = {window} must "
+                             f"have a finite square")
         if abs(self.weight_plus) + abs(self.weight_minus) == 0:
             raise ValueError("empty packet")
 
     def raw_amplitudes(self, k: np.ndarray):
-        # the scalar first: a width whose square overflows raises
-        # OverflowError here, before numpy warns on (k - k0)**2
-        two_w2 = 2.0 * self.width**2
-        g = np.exp(-((k - self.k0) ** 2) / two_w2)
+        g = np.exp(-((k - self.k0) ** 2) / (2.0 * self.width**2))
         return self.weight_plus * g, self.weight_minus * g
 
 
@@ -102,6 +106,7 @@ class TabulatedPacket:
     a_minus: tuple[complex, ...]
 
     def __post_init__(self):
+        _check_half_odd(self.lam)
         k = np.asarray(self.k_grid, dtype=float)
         if k.size < 2 or not np.all(np.diff(k) > 0.0):
             raise ValueError("k_grid needs at least 2 strictly increasing "

@@ -41,8 +41,8 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .params import DimensionlessParams, validate_regime
-from .spectrum import (FermiSea, enumerate_fermi_sea, half_odd_run,
-                       largest_half_odd)
+from .spectrum import (FermiSea, _check_mode, enumerate_fermi_sea,
+                       half_odd_run, largest_half_odd)
 
 __all__ = [
     "PersistentReport",
@@ -228,8 +228,7 @@ def persistent_exact(d: DimensionlessParams,
 
 def j_coeff(n: int, lam: float, d: DimensionlessParams) -> float:
     """Linear-response coefficient (mu^2+nu^2 n^2)/(mu^2+nu^2 n^2+lambda^2)^{3/2}."""
-    if d.nu <= 0.0 or n < 1:
-        raise ValueError("j_coeff needs nu > 0 and n >= 1")
+    _check_mode(n, lam, d)
     s = d.mu**2 + (d.nu * n) ** 2
     return s / (s + lam**2) ** 1.5
 

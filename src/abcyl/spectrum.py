@@ -12,12 +12,14 @@ Multiply by hbar c / R to recover a physical energy.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from .params import DimensionlessParams
+from .params import DimensionlessParams, RegimeError
 
 __all__ = [
+    "MAX_SEA_COLUMNS",
     "ModeSpec",
     "FermiSea",
     "energy_infinite",
@@ -25,17 +27,37 @@ __all__ = [
     "chi",
     "mode_energy",
     "largest_half_odd",
+    "half_odd_count",
     "half_odd_run",
+    "check_sea_columns",
     "enumerate_fermi_sea",
 ]
+
+# Widest Fermi sea, in columns n, that enumerate_fermi_sea builds; the
+# persistent sums cost tens of microseconds per column (seconds at the cap).
+MAX_SEA_COLUMNS = 30_000
 
 _HALF_ODD_TOL = 1e-9
 
 
 def _check_half_odd(lam: float) -> None:
     two = 2.0 * lam
-    if abs(two - round(two)) > _HALF_ODD_TOL or round(two) % 2 == 0:
+    odd = round(two)
+    if abs(two - odd) > _HALF_ODD_TOL or odd % 2 == 0:
         raise ValueError(f"lambda must be a half-odd-integer, got {lam}")
+
+
+def _check_finite(d: DimensionlessParams) -> None:
+    if d.nu <= 0.0:
+        raise RegimeError("the finite cylinder needs nu > 0 (or length_nm)")
+
+
+def _check_mode(n: int, lam: float, d: DimensionlessParams) -> None:
+    """Refuse a finite-cylinder mode (n, lambda) that does not exist."""
+    _check_finite(d)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    _check_half_odd(lam)
 
 
 @dataclass(frozen=True)
@@ -67,22 +89,19 @@ class ModeSpec:
 
 def energy_infinite(k: float, lam: float, d: DimensionlessParams) -> float:
     """R*E for a plane-wave mode; k is the dimensionless product kR."""
+    _check_half_odd(lam)
     return math.sqrt(d.mu**2 + k**2 + (lam + d.beta) ** 2)
 
 
 def energy_finite(n: int, lam: float, d: DimensionlessParams) -> float:
     """R*E_{n,lambda} for a standing-wave mode, k_n R = nu*n."""
-    if d.nu <= 0.0:
-        raise ValueError("energy_finite requires nu > 0; use energy_infinite")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_mode(n, lam, d)
     return math.sqrt(d.mu**2 + (d.nu * n) ** 2 + (lam + d.beta) ** 2)
 
 
 def chi(n: int, lam: float, d: DimensionlessParams) -> float:
     """Shape function of the circular currents, in (-1, 1)."""
-    if d.nu <= 0.0:
-        raise ValueError("chi is defined for the finite geometry (nu > 0)")
+    _check_mode(n, lam, d)
     q = d.beta + lam
     return q / math.sqrt(d.mu**2 + (d.nu * n) ** 2 + q**2)
 
@@ -140,18 +159,51 @@ class FermiSea:
         return math.fsum(self.lambda_n.values())
 
 
-def half_odd_run(lo: float, hi: float):
-    """Yield lo, lo+1, ..., hi (half-odd-integer bounds).
+def _half_odd_ends(lo: float, hi: float) -> tuple[float, float]:
+    """The first half-odd-integer >= lo and the last one <= hi.
 
     Bounds of magnitude 2**52 or more are refused: there lam + 1 is no
     longer the next half-odd-integer, and from 2**53 on it is lam itself.
     """
     if abs(lo) >= 2.0**52 or abs(hi) >= 2.0**52:
         raise ValueError(f"half-odd-integer run {lo}..{hi} reaches 2**52")
-    lam = lo
-    while lam <= hi:
+    first = math.floor(lo - 0.5) + 0.5
+    if first < lo:
+        first += 1.0
+    last = math.ceil(hi + 0.5) - 0.5
+    if last > hi:
+        last -= 1.0
+    return first, last
+
+
+def half_odd_count(lo: float, hi: float) -> int:
+    """How many half-odd-integers lie in [lo, hi]."""
+    first, last = _half_odd_ends(lo, hi)
+    return max(int(last - first) + 1, 0)
+
+
+def half_odd_run(lo: float, hi: float):
+    """Yield the half-odd-integers from the first one >= lo to hi."""
+    lam, last = _half_odd_ends(lo, hi)
+    while lam <= last:
         yield lam
         lam += 1.0
+
+
+def check_sea_columns(d: DimensionlessParams) -> None:
+    """RegimeError for nu <= 0 or a sea wider than MAX_SEA_COLUMNS.
+
+    Column n holds a state while nu n <= sqrt(alpha^2 - delta^2), delta
+    the least |lambda + beta| over half-odd lambda.
+    """
+    _check_finite(d)
+    delta = abs(d.beta - 0.5 - round(d.beta - 0.5))
+    extent = math.sqrt(max(d.alpha**2 - delta**2, 0.0)) / d.nu
+    if extent > MAX_SEA_COLUMNS:
+        # compared as a float: the extent overflows to inf as nu -> 0
+        columns = math.ceil(extent) if math.isfinite(extent) else extent
+        raise RegimeError(f"the Fermi sea spans {columns} columns (about "
+                          f"alpha/nu); the cap is {MAX_SEA_COLUMNS}")
 
 
 def enumerate_fermi_sea(d: DimensionlessParams) -> FermiSea:
@@ -160,21 +212,20 @@ def enumerate_fermi_sea(d: DimensionlessParams) -> FermiSea:
     The sea holds the states with nu^2 n^2 + (lambda+beta)^2 <= alpha^2
     (equivalent to E <= E_F + M); boundary ties count as occupied.  The
     beta-free sea of the linearized methods is the sea of
-    dataclasses.replace(d, beta=0.0).
+    dataclasses.replace(d, beta=0.0).  check_sea_columns runs first.
 
     Column n occupies one run, |lambda+beta| <= sqrt(alpha^2 - nu^2 n^2);
     its ends are settled by the occupation test itself, so ties and sqrt
     rounding decide as a test of every state would.  alpha^2 - nu^2 n^2
     falls with n, so the first empty column ends the sea.  Cost is O(n_F).
     """
-    if d.nu <= 0.0:
-        raise ValueError("Fermi sea enumeration requires nu > 0")
+    check_sea_columns(d)
 
     a2 = d.alpha**2
     beta = d.beta
     columns: list[tuple[int, float, float]] = []
 
-    for n in range(1, math.ceil(d.alpha / d.nu) + 2):
+    for n in itertools.count(1):
         rem = a2 - (d.nu * n) ** 2
         if rem < 0.0:
             break

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from abcyl import spinors
-from abcyl.cli import MAX_SEA_COLUMNS, _half_odd_range, build_parser, main
-from abcyl.spectrum import half_odd_run
+from abcyl.cli import build_parser, main
+from abcyl.spectrum import MAX_SEA_COLUMNS, half_odd_run
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -566,7 +566,7 @@ def test_half_odd_range_matches_counting_loop(lmax):
     while lam <= lmax + 1e-12:
         out.extend([lam, -lam])
         lam += 1.0
-    assert _half_odd_range(lmax) == sorted(out)
+    assert list(half_odd_run(-lmax - 1e-12, lmax + 1e-12)) == sorted(out)
 
 
 @pytest.mark.parametrize("start, stop", [
@@ -586,3 +586,110 @@ def test_sweep_lambda_points_match_counting_loop(capsys, start, stop):
     assert code == 0
     assert [float(line.split(",")[0])
             for line in out.strip().splitlines()[1:]] == want
+
+
+_BETA_CHI_SWEEP = ("sweep", "--mu", "1", "--nu", "1", "--param", "beta",
+                   "--start", "0", "--stop", "0.1", "--steps", "2")
+
+
+# each printed values (NaN rows, for the flags) with exit 0
+@pytest.mark.parametrize("argv, message", [
+    ((*_BETA_CHI_SWEEP, "--n", "0"), "n must be >= 1, got 0"),
+    ((*_BETA_CHI_SWEEP, "--n", "-3"), "n must be >= 1, got -3"),
+    ((*_BETA_CHI_SWEEP, "--lambda", "1"), "half-odd-integer, got 1.0"),
+    ((*_BETA_CHI_SWEEP, "--lambda", "0.7"), "half-odd-integer, got 0.7"),
+    ((*_BETA_CHI_SWEEP, "--observable", "energy", "--lambda", "1"),
+     "half-odd-integer, got 1.0"),
+    (("packet", "--mu", "1", "--lambda", "1", "--zsteps", "2"),
+     "half-odd-integer, got 1.0"),
+    (("spectrum", "--geometry", "infinite", "--mu", "1", "--k", "1",
+      "--lambda", "0.7"), "half-odd-integer, got 0.7"),
+    (("spectrum", "--geometry", "infinite", "--mu", "1", "--k", "nan",
+      "--lmax", "0.5"), "--k must be finite, got nan"),
+    (("packet", "--mu", "1", "--k0", "1e200", "--zsteps", "3"),
+     "momentum window"),
+    (("packet", "--mu", "1", "--width", "inf", "--zsteps", "3"),
+     "--width must be finite, got inf"),
+    (("spectrum", "--mu", "1", "--nu", "1", "--lmax", "nan"),
+     "--lmax must be finite, got nan"),
+])
+def test_nonexistent_mode_or_nonfinite_flag_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def _float_flags():
+    """(command, flag) for every float flag that is not a parameter."""
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    return [(command, action.option_strings[0])
+            for command, sub in commands.choices.items()
+            for action in sub._actions
+            if action.type is float and not action.dest.startswith("par_")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag", _float_flags())
+def test_every_nonfinite_float_flag_is_refused_by_name(capsys, command, flag,
+                                                       value):
+    code, out, err = run(capsys, *_COMMAND_ARGV[command], f"{flag}={value}")
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be finite, got {float(value)}\n"
+
+
+def _memory_limited_cli(*argv):
+    # a table was built whole before printing: under a 600 MB address-space
+    # limit a huge one ended in MemoryError (exit 1), and without a limit
+    # it grew until the machine ran out, so never run these without one
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20,) * 2)
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "abcyl.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60, preexec_fn=limit)
+
+
+_FINITE = ("--mu", "1", "--nu", "1")
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (("spectrum", *_FINITE, "--lmax", "1e15"), 6 * 10**15),
+    (("spectrum", *_FINITE, "--nmax", str(10**12), "--lmax", "0.5"),
+     2 * 10**12),
+    (("spectrum", "--geometry", "infinite", "--mu", "1", "--k", "1",
+      "--lmax", "1e9"), 2 * 10**9),
+    (("sweep", *_FINITE, "--param", "lambda", "--start", "0.5", "--stop",
+      "1e9"), 10**9),
+    (("sweep", *_FINITE, "--param", "lambda", "--start=-1e12", "--stop",
+      "1e12"), 2 * 10**12),
+    (("sweep", *_FINITE, "--param", "n", "--start", "1", "--stop", "1e12"),
+     10**12),
+    (("sweep", *_FINITE, "--param", "n", "--start", "1", "--stop",
+      "1000001"), 1_000_001),
+    (("sweep", *_FINITE, "--param", "beta", "--start", "0", "--stop", "0.1",
+      "--steps", str(10**8)), 10**8),
+])
+def test_table_over_the_row_cap_exits_2(argv, rows):
+    proc = _memory_limited_cli(*argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (f"error: the table would hold {rows} rows; "
+                           f"the cap is 1000000\n")
+
+
+def test_only_the_sampling_suites_take_a_seed():
+    import inspect
+
+    from abcyl import verify
+    seeded = {name for name, fn in vars(verify).items()
+              if name.startswith("suite_")
+              and inspect.signature(fn).parameters}
+    assert seeded == {"suite_dirac_residual", "suite_derivative_identity",
+                      "suite_hermiticity"}

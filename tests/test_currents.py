@@ -308,3 +308,23 @@ def test_packet_current_bounded_by_saturation(lam, k0, width, mu, beta):
     val = 2 * math.pi * circular_current_packet(p, d)
     assert abs(val) <= 1.0
     assert val * (lam + beta) >= 0.0     # sign follows lambda + beta
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"lam": 1.0}, "half-odd"), ({"lam": 0.7}, "half-odd"),
+    ({"width": math.inf}, "width must be positive and finite"),
+    ({"width": math.nan}, "width must be positive and finite"),
+    ({"k0": 1e200}, "momentum window"), ({"width": 1e300}, "momentum window"),
+    ({"k0": math.nan}, "momentum window")])
+def test_packet_refuses_what_it_cannot_integrate(change, message):
+    # each gave NaN rows, a polarization of 1 for lambda = 1, or an
+    # OverflowError while the amplitudes were built
+    with pytest.raises(ValueError, match=message):
+        GaussianPacket(**{"lam": 0.5, "k0": 0.0, "width": 1.0, **change})
+    GaussianPacket(lam=0.5, k0=1e150, width=1.0)   # a finite window squared
+
+
+def test_tabulated_packet_refuses_integer_lambda():
+    with pytest.raises(ValueError, match="half-odd"):
+        TabulatedPacket(lam=1.0, k_grid=(0.0, 1.0), a_plus=(1.0, 1.0),
+                        a_minus=(0.0, 0.0))

@@ -1,13 +1,19 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from abcyl.params import DimensionlessParams, validate_regime
-from abcyl.spectrum import (FermiSea, ModeSpec, energy_finite,
-                            energy_infinite, enumerate_fermi_sea,
+import abcyl
+from abcyl.fermi import j_coeff
+from abcyl.params import DimensionlessParams, RegimeError, validate_regime
+from abcyl.spectrum import (MAX_SEA_COLUMNS, FermiSea, ModeSpec, chi,
+                            energy_finite, energy_infinite,
+                            enumerate_fermi_sea, half_odd_count, half_odd_run,
                             largest_half_odd, mode_energy)
 
 half_odd = st.integers(-9, 8).map(lambda m: m + 0.5)
@@ -252,3 +258,76 @@ def test_boundary_tie_hand_cases():
 @settings(max_examples=300, deadline=None)
 def test_columns_match_per_state_scan_at_ties(d):
     assert_matches_scan(d)
+
+
+def test_plane_wave_needs_half_odd_lambda():
+    with pytest.raises(ValueError, match="half-odd"):
+        energy_infinite(0.3, 1.0, DimensionlessParams(mu=1.0))
+
+
+@pytest.mark.parametrize("fn", [chi, energy_finite, j_coeff])
+def test_modes_that_do_not_exist_are_refused(fn):
+    d = DimensionlessParams(mu=1.0, nu=1.0, beta=0.3)
+    for n, lam in ((0, 0.5), (-3, 0.5), (1, 1.0), (1, 0.7), (2, -2.0)):
+        with pytest.raises(ValueError, match="n must be|half-odd"):
+            fn(n, lam, d)
+    fn(1, -0.5 + 1e-12, d)              # within ModeSpec's tolerance
+
+
+def test_infinite_cylinder_is_a_regime_error_for_finite_states():
+    d = DimensionlessParams(mu=1.0, alpha=3.0)
+    for call in (lambda: chi(1, 0.5, d), lambda: energy_finite(1, 0.5, d),
+                 lambda: j_coeff(1, 0.5, d), lambda: enumerate_fermi_sea(d)):
+        with pytest.raises(RegimeError, match=r"nu > 0"):
+            call()
+
+
+@pytest.mark.parametrize("nu", [1e-9, 1e-320])
+@pytest.mark.parametrize("fn", ["abcyl.spectrum.enumerate_fermi_sea",
+                                "abcyl.fermi.persistent_exact"])
+def test_wide_sea_is_refused_at_once(fn, nu):
+    # alpha/nu columns: 8.7e8 of them at nu = 1e-9 (minutes of walking),
+    # and an infinite count at 1e-320; run apart, so a walk cannot hang
+    # the suite
+    module, name = fn.rsplit(".", 1)
+    code = (f"import time; from {module} import {name}; "
+            "from abcyl.params import DimensionlessParams, RegimeError\n"
+            "t = time.perf_counter()\n"
+            f"try: {name}(DimensionlessParams(mu=1.0, nu={nu!r}, alpha=1.0))\n"
+            "except RegimeError as exc: print(time.perf_counter() - t, exc)")
+    src = os.path.dirname(os.path.dirname(abcyl.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=20)
+    assert proc.returncode == 0 and proc.stderr == ""
+    seconds, message = proc.stdout.split(" ", 1)
+    assert float(seconds) < 1.0
+    assert f"the cap is {MAX_SEA_COLUMNS}" in message
+
+
+def test_sea_at_the_cap_is_built():
+    # the widest sea allowed still ends at its first empty column
+    nu = math.sqrt(1.0 - 0.25) / MAX_SEA_COLUMNS
+    sea = enumerate_fermi_sea(DimensionlessParams(mu=1.0, nu=nu, alpha=1.0))
+    assert sea.n_F in (MAX_SEA_COLUMNS - 1, MAX_SEA_COLUMNS)
+    assert sea.N_e == 2 * sea.n_F
+    with pytest.raises(RegimeError, match="spans 30001 columns"):
+        enumerate_fermi_sea(DimensionlessParams(mu=1.0, nu=nu * 0.99999,
+                                                alpha=1.0))
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0.5, 6.5), (-3.0, 2.5), (-2.5, -2.5), (0.7, 0.5), (1.0, 5.5 - 1e-12),
+    (0.5 + 1e-12, 3.5), (-7.25, 10.25), (2.5, 2.0), (-1e-300, 1e-300),
+    (2.0**52 - 2.5, 2.0**52 - 0.5)])
+def test_half_odd_count_is_the_run_length(lo, hi):
+    run = list(half_odd_run(lo, hi))
+    assert half_odd_count(lo, hi) == len(run)
+    assert all(lo <= lam <= hi and (lam - 0.5) % 1.0 == 0.0 for lam in run)
+    # a run starts at the first half-odd-integer at or above lo
+    assert not run or run[0] - 1.0 < lo
+
+
+def test_half_odd_count_needs_no_run():
+    assert half_odd_count(-1e15, 1e15) == 2 * 10**15
+    assert half_odd_count(-(2.0**52) + 1.0, 2.0**52 - 1.0) == 2**53 - 2
