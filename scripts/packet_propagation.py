@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 
+from abcyl.cli import run_command
 from abcyl.currents import (GaussianPacket, MomentumRule,
                             longitudinal_current_packet_direct, packet_norm,
                             packet_total_flux, packet_velocity_expectation)
@@ -53,4 +54,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_command(main))

@@ -14,6 +14,7 @@ import csv
 import math
 import sys
 
+from abcyl.cli import run_command
 from abcyl.fermi import persistent_all
 from abcyl.params import DimensionlessParams
 
@@ -47,4 +48,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_command(main))

@@ -13,6 +13,7 @@ import argparse
 import csv
 import sys
 
+from abcyl.cli import run_command
 from abcyl.params import DimensionlessParams
 from abcyl.spectrum import chi
 
@@ -39,4 +40,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_command(main))

@@ -13,18 +13,40 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import importlib.util
 import io
 import json
 import math
 import sys
 
-from . import currents, fermi, verify
-from .currents import GaussianPacket, MomentumRule, ResolutionError
+from . import fermi
 from .params import (E_TIMES_C, HBARC_EV_NM, PARAM_KEYS, ConfigError,
-                     DimensionlessParams, RegimeError, parse_config_text,
-                     resolve_params, validate_regime)
+                     DimensionlessParams, RegimeError, ResolutionError,
+                     parse_config_text, resolve_params, validate_regime)
 from .spectrum import (check_sea_columns, chi, energy_finite, energy_infinite,
                        half_odd_count, half_odd_run)
+
+
+def _lazy(name: str):
+    """abcyl.<name>, in sys.modules from now on but executed (and numpy
+    imported) only when one of its attributes is first read."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# the numpy layers: only packet and verify read from them.  spinors is
+# registered too, so every layer is in sys.modules once cli is imported
+# (perfbench's tracer looks the layers up there)
+currents, spinors, verify = (_lazy(m) for m in ("currents", "spinors",
+                                                "verify"))
 
 SCHEMA_VERSION = 1
 
@@ -208,10 +230,11 @@ def cmd_packet(args) -> int:
     if args.zsteps < 2:
         raise ConfigError("packet needs zsteps >= 2")
     _refuse_fermi_level(values, "packet")
-    packet = GaussianPacket(lam=args.lam, k0=args.k0, width=args.width,
-                            weight_plus=args.mix_plus,
-                            weight_minus=args.mix_minus)
-    rule = MomentumRule(order=args.korder)
+    packet = currents.GaussianPacket(lam=args.lam, k0=args.k0,
+                                     width=args.width,
+                                     weight_plus=args.mix_plus,
+                                     weight_minus=args.mix_minus)
+    rule = currents.MomentumRule(order=args.korder)
     zs = [args.zmin + i * (args.zmax - args.zmin) / (args.zsteps - 1)
           for i in range(args.zsteps)]
     direct = currents.longitudinal_current_packet_direct(
@@ -405,12 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def run_command(fn, *args) -> int:
+    """Return fn(*args); a refusal instead prints one `error: ...` line on
+    stderr and returns its exit code (2 config, 3 regime, 4 resolution)."""
     try:
-        _check_global_flags(args)
-        _check_finite_flags(args)
-        return args.func(args)
+        return fn(*args)
     except ValueError as exc:
         _diag(f"error: {exc}")
         if isinstance(exc, RegimeError):
@@ -421,6 +443,16 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         _diag(f"error: numeric overflow: {exc}")
         return EXIT_CONFIG
+
+
+def _run(args) -> int:
+    _check_global_flags(args)
+    _check_finite_flags(args)
+    return args.func(args)
+
+
+def main(argv=None) -> int:
+    return run_command(_run, build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -16,11 +16,12 @@ formula is kept for comparison (see longitudinal_current_packet_formula).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DimensionlessParams
+from .params import DimensionlessParams, ResolutionError
 from .spectrum import ModeSpec, _check_half_odd, chi
 from .spinors import QuadratureRule, leggauss, mode_components
 
@@ -29,7 +30,6 @@ __all__ = [
     "GaussianPacket",
     "TabulatedPacket",
     "MomentumRule",
-    "ResolutionError",
     "circular_current_mode",
     "circular_current_mode_quadrature",
     "packet_grid",
@@ -83,13 +83,24 @@ class GaussianPacket:
         if not 0 < self.width < math.inf:
             raise ValueError(f"width must be positive and finite, "
                              f"got {self.width}")
+        if self.width * self.width < sys.float_info.min:
+            raise ValueError(f"width {self.width} is too small: its square "
+                             f"underflows")
         window = abs(self.k0) + _WINDOW_SIGMAS * self.width
         if not math.isfinite(window * window):
             raise ValueError(f"the momentum window |k0| + "
                              f"{_WINDOW_SIGMAS:g} width = {window} must "
                              f"have a finite square")
-        if abs(self.weight_plus) + abs(self.weight_minus) == 0:
+        weight = math.hypot(abs(self.weight_plus), abs(self.weight_minus))
+        if weight == 0:
             raise ValueError("empty packet")
+        # packet_grid sums |a+|^2 + |a-|^2 <= weight^2 over a window of
+        # about sqrt(pi) widths, and divides by that norm
+        norm = weight * weight * self.width * math.sqrt(math.pi)
+        if not sys.float_info.min <= norm < math.inf:
+            raise ValueError(f"the packet norm (|weight_plus|^2 + "
+                             f"|weight_minus|^2) sqrt(pi) width = {norm} "
+                             f"must be finite and must not underflow")
 
     def raw_amplitudes(self, k: np.ndarray):
         g = np.exp(-((k - self.k0) ** 2) / (2.0 * self.width**2))
@@ -129,18 +140,6 @@ class MomentumRule:
         if self.order < 2:
             raise ValueError(f"momentum quadrature needs order >= 2, "
                              f"got {self.order}")
-
-
-class ResolutionError(ValueError):
-    """Momentum grid too coarse to resolve the phase at (t, z)."""
-
-    def __init__(self, spacing: float, required: float, min_points: int):
-        self.spacing = spacing
-        self.required = required
-        self.min_points = min_points
-        super().__init__(
-            f"momentum grid spacing {spacing:.3e} exceeds the resolution "
-            f"bound {required:.3e}; use at least {min_points} points")
 
 
 def circular_current_mode(state: MixedState, d: DimensionlessParams) -> float:

@@ -25,6 +25,7 @@ __all__ = [
     "PARAM_KEYS",
     "ConfigError",
     "RegimeError",
+    "ResolutionError",
     "PhysicalParams",
     "DimensionlessParams",
     "to_dimensionless",
@@ -159,6 +160,18 @@ class ConfigError(ValueError):
 
 class RegimeError(ValueError):
     """A valid parameter point outside the regime a computation covers."""
+
+
+class ResolutionError(ValueError):
+    """Momentum grid too coarse to resolve a packet's phase at (t, z)."""
+
+    def __init__(self, spacing: float, required: float, min_points: int):
+        self.spacing = spacing
+        self.required = required
+        self.min_points = min_points
+        super().__init__(
+            f"momentum grid spacing {spacing:.3e} exceeds the resolution "
+            f"bound {required:.3e}; use at least {min_points} points")
 
 
 def parse_config_text(text: str) -> dict[str, float]:

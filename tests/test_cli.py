@@ -290,6 +290,10 @@ def test_sea_over_the_column_cap_exits_3(argv):
     (("spectrum", "--geometry", "infinite", "--mu", "1", "--alpha", "3",
       "--k", "1.3"), 2),
     (("spectrum", "--mu", "1", "--nu", "1", "--physical"), 2),
+    (("packet", "--mu", "1", "--width", "1e-200", "--zsteps", "3"), 2),
+    (("packet", "--mu", "1", "--mix-plus", "1e200", "--zsteps", "3"), 2),
+    (("packet", "--mu", "1", "--mix-minus", "1e-200", "--mix-plus", "0",
+      "--zsteps", "3"), 2),
 ])
 def test_bad_input_is_refused_with_one_error_line(argv, code):
     proc = _cli_subprocess(*argv, timeout=20)
@@ -693,3 +697,52 @@ def test_only_the_sampling_suites_take_a_seed():
               and inspect.signature(fn).parameters}
     assert seeded == {"suite_dirac_residual", "suite_derivative_identity",
                       "suite_hermiticity"}
+
+
+_SWEEP_BETA = ("sweep", *_FINITE, "--alpha", "5", "--param", "beta",
+               "--start", "0", "--stop", "0.4", "--steps", "3")
+
+# (argv, exit code); persistent, spectrum and sweep compute with math alone
+_MATH_ONLY = [
+    (("persistent", "--mu", "250", "--nu", "1", "--alpha", "50"), 0),
+    (("spectrum", *_FINITE), 0),
+    (("spectrum", "--geometry", "infinite", "--mu", "1", "--k", "1"), 0),
+    *(((*_SWEEP_BETA, "--observable", observable), 0)
+      for observable in ("chi", "energy", "persistent_exact",
+                         "persistent_linearized")),
+    (("spectrum", *_FINITE, "--alpha", "3"), 2),
+    (("persistent", "--mu", "1", "--alpha", "3"), 3),
+]
+_NUMPY = [
+    (("packet", "--mu", "1", "--zsteps", "3"), 0),
+    (("verify",), 0),
+]
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from abcyl.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("requests, loads_numpy", [(_MATH_ONLY, False),
+                                                    (_NUMPY, True)],
+                         ids=["math-only", "packet-verify"])
+def test_only_packet_and_verify_import_numpy(requests, loads_numpy):
+    # cli registers currents, spinors and verify without running them, so
+    # a process that never reads from them never imports numpy
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE,
+         json.dumps([list(argv) for argv, _ in requests])],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "codes": [code for _, code in requests], "numpy": loads_numpy}

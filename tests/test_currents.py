@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abcyl.currents import (GaussianPacket, MixedState, MomentumRule,
-                            ResolutionError, TabulatedPacket,
-                            circular_current_mode,
+                            TabulatedPacket, circular_current_mode,
                             circular_current_mode_quadrature,
                             circular_current_packet,
                             longitudinal_current_packet_direct,
@@ -16,7 +15,7 @@ from abcyl.currents import (GaussianPacket, MixedState, MomentumRule,
                             packet_energy, packet_grid, packet_norm,
                             packet_polarization, packet_total_flux,
                             packet_velocity_expectation, packet_zprofile)
-from abcyl.params import DimensionlessParams
+from abcyl.params import DimensionlessParams, ResolutionError
 from abcyl.spectrum import chi
 from abcyl.spinors import QuadratureRule, leggauss
 
@@ -315,13 +314,21 @@ def test_packet_current_bounded_by_saturation(lam, k0, width, mu, beta):
     ({"width": math.inf}, "width must be positive and finite"),
     ({"width": math.nan}, "width must be positive and finite"),
     ({"k0": 1e200}, "momentum window"), ({"width": 1e300}, "momentum window"),
-    ({"k0": math.nan}, "momentum window")])
+    ({"k0": math.nan}, "momentum window"),
+    ({"width": 1e-200}, "square underflows"),
+    ({"weight_plus": 1e200}, "packet norm"),
+    ({"weight_minus": 1e200j}, "packet norm"),
+    ({"weight_plus": 1e150, "width": 1e10}, "packet norm"),
+    ({"weight_plus": 1e-200}, "packet norm")])
 def test_packet_refuses_what_it_cannot_integrate(change, message):
-    # each gave NaN rows, a polarization of 1 for lambda = 1, or an
-    # OverflowError while the amplitudes were built
+    # each gave NaN rows, all-zero rows, a polarization of 1 for
+    # lambda = 1, or an OverflowError or ZeroDivisionError while the
+    # amplitudes or their norm were built
     with pytest.raises(ValueError, match=message):
         GaussianPacket(**{"lam": 0.5, "k0": 0.0, "width": 1.0, **change})
     GaussianPacket(lam=0.5, k0=1e150, width=1.0)   # a finite window squared
+    GaussianPacket(lam=0.5, k0=0.0, width=1e-150)  # a normal width squared
+    GaussianPacket(lam=0.5, k0=0.0, width=1.0, weight_plus=1e150)
 
 
 def test_tabulated_packet_refuses_integer_lambda():

@@ -12,19 +12,35 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _run_script(script, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script),
+                           *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
 @pytest.mark.parametrize("script,argv", [
     ("packet_propagation.py", ("--korder", "450", "--times", "0")),
     ("persistent_methods.py", ("--alpha", "5", "--points", "3")),
     ("saturation_scan.py", ("--lmax", "10.5")),
 ])
 def test_script_writes_csv(script, argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
-                           *argv], capture_output=True, text=True, env=env,
-                          timeout=120)
+    proc = _run_script(script, *argv)
     assert proc.returncode == 0, proc.stderr
     rows = list(csv.reader(io.StringIO(proc.stdout)))
     assert len(rows) >= 2
     assert all(len(row) == len(rows[0]) for row in rows)
+
+
+@pytest.mark.parametrize("script,argv,code", [
+    ("packet_propagation.py", ("--korder", "200", "--times", "0"), 4),
+    ("saturation_scan.py", ("--mu", "-1"), 2),
+])
+def test_script_refusal_exits_like_the_cli(script, argv, code):
+    # a refusal ended in a traceback with exit 1
+    proc = _run_script(script, *argv)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("error: ")
