@@ -23,7 +23,8 @@ import numpy as np
 
 from .params import DimensionlessParams, ResolutionError
 from .spectrum import ModeSpec, _check_half_odd, chi
-from .spinors import QuadratureRule, leggauss, mode_components
+from .spinors import (QuadratureRule, _finite_product, _z_profiles,
+                      leggauss)
 
 __all__ = [
     "MixedState",
@@ -124,6 +125,20 @@ class TabulatedPacket:
                              "points")
         if not (any(self.a_plus) or any(self.a_minus)):
             raise ValueError("empty packet")
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            norm = _raw_norm(*self.raw_grid()[1:])
+        if not sys.float_info.min <= norm < math.inf:
+            raise ValueError(f"the trapezoid norm sum w (|a+|^2 + |a-|^2) "
+                             f"= {norm} must be finite and must not "
+                             f"underflow")
+
+    def raw_grid(self):
+        """Nodes, trapezoid weights and raw amplitudes (k, w, a+, a-)."""
+        k = np.asarray(self.k_grid, dtype=float)
+        edges = np.pad(k, 1, mode="edge")
+        return (k, 0.5 * (edges[2:] - edges[:-2]),
+                np.asarray(self.a_plus, dtype=complex),
+                np.asarray(self.a_minus, dtype=complex))
 
 
 PacketSpec = GaussianPacket | TabulatedPacket
@@ -149,28 +164,30 @@ def circular_current_mode(state: MixedState, d: DimensionlessParams) -> float:
     return chi(state.n, state.lam, d) / (2.0 * math.pi)
 
 
-def _mixed_components(state: MixedState, d: DimensionlessParams, t, phi, z):
-    up = ModeSpec(geometry="finite", n=state.n, lam=state.lam, sigma=0.5)
-    dn = ModeSpec(geometry="finite", n=state.n, lam=state.lam, sigma=-0.5)
-    return (state.c_plus * mode_components(up, d, t, phi, z)
-            + state.c_minus * mode_components(dn, d, t, phi, z))
-
-
 def circular_current_mode_quadrature(state: MixedState, d: DimensionlessParams,
                                      rule: QuadratureRule | None = None
                                      ) -> float:
     """Brute-force oracle: (1/2pi) int dphi int dz j^phi over the
     mixed-state spinor at t = 0, j^phi = psi^dag g0 g_phi psi (the state
-    is stationary, so the current does not depend on t)."""
+    is stationary, so the current does not depend on t).  Each pair of
+    polarizations is a closed-phi scalar product with g0 g_phi applied."""
     rule = rule or QuadratureRule.finite(d)
-    phi = rule.phi_nodes[:, None]
-    psi = _mixed_components(state, d, 0.0, phi, rule.z_nodes[None, :])
-    c1, c2, c3, c4 = psi
-    # psi^dag g0 gamma_phi psi with the phi dependence written out
-    jphi = 2.0 * np.real(-1j * np.exp(-1j * phi) * np.conj(c1) * c4
-                         + 1j * np.exp(1j * phi) * np.conj(c2) * c3)
-    val = rule.phi_weight * np.sum(jphi @ rule.z_weights)
-    return float(val / (2.0 * math.pi))
+    psi = []
+    for sigma, c in ((0.5, state.c_plus), (-0.5, state.c_minus)):
+        mode = ModeSpec(geometry="finite", n=state.n, lam=state.lam,
+                        sigma=sigma)
+        psi.append((c, *_z_profiles(mode, d, rule.z_nodes)))
+    val = sum(np.conj(ca) * cb * _finite_product(
+        ha.conj(), pa, *_g0_gphi(hb, pb), rule.z_weights)
+        for ca, ha, pa in psi for cb, hb, pb in psi)
+    return float(val.real / (2.0 * math.pi))
+
+
+def _g0_gphi(h, p):
+    """g0 g_phi applied to components h_c(z) e^{i p_c phi}: they become
+    (-i h4 e^{-i phi}, i h3 e^{i phi}, -i h2 e^{-i phi}, i h1 e^{i phi})."""
+    return (np.array([-1j, 1j, -1j, 1j])[:, None] * h[::-1],
+            (p[3] - 1, p[2] + 1, p[1] - 1, p[0] + 1))
 
 
 # --- packets on the infinite cylinder ------------------------------------
@@ -182,17 +199,20 @@ def packet_grid(p: PacketSpec, rule: MomentumRule | None = None):
         x, w = leggauss(rule.order)
         half = _WINDOW_SIGMAS * p.width
         k = p.k0 + half * x
+        if not np.all(np.diff(k) > 0.0):
+            raise ValueError(f"the momentum nodes k0 + {_WINDOW_SIGMAS:g} "
+                             f"width x collapse in floating point: width "
+                             f"{p.width} is too small beside k0 = {p.k0}")
         wk = half * w
         ap, am = p.raw_amplitudes(k)
     else:
-        k = np.asarray(p.k_grid, dtype=float)
-        ap = np.asarray(p.a_plus, dtype=complex)
-        am = np.asarray(p.a_minus, dtype=complex)
-        edges = np.pad(k, 1, mode="edge")
-        wk = 0.5 * (edges[2:] - edges[:-2])  # trapezoid weights
-    norm = np.sum(wk * (np.abs(ap) ** 2 + np.abs(am) ** 2))
-    scale = 1.0 / math.sqrt(norm)
+        k, wk, ap, am = p.raw_grid()
+    scale = 1.0 / math.sqrt(_raw_norm(wk, ap, am))
     return k, wk, ap * scale, am * scale
+
+
+def _raw_norm(wk, ap, am) -> float:
+    return float(np.sum(wk * (np.abs(ap) ** 2 + np.abs(am) ** 2)))
 
 
 def _packet_energies(p: PacketSpec, k: np.ndarray, d: DimensionlessParams):

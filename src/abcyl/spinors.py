@@ -80,18 +80,14 @@ STANDARD_GAMMAS = GammaSet(
 # once per process.  The cached arrays are shared: never write to them.
 leggauss = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 
-# phi nodes of every QuadratureRule; exact for e^{i m phi} with |m| < 256
-_PHI_POINTS = 256
-
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss-Legendre nodes in z, uniform periodic nodes in phi."""
+    """Gauss-Legendre nodes in z.  No phi grid: every oracle integrates
+    over phi exactly from the components' phase exponents."""
 
     z_nodes: np.ndarray
     z_weights: np.ndarray
-    phi_nodes: np.ndarray
-    phi_weight: float
 
     def __post_init__(self):
         if np.any(self.z_weights <= 0.0):
@@ -109,12 +105,7 @@ class QuadratureRule:
             raise ValueError("empty z window")
         x, w = leggauss(z_order)
         half = 0.5 * (zmax - zmin)
-        return cls(
-            z_nodes=zmin + half * (x + 1.0),
-            z_weights=half * w,
-            phi_nodes=np.arange(_PHI_POINTS) * (2.0 * math.pi / _PHI_POINTS),
-            phi_weight=2.0 * math.pi / _PHI_POINTS,
-        )
+        return cls(z_nodes=zmin + half * (x + 1.0), z_weights=half * w)
 
 
 def mode_profiles(mode: ModeSpec, d: DimensionlessParams, z):
@@ -212,48 +203,50 @@ def inner_product(a: ModeSpec, b: ModeSpec, d: DimensionlessParams,
         if a.k != b.k:
             raise ValueError("infinite-geometry inner product is defined "
                              "at equal k only (norm density check)")
-        rule = rule or QuadratureRule.window(0.0, 1.0, 8)
-        pa = mode_components(a, d, 0.0, rule.phi_nodes, 0.0)
-        pb = mode_components(b, d, 0.0, rule.phi_nodes, 0.0)
-        dens = np.einsum("cp,cp->p", pa.conj(), pb)
-        return complex(2.0 * math.pi * rule.phi_weight * np.sum(dens))
-    rule = rule or QuadratureRule.finite(d)
-    return _finite_product(_on_grid(a, d, rule).conj(), _on_grid(b, d, rule),
-                           rule)
+        # the density at z = 0; 2 pi cancels the plane waves' 1/(2 pi)
+        z, w = np.zeros(1), np.full(1, 2.0 * math.pi)
+    else:
+        rule = rule or QuadratureRule.finite(d)
+        z, w = rule.z_nodes, rule.z_weights
+    (ha, pa), (hb, pb) = _z_profiles(a, d, z), _z_profiles(b, d, z)
+    return _finite_product(ha.conj(), pa, hb, pb, w)
 
 
-def _on_grid(mode: ModeSpec, d: DimensionlessParams,
-             rule: QuadratureRule) -> np.ndarray:
-    return mode_components(mode, d, 0.0, rule.phi_nodes[:, None],
-                           rule.z_nodes[None, :])
+def _z_profiles(mode: ModeSpec, d: DimensionlessParams, z: np.ndarray):
+    """(h, p): at t = 0, component c of the mode is h[c](z) e^{i p[c] phi},
+    with h of shape (4, len(z))."""
+    f, _, N = mode_profiles(mode, d, z)
+    return N * np.stack(f), _phase_powers(mode)
 
 
-def _finite_product(conj_a: np.ndarray, b: np.ndarray,
-                    rule: QuadratureRule) -> complex:
-    """Quadrature of conj_a . b over (phi, z).  Every (phi, z) scalar
-    product here reduces through it, so gram_matrix entries equal
+def _finite_product(conj_a: np.ndarray, pa, b: np.ndarray, pb,
+                    z_weights: np.ndarray) -> complex:
+    """int dphi int dz of conj_a . b, components conj_a[c](z) e^{-i pa[c] phi}
+    and b[c](z) e^{i pb[c] phi}: the phi integral is 2 pi where the
+    exponents match and 0 elsewhere, z is the quadrature.  Every mode
+    scalar product reduces through it, so gram_matrix entries equal
     inner_product values bit for bit."""
-    dens = np.einsum("cpz,cpz->pz", conj_a, b)
-    return complex(rule.phi_weight * np.sum(dens @ rule.z_weights))
+    same = [c for c in range(4) if pa[c] == pb[c]]
+    return complex(2.0 * math.pi * np.sum((conj_a[same] * b[same]) @ z_weights))
 
 
 def gram_matrix(modes, d: DimensionlessParams,
                 rule: QuadratureRule | None = None) -> np.ndarray:
     """M x M matrix G[i, j] = inner_product(modes[i], modes[j], d, rule).
 
-    Finite geometry only.  Each mode is evaluated on the quadrature grid
-    once, and each row's conjugate is formed once, instead of the two
-    evaluations per pair that M^2 inner_product calls make.
+    Finite geometry only.  Each mode's z profiles are evaluated once, and
+    each row's conjugate is formed once, instead of the two evaluations
+    per pair that M^2 inner_product calls make.
     """
     if any(m.geometry != "finite" for m in modes):
         raise ValueError("gram_matrix needs finite-geometry modes")
     rule = rule or QuadratureRule.finite(d)
-    grids = [_on_grid(m, d, rule) for m in modes]
+    grids = [_z_profiles(m, d, rule.z_nodes) for m in modes]
     G = np.empty((len(modes), len(modes)), dtype=complex)
-    for i, a in enumerate(grids):
-        conj_a = a.conj()
-        for j, b in enumerate(grids):
-            G[i, j] = _finite_product(conj_a, b, rule)
+    for i, (ha, pa) in enumerate(grids):
+        conj_a = ha.conj()
+        for j, (hb, pb) in enumerate(grids):
+            G[i, j] = _finite_product(conj_a, pa, hb, pb, rule.z_weights)
     return G
 
 
@@ -333,14 +326,17 @@ class FourierSpinorField:
         out = np.zeros((4,) + shape, dtype=complex)
         for j, comp in enumerate(self.terms):
             for amp, p, kind, m in comp:
-                if kind == "sin":
-                    h = np.sin(m * nu * z)
-                elif kind == "cos":
-                    h = np.cos(m * nu * z)
-                else:
-                    h = np.ones_like(z)
-                out[j] += amp * np.exp(1j * p * phi) * h
+                out[j] += amp * np.exp(1j * p * phi) * _term_profile(kind, m,
+                                                                     nu, z)
         return out
+
+
+def _term_profile(kind: str, m: int, nu: float, z: np.ndarray) -> np.ndarray:
+    if kind == "sin":
+        return np.sin(m * nu * z)
+    if kind == "cos":
+        return np.cos(m * nu * z)
+    return np.ones_like(z)
 
 
 def _d_z(term):
@@ -393,9 +389,16 @@ def field_inner_product(a: FourierSpinorField, b: FourierSpinorField,
 
     The integrand is the Lorentz-invariant bilinear a-bar b = a^dag g0 b,
     the product under which the restricted Dirac operator is
-    self-adjoint; mode norms use the plain a^dag b product instead.
+    self-adjoint; mode norms use the plain a^dag b product instead.  The
+    phi integral of a term pair is 2 pi at equal exponents p and 0
+    otherwise; the z integral is the quadrature.
     """
-    pa = a.evaluate(rule.phi_nodes[:, None], rule.z_nodes[None, :], d.nu)
-    pb = b.evaluate(rule.phi_nodes[:, None], rule.z_nodes[None, :], d.nu)
-    pb = pb * np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
-    return _finite_product(pa.conj(), pb, rule)
+    z, total = rule.z_nodes, 0j
+    for g0, comp_a, comp_b in zip((1.0, 1.0, -1.0, -1.0), a.terms, b.terms):
+        for amp_a, p_a, kind_a, m_a in comp_a:
+            conj_h = np.conj(amp_a) * _term_profile(kind_a, m_a, d.nu, z)
+            for amp_b, p_b, kind_b, m_b in comp_b:
+                if p_a == p_b:
+                    h = amp_b * _term_profile(kind_b, m_b, d.nu, z)
+                    total += g0 * ((conj_h * h) @ rule.z_weights)
+    return complex(2.0 * math.pi * total)

@@ -48,17 +48,22 @@ def _mode_set():
             for s in (0.5, -0.5)]
 
 
+_PHI_POINTS = 256  # periodic rule, exact for e^{i m phi} with |m| < 256
+
+
 def test_criterion_01_orthonormality():
+    # a full (phi, z) quadrature, independent of the library's closed phi
+    phi = np.arange(_PHI_POINTS) * (2.0 * math.pi / _PHI_POINTS)
     worst = 0.0
     for beta in (0.0, 0.3, 0.9):
         d = DimensionlessParams(mu=1.0, nu=1.0, beta=beta)
         rule = QuadratureRule.finite(d, z_order=64)
         modes = _mode_set()
         A = np.stack([
-            mode_components(m, d, 0.0, rule.phi_nodes[:, None],
-                            rule.z_nodes[None, :])
+            mode_components(m, d, 0.0, phi[:, None], rule.z_nodes[None, :])
             for m in modes])
-        W = A * rule.z_weights[None, None, None, :] * rule.phi_weight
+        W = (A * rule.z_weights[None, None, None, :]
+             * (2.0 * math.pi / _PHI_POINTS))
         G = np.einsum("acpz,bcpz->ab", W.conj(), A)
         worst = max(worst, float(np.max(np.abs(G - np.eye(len(modes))))))
     _report(1, "orthonormality", worst, 1e-10)

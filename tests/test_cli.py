@@ -294,6 +294,8 @@ def test_sea_over_the_column_cap_exits_3(argv):
     (("packet", "--mu", "1", "--mix-plus", "1e200", "--zsteps", "3"), 2),
     (("packet", "--mu", "1", "--mix-minus", "1e-200", "--mix-plus", "0",
       "--zsteps", "3"), 2),
+    (("packet", "--mu", "1", "--k0", "1", "--width", "1e-17", "--zsteps",
+      "3"), 2),
 ])
 def test_bad_input_is_refused_with_one_error_line(argv, code):
     proc = _cli_subprocess(*argv, timeout=20)

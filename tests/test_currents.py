@@ -132,6 +132,24 @@ def test_tabulated_packet_rejects_zero_amplitudes():
                         a_minus=(0.0, 0j))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("amplitude", [1e200, 1e-200])
+def test_tabulated_packet_refuses_a_norm_it_cannot_form(amplitude):
+    # the first overflowed to a zero current, the second divided by zero
+    with pytest.raises(ValueError, match="trapezoid norm"):
+        TabulatedPacket(lam=0.5, k_grid=(0.0, 1.0),
+                        a_plus=(amplitude, amplitude), a_minus=(0.0, 0.0))
+
+
+def test_packet_grid_refuses_collapsed_nodes():
+    # k0 + 8 width x rounds to a few repeated values; the normalization
+    # then summed a packet with no width
+    with pytest.raises(ValueError, match="collapse"):
+        packet_grid(GaussianPacket(lam=0.5, k0=1.0, width=1e-17))
+    k, _, _, _ = packet_grid(GaussianPacket(lam=0.5, k0=1.0, width=1e-12))
+    assert np.all(np.diff(k) > 0.0)
+
+
 def test_packet_polarization_pure():
     d = DimensionlessParams(mu=1.0)
     p = GaussianPacket(lam=1.5, k0=0.7, width=0.4)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abcyl import spinors, verify
 from abcyl.params import DimensionlessParams
 from abcyl.spectrum import ModeSpec, mode_energy
 from abcyl.spinors import (STANDARD_GAMMAS, FourierSpinorField, QuadratureRule,
@@ -63,6 +64,62 @@ def test_gram_matrix_equals_inner_product_bitwise():
     infinite = ModeSpec(geometry="infinite", lam=0.5, sigma=0.5, k=1.3)
     with pytest.raises(ValueError):
         gram_matrix([modes[0], infinite], d)
+
+
+_PHI_POINTS = 256  # periodic rule, exact for e^{i m phi} with |m| < 256
+_PHI = np.arange(_PHI_POINTS) * (2.0 * math.pi / _PHI_POINTS)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3])
+def test_gram_matrix_matches_phi_grid_quadrature(beta):
+    # the library integrates phi in closed form; a full (phi, z) grid
+    # over the same z rule must give the same matrix.  The grid sums z
+    # before phi: one flat sum over (c, phi, z) rounds to above 1e-14.
+    d = DimensionlessParams(mu=1.0, nu=1.0, beta=beta)
+    rule = QuadratureRule.finite(d)
+    modes = [_finite(n, s * lam, sigma) for n in (1, 2, 3)
+             for lam in (0.5, 1.5) for s in (1, -1) for sigma in (0.5, -0.5)]
+    A = np.stack([mode_components(m, d, 0.0, _PHI[:, None],
+                                  rule.z_nodes[None, :]) for m in modes])
+    G = (2.0 * math.pi / _PHI_POINTS) * np.stack([
+        np.sum(np.einsum("cpz,bcpz->bpz", a.conj(), A) @ rule.z_weights,
+               axis=1) for a in A])
+    assert np.max(np.abs(gram_matrix(modes, d, rule) - G)) < 1e-14
+
+
+def test_field_inner_product_matches_phi_grid_quadrature():
+    d = DimensionlessParams(mu=1.0, nu=1.0, beta=0.25)
+    rule = QuadratureRule.finite(d, z_order=64)
+    a = FourierSpinorField(terms=(
+        ((1.0, 0.5, "sin", 1), (0.4j, -1.5, "sin", 2)),
+        ((2.0j, 1.5, "sin", 2),), ((0.7, -0.5, "cos", 1),),
+        ((1.1, 0.5, "sin", 1), (0.3, 0.5, "one", 0))))
+    b = apply_restricted_dirac(a, d)
+    pa = a.evaluate(_PHI[:, None], rule.z_nodes[None, :], d.nu)
+    pb = b.evaluate(_PHI[:, None], rule.z_nodes[None, :], d.nu)
+    pb[2:] *= -1.0  # gamma^0
+    grid = (2.0 * math.pi / _PHI_POINTS) * np.sum(
+        np.einsum("cpz,cpz->pz", pa.conj(), pb) @ rule.z_weights)
+    assert abs(field_inner_product(a, b, d, rule) - grid) < 1e-13
+
+
+@pytest.mark.parametrize("sigma, component", [(0.5, 3), (-0.5, 2)])
+def test_verify_catches_a_wrong_phase_exponent(monkeypatch, sigma,
+                                               component):
+    # the closed phi integral reads the exponents from _phase_powers; one
+    # polarization with one exponent off by 1 must fail both suites (a
+    # shift of every mode alike leaves the Gram matrix as it is)
+    right = spinors._phase_powers
+
+    def wrong(mode):
+        p = list(right(mode))
+        if mode.sigma == sigma:
+            p[component] += 1.0
+        return tuple(p)
+
+    monkeypatch.setattr(spinors, "_phase_powers", wrong)
+    assert not verify.suite_orthonormality().passed
+    assert not verify.suite_circular_current().passed
 
 
 def test_infinite_norm_density():
