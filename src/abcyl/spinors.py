@@ -3,8 +3,9 @@
 Conventions (natural units, lengths in units of the cylinder radius,
 so R = 1 everywhere below):
 
-* standard Dirac representation, diagonal gamma^0 -- the concrete
-  matrices live in STANDARD_GAMMAS and nowhere else;
+* standard Dirac representation, diagonal gamma^0: STANDARD_GAMMAS, and
+  products applied by hand in _g0_gphi, k_operator_apply,
+  field_inner_product, longitudinal_current_packet_direct, packet_total_flux;
 * a finite cylinder has length L = pi/nu and standing-wave momenta
   k_n = nu * n; an infinite cylinder has plane-wave momenta k = kR;
 * four-component values are ordered (c1, c2, c3, c4) with (c1, c2) the
@@ -36,6 +37,7 @@ __all__ = [
     "mode_profiles",
     "inner_product",
     "gram_matrix",
+    "field_inner_product",
     "dirac_residual",
     "k_operator_apply",
     "current_density",
@@ -152,11 +154,9 @@ def mode_profiles(mode: ModeSpec, d: DimensionlessParams, z):
 
 
 def _phase_powers(mode: ModeSpec):
-    """Azimuthal phase integer+half exponents per component."""
-    lo, hi = mode.lam - 0.5, mode.lam + 0.5
-    if mode.sigma > 0:
-        return (lo, lo, lo, hi)
-    return (hi, hi, lo, hi)  # second entry is the only upper one in use
+    """Azimuthal exponents (lambda-1/2, lambda+1/2, lambda-1/2, lambda+1/2)
+    of the four components, the same for both polarizations."""
+    return (mode.lam - 0.5, mode.lam + 0.5, mode.lam - 0.5, mode.lam + 0.5)
 
 
 def mode_components(mode: ModeSpec, d: DimensionlessParams, t, phi, z) -> np.ndarray:
@@ -168,17 +168,10 @@ def mode_components(mode: ModeSpec, d: DimensionlessParams, t, phi, z) -> np.nda
         L = d.length
         if np.any(z < -1e-12) or np.any(z > L + 1e-12):
             raise ValueError(f"z outside [0, L={L:.6g}] for finite geometry")
-    E = mode_energy(mode, d)
-    (f1, f2, g1, g2), _, N = mode_profiles(mode, d, z)
-    p = _phase_powers(mode)
-    tp = np.exp(-1j * E * t)
-    comps = [
-        N * tp * f1 * np.exp(1j * p[0] * phi),
-        N * tp * f2 * np.exp(1j * p[1] * phi),
-        N * tp * g1 * np.exp(1j * p[2] * phi),
-        N * tp * g2 * np.exp(1j * p[3] * phi),
-    ]
-    return np.stack(np.broadcast_arrays(*comps))
+    h, p = _z_profiles(mode, d, z)
+    tp = np.exp(-1j * mode_energy(mode, d) * t)
+    return np.stack(np.broadcast_arrays(
+        *(h[c] * tp * np.exp(1j * p[c] * phi) for c in range(4))))
 
 
 def eval_mode(mode: ModeSpec, d: DimensionlessParams, t: float, phi: float,
@@ -208,26 +201,27 @@ def inner_product(a: ModeSpec, b: ModeSpec, d: DimensionlessParams,
     else:
         rule = rule or QuadratureRule.finite(d)
         z, w = rule.z_nodes, rule.z_weights
-    (ha, pa), (hb, pb) = _z_profiles(a, d, z), _z_profiles(b, d, z)
-    return _finite_product(ha.conj(), pa, hb, pb, w)
+    return complex(_closed_phi_products(
+        [_z_profiles(a, d, z)], [_z_profiles(b, d, z)], w)[0, 0])
 
 
-def _z_profiles(mode: ModeSpec, d: DimensionlessParams, z: np.ndarray):
+def _z_profiles(mode: ModeSpec, d: DimensionlessParams, z):
     """(h, p): at t = 0, component c of the mode is h[c](z) e^{i p[c] phi},
-    with h of shape (4, len(z))."""
+    with h of shape (4,) + z.shape."""
     f, _, N = mode_profiles(mode, d, z)
     return N * np.stack(f), _phase_powers(mode)
 
 
-def _finite_product(conj_a: np.ndarray, pa, b: np.ndarray, pb,
-                    z_weights: np.ndarray) -> complex:
-    """int dphi int dz of conj_a . b, components conj_a[c](z) e^{-i pa[c] phi}
-    and b[c](z) e^{i pb[c] phi}: the phi integral is 2 pi where the
-    exponents match and 0 elsewhere, z is the quadrature.  Every mode
-    scalar product reduces through it, so gram_matrix entries equal
-    inner_product values bit for bit."""
-    same = [c for c in range(4) if pa[c] == pb[c]]
-    return complex(2.0 * math.pi * np.sum((conj_a[same] * b[same]) @ z_weights))
+def _closed_phi_products(left, right, z_weights: np.ndarray) -> np.ndarray:
+    """X[i, j] = int dphi int dz left_i^dag right_j over lists of (h, p),
+    component c being h[c](z) e^{i p[c] phi}: phi gives 2 pi where
+    p_i[c] == p_j[c] and 0 elsewhere, z is the quadrature.  One einsum,
+    not BLAS (whose blocking may change with the size), so an entry is
+    bitwise the same for any sizes of left and right."""
+    (ha, pa), (hb, pb) = zip(*left), zip(*right)
+    S = np.einsum("icz,jcz,z->ijc", np.conj(ha), np.stack(hb), z_weights)
+    same = np.asarray(pa)[:, None, :] == np.asarray(pb)[None, :, :]
+    return 2.0 * math.pi * np.where(same, S, 0.0).sum(axis=2)
 
 
 def gram_matrix(modes, d: DimensionlessParams,
@@ -235,19 +229,13 @@ def gram_matrix(modes, d: DimensionlessParams,
     """M x M matrix G[i, j] = inner_product(modes[i], modes[j], d, rule).
 
     Finite geometry only.  Each mode's z profiles are evaluated once, and
-    each row's conjugate is formed once, instead of the two evaluations
-    per pair that M^2 inner_product calls make.
+    one closed-phi reduction gives all entries, bitwise as inner_product.
     """
     if any(m.geometry != "finite" for m in modes):
         raise ValueError("gram_matrix needs finite-geometry modes")
     rule = rule or QuadratureRule.finite(d)
     grids = [_z_profiles(m, d, rule.z_nodes) for m in modes]
-    G = np.empty((len(modes), len(modes)), dtype=complex)
-    for i, (ha, pa) in enumerate(grids):
-        conj_a = ha.conj()
-        for j, (hb, pb) in enumerate(grids):
-            G[i, j] = _finite_product(conj_a, pa, hb, pb, rule.z_weights)
-    return G
+    return _closed_phi_products(grids, grids, rule.z_weights)
 
 
 def dirac_residual(mode: ModeSpec, d: DimensionlessParams, z_samples,

@@ -17,7 +17,7 @@ actual identity and pins the sign-flip structure where it is not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -196,8 +196,9 @@ def suite_beta_expansion() -> SuiteResult:
 def suite_ladder() -> SuiteResult:
     d = DimensionlessParams(mu=250.0, nu=1.0, beta=1e-4, alpha=50.0)
     ex = fermi.persistent_exact(d)
-    lin = fermi.persistent_linearized(d)
-    cmp_ = fermi.persistent_compact(d)
+    sea0 = enumerate_fermi_sea(replace(d, beta=0.0))
+    lin = fermi.persistent_linearized(d, sea0)
+    cmp_ = fermi.persistent_compact(d, sea0)
     gap1 = abs(ex.value - lin.value) / abs(lin.value)
     gap2 = abs(lin.value - cmp_.value) / abs(lin.value)
     worst = max(gap1 / (10.0 * d.beta**2), gap2 / 0.02)

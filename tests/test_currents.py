@@ -142,11 +142,14 @@ def test_tabulated_packet_refuses_a_norm_it_cannot_form(amplitude):
 
 
 def test_packet_grid_refuses_collapsed_nodes():
-    # k0 + 8 width x rounds to a few repeated values; the normalization
-    # then summed a packet with no width
-    with pytest.raises(ValueError, match="collapse"):
-        packet_grid(GaussianPacket(lam=0.5, k0=1.0, width=1e-17))
-    k, _, _, _ = packet_grid(GaussianPacket(lam=0.5, k0=1.0, width=1e-12))
+    # at width 1e-17, k0 + 8 width x rounds to a few repeated values and
+    # the norm sums a packet with no width; at 1e-12 the nodes are
+    # distinct but rounded by 0.18 of their spacing, and the norm is
+    # 6e-6 off 1; at 1e-6 the rounding is 1.8e-7 spacings
+    for width in (1e-17, 1e-12, 1e-7):
+        with pytest.raises(ValueError, match="rounded"):
+            packet_grid(GaussianPacket(lam=0.5, k0=1.0, width=width))
+    k, _, _, _ = packet_grid(GaussianPacket(lam=0.5, k0=1.0, width=1e-6))
     assert np.all(np.diff(k) > 0.0)
 
 
