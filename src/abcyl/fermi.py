@@ -23,8 +23,8 @@ beyond it is summed by the midpoint Euler-Maclaurin formula
     sum of f(a..b) = F(b+1/2) - F(a-1/2) - [f']/24 + 7[f^(3)]/5760
                      - 31[f^(5)]/967680,
 
-truncated after p = 1, 2 or 3 of those corrections.  Q and p come from a
-bound on the first omitted term: with h = chi' = j,
+with all three of those corrections.  Q comes from a bound on the first
+omitted term: with h = chi' = j,
 |h^(m)(x)| <= s (m+2)!/2 (s+x^2)^(-(m+3)/2) (the Gegenbauer form of the
 derivatives), and four such terms at |x| >= Q - 1/2 are held to eps/16
 of the column's sum of |terms|.  The left and right chi tails are paired
@@ -122,25 +122,20 @@ def _j_odd_derivatives(x: float, s: float) -> tuple[float, float, float]:
             105.0 * d1 * r2 * r2 * ((33.0 * t2 - 30.0) * t2 + 5.0))
 
 
-def _window(s: float, tol: float, offset: int) -> tuple[float, int]:
-    """Explicit window Q and Euler-Maclaurin order p for one column.
+def _window(s: float, tol: float, offset: int) -> float:
+    """Explicit window Q >= 1 of a third-order Euler-Maclaurin column sum.
 
-    The first omitted term at an end x is _EM[p] f^(2p+1)(x), and
-    f^(2p+1) = h^(m) with h = chi' = j and m = 2p + offset (offset 0 for
+    The first omitted term at an end x is _EM[3] f^(7)(x), and
+    f^(7) = h^(m) with h = chi' = j and m = 6 + offset (offset 0 for
     the chi sum, 1 for the j sum).  h^(m)(x) = (-1)^m m! C_m(t) s
     (s+x^2)^(-(m+3)/2), with t = x/sqrt(s+x^2) and C_m the Gegenbauer
     polynomial of index 3/2, and |C_m(t)| <= C_m(1) = (m+1)(m+2)/2, so
     |h^(m)(x)| <= s (m+2)!/2 (s+x^2)^(-(m+3)/2).  Q keeps four such
-    terms, at ends |x| >= Q - 1/2, within tol.  The lowest order that
-    brings Q down to 1 is taken, else order 3.
+    terms, at ends |x| >= Q - 1/2, within tol.
     """
-    for p in (1, 2, 3):
-        m = 2 * p + offset
-        w = (2.0 * abs(_EM[p]) * math.factorial(m + 2) * s / tol) ** (1.0 / (m + 3))
-        q = 0.5 + math.sqrt(max(w * w - s, 0.0))
-        if q <= 1.0:
-            return 1.0, p
-    return q, 3
+    m = 6 + offset
+    w = (2.0 * abs(_EM[3]) * math.factorial(m + 2) * s / tol) ** (1.0 / (m + 3))
+    return max(0.5 + math.sqrt(max(w * w - s, 0.0)), 1.0)
 
 
 def _first_at_least(lo: float, hi: float, beta: float, bound: float) -> float:
@@ -162,7 +157,7 @@ def _chi_column(lo: float, hi: float, beta: float, s: float) -> list[float]:
     """
     half = 0.5 * (hi - lo + 1.0)
     tol = _EM_TOL * 2.0 * half**2 / (math.sqrt(s + half**2) + math.sqrt(s))
-    bound, p = _window(s, tol, 0)
+    bound = _window(s, tol, 0)
     lam_r = _first_at_least(lo, hi, beta, bound)
     lam_l = -_first_at_least(-hi, -lo, -beta, bound)
     if lam_r > hi or lam_l < lo:
@@ -186,7 +181,7 @@ def _chi_column(lo: float, hi: float, beta: float, s: float) -> list[float]:
     d_xo, d_yo, d_xi, d_yi = (_chi_odd_derivatives(x, s)
                               for x in (x_out, y_out, x_in, y_in))
     terms += (_EM[k] * ((d_xo[k] - d_yo[k]) - (d_xi[k] - d_yi[k]))
-              for k in range(p))
+              for k in range(3))
     return terms
 
 
@@ -196,7 +191,7 @@ def _j_column(lo: float, hi: float, s: float) -> list[float]:
     if lo > hi:
         return []
     tol = _EM_TOL * hi / math.sqrt(s + hi**2)
-    bound, p = _window(s, tol, 1)
+    bound = _window(s, tol, 1)
     lam_r = max(math.ceil(bound - 0.5) + 0.5, lo)
     terms = [s / (s + lam**2) ** 1.5
              for lam in half_odd_run(lo, min(lam_r - 1.0, hi))]
@@ -207,7 +202,7 @@ def _j_column(lo: float, hi: float, s: float) -> list[float]:
     ra, rb = math.sqrt(s + a * a), math.sqrt(s + b * b)
     terms.append(s * (b - a) * (b + a) / (ra * rb * (b * ra + a * rb)))
     d_b, d_a = _j_odd_derivatives(b, s), _j_odd_derivatives(a, s)
-    terms += (_EM[k] * (d_b[k] - d_a[k]) for k in range(p))
+    terms += (_EM[k] * (d_b[k] - d_a[k]) for k in range(3))
     return terms
 
 

@@ -7,7 +7,9 @@ so R = 1 everywhere below):
   products applied by hand in _g0_gphi, k_operator_apply,
   field_inner_product, longitudinal_current_packet_direct, packet_total_flux;
 * a finite cylinder has length L = pi/nu and standing-wave momenta
-  k_n = nu * n; an infinite cylinder has plane-wave momenta k = kR;
+  k_n = nu * n; an infinite cylinder has plane-wave momenta k = kR; a
+  finite mode is the standing wave of the plane-wave spinors at
+  k = +/- nu n (mode_profiles);
 * four-component values are ordered (c1, c2, c3, c4) with (c1, c2) the
   upper (large) and (c3, c4) the lower (small) components.
 
@@ -33,7 +35,6 @@ __all__ = [
     "STANDARD_GAMMAS",
     "QuadratureRule",
     "eval_mode",
-    "mode_components",
     "mode_profiles",
     "inner_product",
     "gram_matrix",
@@ -115,41 +116,29 @@ def mode_profiles(mode: ModeSpec, d: DimensionlessParams, z):
 
     Returns ((f1, f2, g1, g2), (f1', f2', g1', g2'), N) where N is the
     normalization constant; the phi phases and e^{-iEt} are not included.
+    Both geometries use the plane-wave rows U+ = (1, 0, a, b) and
+    U- = (0, 1, -b, -a), a = k/(E+mu), b = iq/(E+mu), q = lambda + beta.
+    An infinite mode is U e^{ikz}/sqrt(2 pi).  A finite mode is the
+    standing wave (U_k e^{ikz} - U_{-k} e^{-ikz})/2i at k = nu n: only a
+    is odd in k, so the k-even components carry sin(kz) and the k-odd one
+    carries -i cos(kz).
     """
     z = np.asarray(z, dtype=float)
     E = mode_energy(mode, d)
-    q = mode.lam + d.beta
-    zero = np.zeros_like(z, dtype=complex)
+    k = mode.k if mode.geometry == "infinite" else d.nu * mode.n
+    a, b = k / (E + d.mu), 1j * (mode.lam + d.beta) / (E + d.mu)
+    row, odd = (((1.0, 0.0, a, b), 2) if mode.sigma > 0
+                else ((0.0, 1.0, -b, -a), 3))
     if mode.geometry == "infinite":
-        k = mode.k
         N = math.sqrt((E + d.mu) / (2.0 * E)) / math.sqrt(2.0 * math.pi)
         wave = np.exp(1j * k * z) / math.sqrt(2.0 * math.pi)
-        up = wave
-        dup = 1j * k * wave
-        low_k = k / (E + d.mu) * wave
-        dlow_k = 1j * k * low_k
-        low_q = 1j * q / (E + d.mu) * wave
-        dlow_q = 1j * k * low_q
-        if mode.sigma > 0:
-            f = (up, zero, low_k, low_q)
-            df = (dup, zero, dlow_k, dlow_q)
-        else:
-            f = (zero, up, -low_q, -low_k)
-            df = (zero, dup, -dlow_q, -dlow_k)
-        return f, df, N
-    kn = d.nu * mode.n
-    L = d.length
-    N = math.sqrt((E + d.mu) / (2.0 * E)) / math.sqrt(math.pi * L)
-    s = np.sin(kn * z).astype(complex)
-    c = np.cos(kn * z).astype(complex)
-    ds = kn * c
-    dc = -kn * s
-    if mode.sigma > 0:
-        f = (s, zero, -1j * kn / (E + d.mu) * c, 1j * q / (E + d.mu) * s)
-        df = (ds, zero, -1j * kn / (E + d.mu) * dc, 1j * q / (E + d.mu) * ds)
-    else:
-        f = (zero, s, -1j * q / (E + d.mu) * s, 1j * kn / (E + d.mu) * c)
-        df = (zero, ds, -1j * q / (E + d.mu) * ds, 1j * kn / (E + d.mu) * dc)
+        f = tuple(u * wave for u in row)
+        return f, tuple(1j * k * h for h in f), N
+    N = math.sqrt((E + d.mu) / (2.0 * E)) / math.sqrt(math.pi * d.length)
+    s, c = np.sin(k * z), np.cos(k * z)
+    f = tuple(u * (-1j * c if j == odd else s) for j, u in enumerate(row))
+    df = tuple(u * (1j * k * s if j == odd else k * c)
+               for j, u in enumerate(row))
     return f, df, N
 
 
@@ -159,8 +148,9 @@ def _phase_powers(mode: ModeSpec):
     return (mode.lam - 0.5, mode.lam + 0.5, mode.lam - 0.5, mode.lam + 0.5)
 
 
-def mode_components(mode: ModeSpec, d: DimensionlessParams, t, phi, z) -> np.ndarray:
-    """All four components, vectorized; shape (4,) + broadcast(t, phi, z)."""
+def eval_mode(mode: ModeSpec, d: DimensionlessParams, t, phi, z) -> np.ndarray:
+    """Normalized fundamental spinor U^sigma, vectorized: all four
+    components, shape (4,) + broadcast(t, phi, z)."""
     t = np.asarray(t, dtype=float)
     phi = np.asarray(phi, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -174,12 +164,6 @@ def mode_components(mode: ModeSpec, d: DimensionlessParams, t, phi, z) -> np.nda
         *(h[c] * tp * np.exp(1j * p[c] * phi) for c in range(4))))
 
 
-def eval_mode(mode: ModeSpec, d: DimensionlessParams, t: float, phi: float,
-              z: float) -> np.ndarray:
-    """Normalized fundamental spinor U^sigma at one point, shape (4,)."""
-    return mode_components(mode, d, t, phi, z)
-
-
 def inner_product(a: ModeSpec, b: ModeSpec, d: DimensionlessParams,
                   rule: QuadratureRule | None = None) -> complex:
     """Relativistic scalar product R * int dphi int dz psi^dag psi'.
@@ -188,11 +172,14 @@ def inner_product(a: ModeSpec, b: ModeSpec, d: DimensionlessParams,
     infinite geometry the z-integrand carries a delta(k - k') factor
     that quadrature cannot represent, so only equal-k mode pairs are
     accepted and the phi-integrated norm density is returned (1 for a
-    normalized mode).
+    normalized mode); a rule is refused there (ValueError), as no z
+    quadrature enters.
     """
     if a.geometry != b.geometry:
         raise ValueError("inner_product needs modes of the same geometry")
     if a.geometry == "infinite":
+        if rule is not None:
+            raise ValueError("infinite-geometry inner product takes no rule")
         if a.k != b.k:
             raise ValueError("infinite-geometry inner product is defined "
                              "at equal k only (norm density check)")
@@ -262,7 +249,7 @@ def k_operator_apply(mode: ModeSpec, d: DimensionlessParams, t: float,
                      phi: float, z: float) -> np.ndarray:
     """Apply K = gamma^0 (2 S3 L3 + 1/2) with L3 = -i d/dphi taken
     analytically on the known azimuthal phases."""
-    comps = mode_components(mode, d, t, phi, z)
+    comps = eval_mode(mode, d, t, phi, z)
     p = _phase_powers(mode)
     spin = (0.5, -0.5, 0.5, -0.5)
     g0 = (1.0, 1.0, -1.0, -1.0)

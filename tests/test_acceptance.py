@@ -30,7 +30,7 @@ from abcyl.params import DimensionlessParams
 from abcyl.spectrum import ModeSpec, chi, energy_finite, \
     enumerate_fermi_sea, largest_half_odd, mode_energy
 from abcyl.spinors import (QuadratureRule, dirac_residual, eval_mode,
-                           k_operator_apply, mode_components)
+                           k_operator_apply)
 
 
 def _report(num, name, worst, tol, passed=None):
@@ -60,7 +60,7 @@ def test_criterion_01_orthonormality():
         rule = QuadratureRule.finite(d, z_order=64)
         modes = _mode_set()
         A = np.stack([
-            mode_components(m, d, 0.0, phi[:, None], rule.z_nodes[None, :])
+            eval_mode(m, d, 0.0, phi[:, None], rule.z_nodes[None, :])
             for m in modes])
         W = (A * rule.z_weights[None, None, None, :]
              * (2.0 * math.pi / _PHI_POINTS))

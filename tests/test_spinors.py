@@ -11,7 +11,7 @@ from abcyl.spectrum import ModeSpec, mode_energy
 from abcyl.spinors import (STANDARD_GAMMAS, FourierSpinorField, QuadratureRule,
                            apply_restricted_dirac, current_density, dirac_residual, eval_mode,
                            field_inner_product, gram_matrix,
-                           inner_product, k_operator_apply, mode_components)
+                           inner_product, k_operator_apply)
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -79,8 +79,8 @@ def test_gram_matrix_matches_phi_grid_quadrature(beta):
     rule = QuadratureRule.finite(d)
     modes = [_finite(n, s * lam, sigma) for n in (1, 2, 3)
              for lam in (0.5, 1.5) for s in (1, -1) for sigma in (0.5, -0.5)]
-    A = np.stack([mode_components(m, d, 0.0, _PHI[:, None],
-                                  rule.z_nodes[None, :]) for m in modes])
+    A = np.stack([eval_mode(m, d, 0.0, _PHI[:, None], rule.z_nodes[None, :])
+                  for m in modes])
     G = (2.0 * math.pi / _PHI_POINTS) * np.stack([
         np.sum(np.einsum("cpz,bcpz->bpz", a.conj(), A) @ rule.z_weights,
                axis=1) for a in A])
@@ -129,6 +129,33 @@ def test_infinite_norm_density():
     other = ModeSpec(geometry="infinite", lam=0.5, sigma=0.5, k=0.9)
     with pytest.raises(ValueError):
         inner_product(mode, other, d)
+    # no z quadrature enters the norm density, so a rule is refused
+    with pytest.raises(ValueError):
+        inner_product(mode, mode, d, QuadratureRule.window(-50.0, 3.0, 2))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3])
+def test_finite_mode_is_standing_wave_of_plane_waves(beta):
+    # U_n = (2 pi / sqrt(pi L)) (U_{k=nu n} - U_{k=-nu n}) / 2i: the
+    # plane waves carry 1/sqrt(2 pi) and the finite mode 1/sqrt(pi L)
+    # at the same E, so the common factor sqrt((E+mu)/2E) cancels
+    d_fin = DimensionlessParams(mu=1.0, nu=1.0, beta=beta)
+    d_inf = DimensionlessParams(mu=1.0, beta=beta)
+    z = np.linspace(0.0, d_fin.length, 17)
+    t, phi = 0.4, 1.1
+    scale = 2.0 * math.pi / math.sqrt(math.pi * d_fin.length)
+    worst = 0.0
+    for n in (1, 2, 3):
+        for lam in (0.5, -1.5, 2.5):
+            for sigma in (0.5, -0.5):
+                want = eval_mode(_finite(n, lam, sigma), d_fin, t, phi, z)
+                plus, minus = (eval_mode(ModeSpec(geometry="infinite",
+                                                  lam=lam, sigma=sigma,
+                                                  k=k), d_inf, t, phi, z)
+                               for k in (d_fin.nu * n, -d_fin.nu * n))
+                got = scale * (plus - minus) / 2j
+                worst = max(worst, float(np.max(np.abs(got - want))))
+    assert worst < 1e-14
 
 
 def test_boundary_conditions():
