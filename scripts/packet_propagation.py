@@ -16,9 +16,9 @@ import sys
 import numpy as np
 
 from abcyl.cli import run_command
-from abcyl.currents import (GaussianPacket, MomentumRule,
-                            longitudinal_current_packet_direct, packet_norm,
-                            packet_total_flux, packet_velocity_expectation)
+from abcyl.currents import (GaussianPacket, longitudinal_current_packet_direct,
+                            packet_norm, packet_total_flux,
+                            packet_velocity_expectation)
 from abcyl.params import DimensionlessParams
 
 
@@ -33,9 +33,9 @@ def main() -> int:
     args = ap.parse_args()
 
     d = DimensionlessParams(mu=args.mu)
-    p = GaussianPacket(lam=args.lam, k0=args.k0, width=args.width)
-    rule = MomentumRule(order=args.korder)
-    v = packet_velocity_expectation(p, d, rule)
+    p = GaussianPacket(lam=args.lam, k0=args.k0, width=args.width,
+                       order=args.korder)
+    v = packet_velocity_expectation(p, d)
     print(f"# velocity expectation = {v:.12g}", file=sys.stderr)
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -43,11 +43,11 @@ def main() -> int:
     for t in args.times:
         window = abs(t) + 8.0 / args.width
         zs = np.linspace(-window, window, 41)
-        i3 = longitudinal_current_packet_direct(p, d, t, zs, rule)
+        i3 = longitudinal_current_packet_direct(p, d, t, zs)
         for z, val in zip(zs, i3):
             writer.writerow([t, format(z, ".6g"), format(val, ".17g")])
-        norm = packet_norm(p, d, t, window + 10.0, rule)
-        flux = packet_total_flux(p, d, t, window + 10.0, rule)
+        norm = packet_norm(p, d, t, window + 10.0)
+        flux = packet_total_flux(p, d, t, window + 10.0)
         print(f"# t={t}: norm={norm:.12g} total_flux={flux:.12g}",
               file=sys.stderr)
     return 0

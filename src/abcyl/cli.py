@@ -60,6 +60,13 @@ EXIT_RESOLUTION = 4
 # memory until the table is printed.
 MAX_ROWS = 1_000_000
 
+# Largest (z, k) phase matrix a packet request builds.  At the cap, on a
+# 2-core x86-64 host: korder 400 with 2500 z points takes 0.26 s and 67 MB
+# peak RSS, korder 2000 with 500 takes 0.95 s and 157 MB, and korder 2
+# with 500 000 (all at z = 0, so no phase to resolve) takes 3.8 s and
+# 233 MB, mostly in its CSV rows.
+MAX_PHASE_ELEMENTS = 1_000_000
+
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -121,10 +128,11 @@ def _emit(args, header: list[str], rows: list[list], json_payload=None) -> None:
         sys.stdout.write(data)
 
 
-def _refuse_fermi_level(values: dict[str, float], command: str) -> None:
-    """Exit 2 on the keys that set a Fermi level, which command never reads."""
+def _refuse_fermi_level(keys, command: str) -> None:
+    """Exit 2 on the given keys that set a Fermi level, which command never
+    reads."""
     for key in ("alpha", "fermi_eV"):
-        if key in values:
+        if key in keys:
             raise ConfigError(f"{command} has no Fermi level and does not "
                               f"read {key}")
 
@@ -233,19 +241,23 @@ def cmd_packet(args) -> int:
     packet = currents.GaussianPacket(lam=args.lam, k0=args.k0,
                                      width=args.width,
                                      weight_plus=args.mix_plus,
-                                     weight_minus=args.mix_minus)
-    rule = currents.MomentumRule(order=args.korder)
+                                     weight_minus=args.mix_minus,
+                                     order=args.korder)
+    if args.zsteps * packet.order > MAX_PHASE_ELEMENTS:
+        raise ConfigError(f"the (zsteps, korder) phase matrix would hold "
+                          f"{args.zsteps * packet.order} elements; the cap "
+                          f"is {MAX_PHASE_ELEMENTS}")
     zs = [args.zmin + i * (args.zmax - args.zmin) / (args.zsteps - 1)
           for i in range(args.zsteps)]
     direct = currents.longitudinal_current_packet_direct(
-        packet, d, args.t, zs, rule)
+        packet, d, args.t, zs)
     formula = currents.longitudinal_current_packet_formula(
-        packet, d, args.t, zs, rule)
-    ric = currents.circular_current_packet(packet, d, rule)
-    re_ = currents.packet_energy(packet, d, rule)
-    pol = currents.packet_polarization(packet, rule)
+        packet, d, args.t, zs)
+    ric = currents.circular_current_packet(packet, d)
+    re_ = currents.packet_energy(packet, d)
+    pol = currents.packet_polarization(packet)
     window = abs(args.t) + 8.0 / args.width + max(abs(args.zmin), abs(args.zmax))
-    norm = currents.packet_norm(packet, d, args.t, window, rule)
+    norm = currents.packet_norm(packet, d, args.t, window)
     header = ["row", "z", "I3_direct", "I3_formula", "difference"]
     rows = [["I3", z, float(a), float(b), float(a - b)]
             for z, a, b in zip(zs, direct, formula)]
@@ -270,11 +282,15 @@ _SWEEP_OBSERVABLES = {
 
 
 def cmd_sweep(args) -> int:
-    base = _gather_params(args)
+    values = _gather_values(args)
+    base = resolve_params(values)
     if args.param not in _SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep parameter {args.param!r}")
     if args.observable not in _SWEEP_OBSERVABLES:
         raise ConfigError(f"unknown observable {args.observable!r}")
+    if not args.observable.startswith("persistent_"):
+        _refuse_fermi_level({*values, args.param},
+                            f"the {args.observable} sweep")
     mode_param = args.param in ("lambda", "n")
     if mode_param and args.observable.startswith("persistent_"):
         raise ConfigError(f"{args.observable} sums the whole Fermi sea and "

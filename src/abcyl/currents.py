@@ -27,10 +27,9 @@ from .spinors import (QuadratureRule, _closed_phi_products, _z_profiles,
                       leggauss)
 
 __all__ = [
+    "MAX_MOMENTUM_ORDER",
     "MixedState",
     "GaussianPacket",
-    "TabulatedPacket",
-    "MomentumRule",
     "circular_current_mode",
     "circular_current_mode_quadrature",
     "packet_grid",
@@ -47,6 +46,12 @@ __all__ = [
 
 _NORM_TOL = 1e-10
 _WINDOW_SIGMAS = 8.0  # half-width of a Gaussian packet's k window, in widths
+
+# Largest momentum quadrature a packet takes.  The norm's Nk x Nk sinc
+# kernel and leggauss's eigenproblem grow as Nk^2: a default `packet`
+# request at korder 2000 takes 0.75-0.93 s and 156 MB peak RSS (3200:
+# 2.4 s and 346 MB) on a 2-core x86-64 host.
+MAX_MOMENTUM_ORDER = 2000
 
 
 @dataclass(frozen=True)
@@ -71,6 +76,8 @@ class GaussianPacket:
     a+(k) = weight_plus * g(k), a-(k) = weight_minus * g(k) with
     g(k) = exp(-(k-k0)^2 / (2 w^2)); k and w are the dimensionless
     products kR and wR.  The overall scale is fixed by normalization.
+    The packet lives on its momentum rule: `order` Gauss-Legendre nodes
+    on k0 +/- _WINDOW_SIGMAS widths, the one grid every observable uses.
     """
 
     lam: float
@@ -78,6 +85,7 @@ class GaussianPacket:
     width: float
     weight_plus: complex = 1.0
     weight_minus: complex = 0.0
+    order: int = 400
 
     def __post_init__(self):
         _check_half_odd(self.lam)
@@ -102,59 +110,12 @@ class GaussianPacket:
             raise ValueError(f"the packet norm (|weight_plus|^2 + "
                              f"|weight_minus|^2) sqrt(pi) width = {norm} "
                              f"must be finite and must not underflow")
-
-    def raw_amplitudes(self, k: np.ndarray):
-        g = np.exp(-((k - self.k0) ** 2) / (2.0 * self.width**2))
-        return self.weight_plus * g, self.weight_minus * g
-
-
-@dataclass(frozen=True)
-class TabulatedPacket:
-    """Amplitudes sampled on a fixed momentum grid (trapezoid weights)."""
-
-    lam: float
-    k_grid: tuple[float, ...]
-    a_plus: tuple[complex, ...]
-    a_minus: tuple[complex, ...]
-
-    def __post_init__(self):
-        _check_half_odd(self.lam)
-        k = np.asarray(self.k_grid, dtype=float)
-        if k.size < 2 or not np.all(np.diff(k) > 0.0):
-            raise ValueError("k_grid needs at least 2 strictly increasing "
-                             "points")
-        if not (any(self.a_plus) or any(self.a_minus)):
-            raise ValueError("empty packet")
-        with np.errstate(over="ignore"):  # an overflow is refused below
-            norm = _raw_norm(*self.raw_grid()[1:])
-        if not sys.float_info.min <= norm < math.inf:
-            raise ValueError(f"the trapezoid norm sum w (|a+|^2 + |a-|^2) "
-                             f"= {norm} must be finite and must not "
-                             f"underflow")
-
-    def raw_grid(self):
-        """Nodes, trapezoid weights and raw amplitudes (k, w, a+, a-)."""
-        k = np.asarray(self.k_grid, dtype=float)
-        edges = np.pad(k, 1, mode="edge")
-        return (k, 0.5 * (edges[2:] - edges[:-2]),
-                np.asarray(self.a_plus, dtype=complex),
-                np.asarray(self.a_minus, dtype=complex))
-
-
-PacketSpec = GaussianPacket | TabulatedPacket
-
-
-@dataclass(frozen=True)
-class MomentumRule:
-    """Gauss-Legendre momentum quadrature on +/- _WINDOW_SIGMAS packet
-    widths around the center (Gaussian packets only)."""
-
-    order: int = 400
-
-    def __post_init__(self):
         if self.order < 2:
             raise ValueError(f"momentum quadrature needs order >= 2, "
                              f"got {self.order}")
+        if self.order > MAX_MOMENTUM_ORDER:
+            raise ValueError(f"momentum quadrature order {self.order} is "
+                             f"above the cap {MAX_MOMENTUM_ORDER}")
 
 
 def circular_current_mode(state: MixedState, d: DimensionlessParams) -> float:
@@ -191,89 +152,81 @@ def _g0_gphi(h, p):
 
 # --- packets on the infinite cylinder ------------------------------------
 
-def packet_grid(p: PacketSpec, rule: MomentumRule | None = None):
+def packet_grid(p: GaussianPacket):
     """Momentum nodes, weights and normalized amplitudes (k, w, a+, a-)."""
-    rule = rule or MomentumRule()
-    if isinstance(p, GaussianPacket):
-        x, w = leggauss(rule.order)
-        half = _WINDOW_SIGMAS * p.width
-        k = p.k0 + half * x
-        # k0 = 1, order 400: rounding by 1.8e-6 spacings moves the norm 7.6e-11
-        rounding = float(np.max(np.abs((k - p.k0) - half * x)))
-        spacing = half * float(np.min(np.diff(x)))
-        if not rounding <= 1e-6 * spacing:
-            raise ValueError(f"the momentum nodes k0 + {_WINDOW_SIGMAS:g} "
-                             f"width x are rounded by {rounding:.3g}, above "
-                             f"1e-6 of their smallest spacing {spacing:.3g}: "
-                             f"width {p.width} is too small for k0 = {p.k0}")
-        wk = half * w
-        ap, am = p.raw_amplitudes(k)
-    else:
-        k, wk, ap, am = p.raw_grid()
-    scale = 1.0 / math.sqrt(_raw_norm(wk, ap, am))
+    x, w = leggauss(p.order)
+    half = _WINDOW_SIGMAS * p.width
+    k = p.k0 + half * x
+    # k0 = 1, order 400: rounding by 1.8e-6 spacings moves the norm 7.6e-11
+    rounding = float(np.max(np.abs((k - p.k0) - half * x)))
+    spacing = half * float(np.min(np.diff(x)))
+    if not rounding <= 1e-6 * spacing:
+        raise ValueError(f"the momentum nodes k0 + {_WINDOW_SIGMAS:g} "
+                         f"width x are rounded by {rounding:.3g}, above "
+                         f"1e-6 of their smallest spacing {spacing:.3g}: "
+                         f"width {p.width} is too small for k0 = {p.k0}")
+    wk = half * w
+    g = np.exp(-((k - p.k0) ** 2) / (2.0 * p.width**2))
+    ap, am = p.weight_plus * g, p.weight_minus * g
+    norm = float(np.sum(wk * (np.abs(ap) ** 2 + np.abs(am) ** 2)))
+    scale = 1.0 / math.sqrt(norm)
     return k, wk, ap * scale, am * scale
 
 
-def _raw_norm(wk, ap, am) -> float:
-    return float(np.sum(wk * (np.abs(ap) ** 2 + np.abs(am) ** 2)))
-
-
-def _packet_energies(p: PacketSpec, k: np.ndarray, d: DimensionlessParams):
+def _packet_energies(p: GaussianPacket, k: np.ndarray,
+                     d: DimensionlessParams):
     q = p.lam + d.beta
     return np.sqrt(d.mu**2 + k**2 + q**2)
 
 
-def circular_current_packet(p: PacketSpec, d: DimensionlessParams,
-                            rule: MomentumRule | None = None) -> float:
+def circular_current_packet(p: GaussianPacket,
+                            d: DimensionlessParams) -> float:
     """Closed-form R*I^c of a packet state."""
-    k, wk, ap, am = packet_grid(p, rule)
+    k, wk, ap, am = packet_grid(p)
     E = _packet_energies(p, k, d)
     dens = np.abs(ap) ** 2 + np.abs(am) ** 2
     return float((p.lam + d.beta) / (2.0 * math.pi) * np.sum(wk * dens / E))
 
 
-def packet_energy(p: PacketSpec, d: DimensionlessParams,
-                  rule: MomentumRule | None = None) -> float:
+def packet_energy(p: GaussianPacket, d: DimensionlessParams) -> float:
     """Expectation value R*E of the packet energy."""
-    k, wk, ap, am = packet_grid(p, rule)
+    k, wk, ap, am = packet_grid(p)
     E = _packet_energies(p, k, d)
     return float(np.sum(wk * E * (np.abs(ap) ** 2 + np.abs(am) ** 2)))
 
 
-def packet_polarization(p: PacketSpec,
-                        rule: MomentumRule | None = None) -> float:
+def packet_polarization(p: GaussianPacket) -> float:
     """Polarization degree lambda * int dk (|a+|^2 - |a-|^2)."""
-    k, wk, ap, am = packet_grid(p, rule)
+    k, wk, ap, am = packet_grid(p)
     return float(p.lam * np.sum(wk * (np.abs(ap) ** 2 - np.abs(am) ** 2)))
 
 
-def packet_velocity_expectation(p: PacketSpec, d: DimensionlessParams,
-                                rule: MomentumRule | None = None) -> float:
+def packet_velocity_expectation(p: GaussianPacket,
+                                d: DimensionlessParams) -> float:
     """Mode-wise longitudinal velocity expectation int dk |a|^2 k/E."""
-    k, wk, ap, am = packet_grid(p, rule)
+    k, wk, ap, am = packet_grid(p)
     E = _packet_energies(p, k, d)
     return float(np.sum(wk * (np.abs(ap) ** 2 + np.abs(am) ** 2) * k / E))
 
 
-def check_resolution(p: PacketSpec, rule: MomentumRule | None, d, t, z) -> None:
+def check_resolution(p: GaussianPacket, d, t, z) -> None:
     """Reject grids that cannot resolve the e^{i(kz - Et)} phase."""
-    k, wk, _, _ = packet_grid(p, rule)
+    k, wk, _, _ = packet_grid(p)
     E = _packet_energies(p, k, d)
     vmax = float(np.max(np.abs(k) / E))
     reach = abs(t) * vmax + float(np.max(np.abs(z)))
     if reach == 0.0:
         return
-    spacing = float(np.max(np.diff(np.sort(k))))
+    spacing = float(np.max(np.diff(k)))
     required = math.pi / (4.0 * reach)
     if spacing > required:
         min_points = math.ceil(len(k) * spacing / required)
         raise ResolutionError(spacing, required, min_points)
 
 
-def _zprofile_coefficients(p: PacketSpec, d: DimensionlessParams,
-                           rule: MomentumRule | None):
+def _zprofile_coefficients(p: GaussianPacket, d: DimensionlessParams):
     """(k, E, c) with h_j(t, z) = sum_k c[j](k) e^{i(kz - E t)}."""
-    k, wk, ap, am = packet_grid(p, rule)
+    k, wk, ap, am = packet_grid(p)
     E = _packet_energies(p, k, d)
     q = p.lam + d.beta
     C = np.sqrt((E + d.mu) / (2.0 * E)) / (2.0 * math.pi)
@@ -284,23 +237,22 @@ def _zprofile_coefficients(p: PacketSpec, d: DimensionlessParams,
     return k, E, c
 
 
-def packet_zprofile(p: PacketSpec, d: DimensionlessParams, t, z,
-                    rule: MomentumRule | None = None) -> np.ndarray:
+def packet_zprofile(p: GaussianPacket, d: DimensionlessParams,
+                    t, z) -> np.ndarray:
     """Reduced z-profiles h_j(t, z) of the packet spinor, shape (4, len(z)).
 
     The full spinor is psi_j = e^{i p_j phi} h_j with azimuthal phases
     p = (lambda-1/2, lambda+1/2, lambda-1/2, lambda+1/2).
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    k, E, c = _zprofile_coefficients(p, d, rule)
+    k, E, c = _zprofile_coefficients(p, d)
     phase = np.exp(1j * (np.outer(z, k) - t * E[None, :]))  # (Nz, Nk)
     return np.stack([phase @ cj for cj in c])
 
 
-def longitudinal_current_packet_direct(p: PacketSpec, d: DimensionlessParams,
-                                       t: float, z,
-                                       rule: MomentumRule | None = None
-                                       ) -> np.ndarray:
+def longitudinal_current_packet_direct(p: GaussianPacket,
+                                       d: DimensionlessParams, t: float,
+                                       z) -> np.ndarray:
     """Authoritative longitudinal current R int dphi j^3 at (t, z).
 
     The phi integral of psi^dag g0 g3 psi = c1* c3 + c3* c1 - c2* c4 - c4* c2
@@ -309,8 +261,8 @@ def longitudinal_current_packet_direct(p: PacketSpec, d: DimensionlessParams,
     cannot resolve the phase at the requested point.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    check_resolution(p, rule, d, t, z)
-    h = packet_zprofile(p, d, t, z, rule)
+    check_resolution(p, d, t, z)
+    h = packet_zprofile(p, d, t, z)
     integ = 2.0 * math.pi * (np.conj(h[0]) * h[2] + np.conj(h[2]) * h[0]
                              - np.conj(h[1]) * h[3] - np.conj(h[3]) * h[1])
     if np.max(np.abs(integ.imag)) > _NORM_TOL:
@@ -319,10 +271,9 @@ def longitudinal_current_packet_direct(p: PacketSpec, d: DimensionlessParams,
     return integ.real
 
 
-def longitudinal_current_packet_formula(p: PacketSpec, d: DimensionlessParams,
-                                        t: float, z,
-                                        rule: MomentumRule | None = None
-                                        ) -> np.ndarray:
+def longitudinal_current_packet_formula(p: GaussianPacket,
+                                        d: DimensionlessParams, t: float,
+                                        z) -> np.ndarray:
     """The printed double-integral form of the packet longitudinal current.
 
     Evaluates the printed kernel: prefactor 1/(4 pi), bracket
@@ -339,8 +290,8 @@ def longitudinal_current_packet_formula(p: PacketSpec, d: DimensionlessParams,
     X_f = P @ (w f conj(a) / sqrt(E (E+mu))), at O(Nz Nk) cost.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    check_resolution(p, rule, d, t, z)
-    k, wk, ap, am = packet_grid(p, rule)
+    check_resolution(p, d, t, z)
+    k, wk, ap, am = packet_grid(p)
     E = _packet_energies(p, k, d)
     q = p.lam + d.beta
     u = wk / np.sqrt(E * (E + d.mu))
@@ -359,28 +310,28 @@ def longitudinal_current_packet_formula(p: PacketSpec, d: DimensionlessParams,
     return out.real
 
 
-def _zprofile_gram(p: PacketSpec, d: DimensionlessParams, t: float,
-                   z_window: float, rule: MomentumRule | None) -> np.ndarray:
+def _zprofile_gram(p: GaussianPacket, d: DimensionlessParams, t: float,
+                   z_window: float) -> np.ndarray:
     """P[i, j] = int_{-W}^{W} conj(h_i) h_j dz in closed form: b^H K b with
     b = c e^{-iEt} and K(k, k') = 2W sinc((k'-k) W / pi), shape (4, 4)."""
-    k, E, c = _zprofile_coefficients(p, d, rule)
+    k, E, c = _zprofile_coefficients(p, d)
     b = c * np.exp(-1j * t * E)
     kernel = np.sinc(np.subtract.outer(k, k) * (z_window / math.pi))
     return 2.0 * z_window * (np.conj(b) @ kernel @ b.T)
 
 
-def packet_norm(p: PacketSpec, d: DimensionlessParams, t: float,
-                z_window: float, rule: MomentumRule | None = None) -> float:
+def packet_norm(p: GaussianPacket, d: DimensionlessParams, t: float,
+                z_window: float) -> float:
     """Packet norm int dphi int_{-W}^{W} dz psi^dag psi, exact for the
     momentum-quadrature packet (psi^dag psi is phi-independent)."""
-    P = _zprofile_gram(p, d, t, z_window, rule)
+    P = _zprofile_gram(p, d, t, z_window)
     return float(2.0 * math.pi * np.trace(P).real)
 
 
-def packet_total_flux(p: PacketSpec, d: DimensionlessParams, t: float,
-                      z_window: float, rule: MomentumRule | None = None) -> float:
+def packet_total_flux(p: GaussianPacket, d: DimensionlessParams, t: float,
+                      z_window: float) -> float:
     """z-integral of the direct longitudinal current over [-W, W], exact
     for the momentum-quadrature packet."""
-    check_resolution(p, rule, d, t, [-z_window, z_window])
-    P = _zprofile_gram(p, d, t, z_window, rule)
+    check_resolution(p, d, t, [-z_window, z_window])
+    P = _zprofile_gram(p, d, t, z_window)
     return float(4.0 * math.pi * (P[0, 2] - P[1, 3]).real)

@@ -56,10 +56,12 @@ def suite_clifford() -> SuiteResult:
             anti = g[a] @ g[b] + g[b] @ g[a]
             want = 2.0 * (_MINKOWSKI[a] if a == b else 0.0) * eye
             worst = max(worst, float(np.max(np.abs(anti - want))))
+    # gamma_phi is spacelike and anticommutes with g0 and g3
     for phi in (0.0, 0.7, 2.9):
         gp = STANDARD_GAMMAS.gamma_phi(phi)
-        want = -STANDARD_GAMMAS.g1 * math.sin(phi) + STANDARD_GAMMAS.g2 * math.cos(phi)
-        worst = max(worst, float(np.max(np.abs(gp - want))))
+        for other, want in ((gp, -2.0 * eye), (g[0], 0.0), (g[3], 0.0)):
+            anti = gp @ other + other @ gp
+            worst = max(worst, float(np.max(np.abs(anti - want))))
     return _result("clifford", 1e-13, worst)
 
 

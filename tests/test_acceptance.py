@@ -11,12 +11,13 @@ the same spin, and K gives that lower component the opposite eigenvalue.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from abcyl.cli import main as cli_main
-from abcyl.currents import (GaussianPacket, MixedState, MomentumRule,
+from abcyl.currents import (GaussianPacket, MixedState,
                             circular_current_mode,
                             circular_current_mode_quadrature,
                             circular_current_packet,
@@ -240,27 +241,25 @@ def test_criterion_10_short_and_nonrel_limits():
 def test_criterion_11_packet_longitudinal_current():
     d = DimensionlessParams(mu=1.0)
     p = GaussianPacket(lam=0.5, k0=1.0, width=0.5)
-    rule = MomentumRule(order=1600)
-    v = packet_velocity_expectation(p, d, rule)
+    fine = replace(p, order=1600)
+    v = packet_velocity_expectation(fine, d)
     worst = 0.0
     fluxes = []
     for t in (0.0, 5.0, 20.0):
         window = abs(t) + 30.0
-        norm = packet_norm(p, d, t, window, rule)
-        flux = packet_total_flux(p, d, t, window, rule)
+        norm = packet_norm(fine, d, t, window)
+        flux = packet_total_flux(fine, d, t, window)
         fluxes.append(flux)
         worst = max(worst, abs(norm - 1.0), abs(flux - v))
     worst = max(worst, max(fluxes) - min(fluxes))
     # symmetric case vanishes at t = z = 0
     sym = GaussianPacket(lam=0.5, k0=0.0, width=0.5)
-    i0 = longitudinal_current_packet_direct(sym, d, 0.0, [0.0],
-                                            MomentumRule(order=400))
+    i0 = longitudinal_current_packet_direct(sym, d, 0.0, [0.0])
     worst = max(worst, abs(float(i0[0])))
     # archive (not assert) the printed double-integral deviation
     zs = np.linspace(-4.0, 4.0, 9)
-    small = MomentumRule(order=400)
-    direct = longitudinal_current_packet_direct(p, d, 0.0, zs, small)
-    formula = longitudinal_current_packet_formula(p, d, 0.0, zs, small)
+    direct = longitudinal_current_packet_direct(p, d, 0.0, zs)
+    formula = longitudinal_current_packet_formula(p, d, 0.0, zs)
     print("    double-integral formula deviation (archived, not asserted):")
     for z, a, b in zip(zs, direct, formula):
         print(f"      z={z:+.1f}  direct={a:+.6e}  printed={b:+.6e}  "

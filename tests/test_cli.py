@@ -170,6 +170,12 @@ def test_packet_resolution_exit_4(capsys):
     (("--korder", "1"), "momentum quadrature needs order >= 2, got 1"),
     (("--korder", "0"), "momentum quadrature needs order >= 2, got 0"),
     (("--korder", "-3"), "momentum quadrature needs order >= 2, got -3"),
+    # refused before any grid is built: time and memory grow as korder^2
+    # and as zsteps * korder
+    (("--korder", "2001"), "momentum quadrature order 2001 is above the cap "
+                           "2000"),
+    (("--zsteps", "5001"), "the (zsteps, korder) phase matrix would hold "
+                           "1000200 elements; the cap is 1000000"),
 ])
 def test_packet_rejects_bad_grid_sizes(capsys, flag, message):
     code, out, err = run(capsys, "packet", "--mu", "1", "--korder", "200",
@@ -338,6 +344,25 @@ def test_fermi_level_refused_where_unread(capsys, tmp_path, command, key):
                    f"read {key.split()[0]}\n")
 
 
+@pytest.mark.parametrize("observable", ["chi", "energy"])
+@pytest.mark.parametrize("argv, key", [
+    (("--mu", "1", "--nu", "1", "--alpha", "3", "--param", "beta", "--start",
+      "0", "--stop", "0.1"), "alpha"),
+    (("--mass-eV", "511000", "--radius-nm", "2", "--length-nm", "5",
+      "--fermi-eV", "1", "--param", "beta", "--start", "0", "--stop", "0.1"),
+     "fermi_eV"),
+    (("--mu", "1", "--nu", "1", "--param", "alpha", "--start", "1", "--stop",
+      "2", "--steps", "3"), "alpha"),
+])
+def test_mode_sweep_refuses_a_fermi_level(capsys, observable, argv, key):
+    # chi and energy are single-mode observables; each of these printed
+    # the same value in every row with exit 0
+    code, out, err = run(capsys, "sweep", *argv, "--observable", observable)
+    assert code == 2 and out == ""
+    assert err == (f"error: the {observable} sweep has no Fermi level and "
+                   f"does not read {key}\n")
+
+
 def test_physical_needs_radius(capsys):
     # R = hbar c / (1 eV) was assumed when no radius was given
     code, out, err = run(capsys, "spectrum", "--mu", "1", "--nu", "1",
@@ -349,8 +374,8 @@ def test_physical_needs_radius(capsys):
 
 
 def test_column_cap_leaves_other_observables_alone(capsys):
-    code, out, _ = run(capsys, "sweep", *_SEA_SIZE, *_BETA_SWEEP,
-                       "--observable", "chi")
+    code, out, _ = run(capsys, "sweep", "--mu", "1", "--nu", "1e-6",
+                       *_BETA_SWEEP, "--observable", "chi")
     assert code == 0 and len(out.splitlines()) == 4
 
 
@@ -420,14 +445,17 @@ def test_sweep_validation(capsys):
                                         "persistent_linearized", "chi",
                                         "energy"])
 def test_sweep_at_nu_zero_is_regime_error(capsys, observable):
-    # every sweep observable lives on the finite cylinder
-    code, out, err = run(capsys, "sweep", "--mu", "1", "--nu", "0",
-                         "--alpha", "3", "--param", "beta", "--start", "0",
+    # every sweep observable lives on the finite cylinder; only the
+    # persistent ones read a Fermi level
+    alpha = (("--alpha", "3") if observable.startswith("persistent_")
+             else ())
+    code, out, err = run(capsys, "sweep", "--mu", "1", "--nu", "0", *alpha,
+                         "--param", "beta", "--start", "0",
                          "--stop", "0.1", "--steps", "3",
                          "--observable", observable)
     assert code == 3 and out == "" and "nu > 0" in err
     # nu reaching 0 inside a sweep is the same regime error
-    code, out, _ = run(capsys, "sweep", "--mu", "1", "--alpha", "3",
+    code, out, _ = run(capsys, "sweep", "--mu", "1", *alpha,
                        "--param", "nu", "--start", "0", "--stop", "1",
                        "--steps", "3", "--observable", observable)
     assert code == 3 and out == ""
@@ -703,17 +731,19 @@ def test_only_the_sampling_suites_take_a_seed():
                       "suite_hermiticity"}
 
 
-_SWEEP_BETA = ("sweep", *_FINITE, "--alpha", "5", "--param", "beta",
+_SWEEP_BETA = ("sweep", *_FINITE, "--param", "beta",
                "--start", "0", "--stop", "0.4", "--steps", "3")
+_ALPHA = ("--alpha", "5")
 
 # (argv, exit code); persistent, spectrum and sweep compute with math alone
 _MATH_ONLY = [
     (("persistent", "--mu", "250", "--nu", "1", "--alpha", "50"), 0),
     (("spectrum", *_FINITE), 0),
     (("spectrum", "--geometry", "infinite", "--mu", "1", "--k", "1"), 0),
-    *(((*_SWEEP_BETA, "--observable", observable), 0)
-      for observable in ("chi", "energy", "persistent_exact",
-                         "persistent_linearized")),
+    *(((*_SWEEP_BETA, *alpha, "--observable", observable), 0)
+      for observable, alpha in (("chi", ()), ("energy", ()),
+                                ("persistent_exact", _ALPHA),
+                                ("persistent_linearized", _ALPHA))),
     (("spectrum", *_FINITE, "--alpha", "3"), 2),
     (("persistent", "--mu", "1", "--alpha", "3"), 3),
 ]

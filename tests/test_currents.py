@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abcyl.currents import (GaussianPacket, MixedState, MomentumRule,
-                            TabulatedPacket, circular_current_mode,
+from abcyl.currents import (MAX_MOMENTUM_ORDER, GaussianPacket, MixedState,
+                            circular_current_mode,
                             circular_current_mode_quadrature,
                             circular_current_packet,
                             longitudinal_current_packet_direct,
@@ -69,14 +69,25 @@ def test_packet_grid_normalizes():
 
 
 def test_packet_grid_solves_each_order_once():
-    # leggauss(order) is an order x order eigenproblem; a packet request
-    # calls packet_grid about eight times and must solve it only once
+    # leggauss(order) is an order x order eigenproblem.  The packet
+    # carries its momentum rule, so every observable of every packet of
+    # one order shares a single solve, on p.order nodes
     order = 137
+    d = DimensionlessParams(mu=1.0, beta=0.2)
     before = leggauss.cache_info().misses
-    k1, wk1, _, _ = packet_grid(GaussianPacket(lam=0.5, k0=1.0, width=0.5),
-                                MomentumRule(order=order))
-    k2, wk2, _, _ = packet_grid(GaussianPacket(lam=1.5, k0=0.2, width=0.7),
-                                MomentumRule(order=order))
+    p1 = GaussianPacket(lam=0.5, k0=1.0, width=0.5, order=order)
+    p2 = GaussianPacket(lam=1.5, k0=0.2, width=0.7, weight_minus=0.6 - 0.3j,
+                        order=order)
+    k1, wk1, _, _ = packet_grid(p1)
+    _, wk2, _, _ = packet_grid(p2)
+    circular_current_packet(p2, d)
+    packet_energy(p2, d)
+    packet_polarization(p2)
+    packet_velocity_expectation(p2, d)
+    longitudinal_current_packet_direct(p2, d, 1.0, [0.0, 1.0])
+    longitudinal_current_packet_formula(p2, d, 1.0, [0.0, 1.0])
+    packet_norm(p2, d, 1.0, 5.0)
+    packet_total_flux(p2, d, 1.0, 5.0)
     assert leggauss.cache_info().misses == before + 1
     x, w = np.polynomial.legendre.leggauss(order)
     assert np.array_equal(k1, 1.0 + 8.0 * 0.5 * x)
@@ -89,56 +100,6 @@ def test_packet_validation():
     with pytest.raises(ValueError):
         GaussianPacket(lam=0.5, k0=0.0, width=1.0,
                        weight_plus=0.0, weight_minus=0.0)
-
-
-def test_tabulated_packet():
-    k = np.linspace(-3, 3, 801)
-    g = np.exp(-k**2)
-    p = TabulatedPacket(lam=0.5, k_grid=tuple(k), a_plus=tuple(g),
-                        a_minus=tuple(0 * g))
-    d = DimensionlessParams(mu=1.0)
-    ref = GaussianPacket(lam=0.5, k0=0.0, width=1 / math.sqrt(2))
-    assert circular_current_packet(p, d) == pytest.approx(
-        circular_current_packet(ref, d), rel=1e-6)
-
-
-def test_tabulated_packet_trapezoid_weights():
-    # a packet that is not small at the grid edge: with trapezoid weights
-    # (h/2 at each end) a_plus = 1 on a uniform [0, 1] grid has norm 1
-    k = np.linspace(0.0, 1.0, 11)
-    p = TabulatedPacket(lam=0.5, k_grid=tuple(k), a_plus=(1.0,) * 11,
-                        a_minus=(0.0,) * 11)
-    _, wk, ap, _ = packet_grid(p)
-    assert wk[[0, -1]] == pytest.approx([0.05, 0.05], rel=1e-14)
-    # packet_grid rescales by 1/sqrt(norm): the amplitudes stay 1 only if
-    # all the weights, interior ones included, integrate a_plus = 1 to 1
-    assert np.sum(wk) == pytest.approx(1.0, abs=1e-15)
-    assert ap == pytest.approx(np.ones(11), rel=1e-15)
-
-
-@pytest.mark.parametrize("grid", [(0.0,), (0.0, 1.0, 0.5), (0.0, 0.0, 1.0),
-                                  (1.0, 0.0)])
-def test_tabulated_packet_rejects_bad_grid(grid):
-    with pytest.raises(ValueError):
-        TabulatedPacket(lam=0.5, k_grid=grid, a_plus=(1.0,) * len(grid),
-                        a_minus=(0.0,) * len(grid))
-
-
-def test_tabulated_packet_rejects_zero_amplitudes():
-    # as GaussianPacket does, at construction rather than at the first
-    # observable's normalization
-    with pytest.raises(ValueError, match="empty packet"):
-        TabulatedPacket(lam=0.5, k_grid=(0.0, 1.0), a_plus=(0.0, 0.0),
-                        a_minus=(0.0, 0j))
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("amplitude", [1e200, 1e-200])
-def test_tabulated_packet_refuses_a_norm_it_cannot_form(amplitude):
-    # the first overflowed to a zero current, the second divided by zero
-    with pytest.raises(ValueError, match="trapezoid norm"):
-        TabulatedPacket(lam=0.5, k_grid=(0.0, 1.0),
-                        a_plus=(amplitude, amplitude), a_minus=(0.0, 0.0))
 
 
 def test_packet_grid_refuses_collapsed_nodes():
@@ -172,21 +133,18 @@ def test_symmetric_packet_has_no_flux_at_origin():
 
 def test_packet_norm_and_flux_conservation():
     d = DimensionlessParams(mu=1.0)
-    p = GaussianPacket(lam=0.5, k0=1.0, width=0.5)
-    rule = MomentumRule(order=400)
-    v = packet_velocity_expectation(p, d, rule)
+    p = GaussianPacket(lam=0.5, k0=1.0, width=0.5, order=400)
+    v = packet_velocity_expectation(p, d)
     for t in (0.0, 2.0):
-        assert packet_norm(p, d, t, 20.0, rule) \
-            == pytest.approx(1.0, abs=1e-8)
-        assert packet_total_flux(p, d, t, 20.0, rule) \
-            == pytest.approx(v, abs=1e-8)
+        assert packet_norm(p, d, t, 20.0) == pytest.approx(1.0, abs=1e-8)
+        assert packet_total_flux(p, d, t, 20.0) == pytest.approx(v, abs=1e-8)
 
 
-def _grid_direct(p, d, t, z, rule):
+def _grid_direct(p, d, t, z):
     """R int dphi j^3 on a 64-point phi grid: the reference for the
     closed-form phi integral of longitudinal_current_packet_direct."""
     phi_points = 64
-    h = packet_zprofile(p, d, t, z, rule)
+    h = packet_zprofile(p, d, t, z)
     phi = np.arange(phi_points) * (2.0 * math.pi / phi_points)
     lamm, lamp = p.lam - 0.5, p.lam + 0.5
     psi = np.stack([
@@ -200,13 +158,13 @@ def _grid_direct(p, d, t, z, rule):
     return ((2.0 * math.pi / phi_points) * np.sum(j3, axis=0)).real
 
 
-def _grid_norm_and_flux(p, d, t, z_window, rule):
+def _grid_norm_and_flux(p, d, t, z_window):
     """Norm and z-integrated flux on an order-1200 Gauss-Legendre z rule:
     the reference for the closed-form z integrals."""
     zr = QuadratureRule.window(-z_window, z_window, 1200)
-    h = packet_zprofile(p, d, t, zr.z_nodes, rule)
+    h = packet_zprofile(p, d, t, zr.z_nodes)
     norm = 2.0 * math.pi * (np.sum(np.abs(h) ** 2, axis=0) @ zr.z_weights)
-    return norm, _grid_direct(p, d, t, zr.z_nodes, rule) @ zr.z_weights
+    return norm, _grid_direct(p, d, t, zr.z_nodes) @ zr.z_weights
 
 
 # (packet, beta, t, z window); the last packet has left the window in part
@@ -223,15 +181,14 @@ _EXACT_CASES = [
 @pytest.mark.parametrize("p, beta, t, z_window", _EXACT_CASES)
 def test_exact_integrals_match_quadrature(p, beta, t, z_window):
     d = DimensionlessParams(mu=1.0, beta=beta)
-    rule = MomentumRule(order=400)
-    want_norm, want_flux = _grid_norm_and_flux(p, d, t, z_window, rule)
-    assert packet_norm(p, d, t, z_window, rule) \
+    want_norm, want_flux = _grid_norm_and_flux(p, d, t, z_window)
+    assert packet_norm(p, d, t, z_window) \
         == pytest.approx(want_norm, abs=1e-12)
-    assert packet_total_flux(p, d, t, z_window, rule) \
+    assert packet_total_flux(p, d, t, z_window) \
         == pytest.approx(want_flux, abs=1e-12)
     zs = np.linspace(-z_window, z_window, 41)
-    want = _grid_direct(p, d, t, zs, rule)
-    got = longitudinal_current_packet_direct(p, d, t, zs, rule)
+    want = _grid_direct(p, d, t, zs)
+    got = longitudinal_current_packet_direct(p, d, t, zs)
     assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
 
 
@@ -244,10 +201,9 @@ def test_norm_of_packet_partly_outside_window():
 
 def test_resolution_error():
     d = DimensionlessParams(mu=1.0)
-    p = GaussianPacket(lam=0.5, k0=2.0, width=0.5)
+    p = GaussianPacket(lam=0.5, k0=2.0, width=0.5, order=20)
     with pytest.raises(ResolutionError) as exc:
-        longitudinal_current_packet_direct(p, d, 100.0, [50.0],
-                                           MomentumRule(order=20))
+        longitudinal_current_packet_direct(p, d, 100.0, [50.0])
     assert exc.value.min_points > 20
     assert str(exc.value.min_points) in str(exc.value)
 
@@ -256,19 +212,18 @@ def test_appendix_formula_runs_and_deviates_smoothly():
     # the printed double-integral form is tracked for comparison only;
     # it must evaluate to a real, finite profile
     d = DimensionlessParams(mu=1.0)
-    p = GaussianPacket(lam=0.5, k0=1.0, width=0.5)
+    p = GaussianPacket(lam=0.5, k0=1.0, width=0.5, order=300)
     zs = np.linspace(-3, 3, 7)
-    rule = MomentumRule(order=300)
-    direct = longitudinal_current_packet_direct(p, d, 0.0, zs, rule)
-    formula = longitudinal_current_packet_formula(p, d, 0.0, zs, rule)
+    direct = longitudinal_current_packet_direct(p, d, 0.0, zs)
+    formula = longitudinal_current_packet_formula(p, d, 0.0, zs)
     assert np.all(np.isfinite(formula))
     assert np.max(np.abs(direct - formula)) < 0.1
 
 
-def _tensor_grid_formula(p, d, t, z, rule):
+def _tensor_grid_formula(p, d, t, z):
     """The printed double integral summed term by term on the (k, k')
     tensor grid, O(Nz Nk^2): the reference for the separable evaluation."""
-    k, wk, ap, am = packet_grid(p, rule)
+    k, wk, ap, am = packet_grid(p)
     E = np.sqrt(d.mu**2 + k**2 + (p.lam + d.beta) ** 2)
     q = p.lam + d.beta
     Ek, Ekp = E[:, None], E[None, :]
@@ -292,11 +247,11 @@ def _tensor_grid_formula(p, d, t, z, rule):
 @pytest.mark.parametrize("order", [200, 400])
 def test_formula_matches_tensor_grid_sum(order, t, weight_minus):
     d = DimensionlessParams(mu=1.0, beta=0.2)
-    p = GaussianPacket(lam=1.5, k0=0.8, width=0.5, weight_minus=weight_minus)
+    p = GaussianPacket(lam=1.5, k0=0.8, width=0.5, weight_minus=weight_minus,
+                       order=order)
     zs = np.linspace(-3.0, 3.0, 13)
-    rule = MomentumRule(order=order)
-    want = _tensor_grid_formula(p, d, t, zs, rule)
-    got = longitudinal_current_packet_formula(p, d, t, zs, rule)
+    want = _tensor_grid_formula(p, d, t, zs)
+    got = longitudinal_current_packet_formula(p, d, t, zs)
     assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
 
 
@@ -340,19 +295,19 @@ def test_packet_current_bounded_by_saturation(lam, k0, width, mu, beta):
     ({"weight_plus": 1e200}, "packet norm"),
     ({"weight_minus": 1e200j}, "packet norm"),
     ({"weight_plus": 1e150, "width": 1e10}, "packet norm"),
-    ({"weight_plus": 1e-200}, "packet norm")])
+    ({"weight_plus": 1e-200}, "packet norm"),
+    ({"order": 1}, "order >= 2"),
+    ({"order": MAX_MOMENTUM_ORDER + 1}, "above the cap")])
 def test_packet_refuses_what_it_cannot_integrate(change, message):
     # each gave NaN rows, all-zero rows, a polarization of 1 for
     # lambda = 1, or an OverflowError or ZeroDivisionError while the
-    # amplitudes or their norm were built
+    # amplitudes or their norm were built; an order above the cap grew
+    # time and memory as order^2.  Only the constructor runs here, so no
+    # grid of the refused order is built.
     with pytest.raises(ValueError, match=message):
         GaussianPacket(**{"lam": 0.5, "k0": 0.0, "width": 1.0, **change})
     GaussianPacket(lam=0.5, k0=1e150, width=1.0)   # a finite window squared
     GaussianPacket(lam=0.5, k0=0.0, width=1e-150)  # a normal width squared
     GaussianPacket(lam=0.5, k0=0.0, width=1.0, weight_plus=1e150)
+    GaussianPacket(lam=0.5, k0=0.0, width=1.0, order=MAX_MOMENTUM_ORDER)
 
-
-def test_tabulated_packet_refuses_integer_lambda():
-    with pytest.raises(ValueError, match="half-odd"):
-        TabulatedPacket(lam=1.0, k_grid=(0.0, 1.0), a_plus=(1.0, 1.0),
-                        a_minus=(0.0, 0.0))

@@ -122,6 +122,25 @@ def test_verify_catches_a_wrong_phase_exponent(monkeypatch, sigma,
     assert not verify.suite_circular_current().passed
 
 
+@pytest.mark.parametrize("tilt", [
+    lambda g, phi: -g.g1 * math.sin(phi) + g.g3 * math.cos(phi),
+    lambda g, phi: 2.0 * (-g.g1 * math.sin(phi) + g.g2 * math.cos(phi))],
+    ids=["leans-on-g3", "twice-unit-norm"])
+def test_verify_clifford_catches_a_wrong_gamma_phi(monkeypatch, tilt):
+    # the suite checks relations gamma_phi must satisfy, not the
+    # expression it is built from: one leaning on g3, or off unit norm,
+    # must fail
+    class Wrong(spinors.GammaSet):
+        def gamma_phi(self, phi):
+            return tilt(self, phi)
+
+    g = STANDARD_GAMMAS
+    monkeypatch.setattr(verify, "STANDARD_GAMMAS",
+                        Wrong(g0=g.g0, g1=g.g1, g2=g.g2, g3=g.g3))
+    result = verify.suite_clifford()
+    assert not result.passed and result.worst >= 1.0
+
+
 def test_infinite_norm_density():
     d = DimensionlessParams(mu=1.0, beta=0.2)
     mode = ModeSpec(geometry="infinite", lam=0.5, sigma=0.5, k=1.3)
