@@ -247,6 +247,9 @@ def cmd_packet(args) -> int:
         raise ConfigError(f"the (zsteps, korder) phase matrix would hold "
                           f"{args.zsteps * packet.order} elements; the cap "
                           f"is {MAX_PHASE_ELEMENTS}")
+    if not math.isfinite(args.zmax - args.zmin):
+        raise ConfigError(f"the z span --zmax - --zmin = "
+                          f"{args.zmax - args.zmin} must be finite")
     zs = [args.zmin + i * (args.zmax - args.zmin) / (args.zsteps - 1)
           for i in range(args.zsteps)]
     direct = currents.longitudinal_current_packet_direct(
@@ -335,6 +338,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = 0 if args.seed is None else args.seed
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     results = verify.run_suites(seed=seed)
     ok = all(r.passed for r in results)
     payload = {

@@ -16,6 +16,7 @@ formula is kept for comparison (see longitudinal_current_packet_formula).
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -23,8 +24,7 @@ import numpy as np
 
 from .params import DimensionlessParams, ResolutionError
 from .spectrum import ModeSpec, _check_half_odd, chi
-from .spinors import (QuadratureRule, _closed_phi_products, _z_profiles,
-                      leggauss)
+from .spinors import _closed_phi_products, _z_profiles, leggauss, z_quadrature
 
 __all__ = [
     "MAX_MOMENTUM_ORDER",
@@ -110,6 +110,9 @@ class GaussianPacket:
             raise ValueError(f"the packet norm (|weight_plus|^2 + "
                              f"|weight_minus|^2) sqrt(pi) width = {norm} "
                              f"must be finite and must not underflow")
+        if not isinstance(self.order, numbers.Integral):
+            raise ValueError(f"momentum quadrature order must be an "
+                             f"integer, got {self.order!r}")
         if self.order < 2:
             raise ValueError(f"momentum quadrature needs order >= 2, "
                              f"got {self.order}")
@@ -125,20 +128,19 @@ def circular_current_mode(state: MixedState, d: DimensionlessParams) -> float:
     return chi(state.n, state.lam, d) / (2.0 * math.pi)
 
 
-def circular_current_mode_quadrature(state: MixedState, d: DimensionlessParams,
-                                     rule: QuadratureRule | None = None
-                                     ) -> float:
+def circular_current_mode_quadrature(state: MixedState,
+                                     d: DimensionlessParams) -> float:
     """Brute-force oracle: (1/2pi) int dphi int dz j^phi over the
     mixed-state spinor at t = 0, j^phi = psi^dag g0 g_phi psi (the state
     is stationary, so the current does not depend on t).  It is c^H X c
     with X the 2 x 2 closed-phi products of the U^+, U^- profiles against
     their g0 g_phi images."""
-    rule = rule or QuadratureRule.finite(d)
+    z, w = z_quadrature(d)
     profiles = [_z_profiles(ModeSpec(geometry="finite", n=state.n,
-                                     lam=state.lam, sigma=sigma),
-                            d, rule.z_nodes) for sigma in (0.5, -0.5)]
+                                     lam=state.lam, sigma=sigma), d, z)
+                for sigma in (0.5, -0.5)]
     X = _closed_phi_products(profiles, [_g0_gphi(h, p) for h, p in profiles],
-                             rule.z_weights)
+                             w)
     c = np.array([state.c_plus, state.c_minus], dtype=complex)
     return float((np.conj(c) @ X @ c).real / (2.0 * math.pi))
 
@@ -215,9 +217,15 @@ def check_resolution(p: GaussianPacket, d, t, z) -> None:
     E = _packet_energies(p, k, d)
     vmax = float(np.max(np.abs(k) / E))
     reach = abs(t) * vmax + float(np.max(np.abs(z)))
+    spacing = float(np.max(np.diff(k)))
+    # about len(k) spacing 4 reach / pi points resolve the phase; a reach
+    # whose count overflows (inf and nan included) is refused before
+    # anything divides by it
+    if not math.isfinite(4.0 * reach * len(k) * spacing):
+        raise ValueError(f"the phase reach |t| v_max + max|z| = {reach:.3g} "
+                         f"is too far for any momentum grid to resolve")
     if reach == 0.0:
         return
-    spacing = float(np.max(np.diff(k)))
     required = math.pi / (4.0 * reach)
     if spacing > required:
         min_points = math.ceil(len(k) * spacing / required)

@@ -33,7 +33,7 @@ from .spectrum import ModeSpec, mode_energy
 __all__ = [
     "GammaSet",
     "STANDARD_GAMMAS",
-    "QuadratureRule",
+    "z_quadrature",
     "eval_mode",
     "mode_profiles",
     "inner_product",
@@ -84,31 +84,18 @@ STANDARD_GAMMAS = GammaSet(
 leggauss = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Legendre nodes in z.  No phi grid: every oracle integrates
-    over phi exactly from the components' phase exponents."""
+# The one z rule of every quadrature oracle; none has a phi grid, as each
+# integrates phi exactly from the components' phase exponents.  Their z
+# integrands oscillate a few times over [0, L], which 64 Gauss-Legendre
+# nodes integrate to roundoff.
+_Z_ORDER = 64
 
-    z_nodes: np.ndarray
-    z_weights: np.ndarray
 
-    def __post_init__(self):
-        if np.any(self.z_weights <= 0.0):
-            raise ValueError("quadrature weights must be positive")
-
-    @classmethod
-    def finite(cls, d: DimensionlessParams,
-               z_order: int = 64) -> "QuadratureRule":
-        return cls.window(0.0, d.length, z_order)
-
-    @classmethod
-    def window(cls, zmin: float, zmax: float,
-               z_order: int = 64) -> "QuadratureRule":
-        if not zmax > zmin:
-            raise ValueError("empty z window")
-        x, w = leggauss(z_order)
-        half = 0.5 * (zmax - zmin)
-        return cls(z_nodes=zmin + half * (x + 1.0), z_weights=half * w)
+def z_quadrature(d: DimensionlessParams):
+    """The _Z_ORDER Gauss-Legendre nodes and weights on [0, L]."""
+    x, w = leggauss(_Z_ORDER)
+    half = 0.5 * d.length
+    return half * (x + 1.0), half * w
 
 
 def mode_profiles(mode: ModeSpec, d: DimensionlessParams, z):
@@ -164,30 +151,25 @@ def eval_mode(mode: ModeSpec, d: DimensionlessParams, t, phi, z) -> np.ndarray:
         *(h[c] * tp * np.exp(1j * p[c] * phi) for c in range(4))))
 
 
-def inner_product(a: ModeSpec, b: ModeSpec, d: DimensionlessParams,
-                  rule: QuadratureRule | None = None) -> complex:
+def inner_product(a: ModeSpec, b: ModeSpec, d: DimensionlessParams) -> complex:
     """Relativistic scalar product R * int dphi int dz psi^dag psi'.
 
-    Finite geometry integrates over the whole cylinder.  For the
-    infinite geometry the z-integrand carries a delta(k - k') factor
-    that quadrature cannot represent, so only equal-k mode pairs are
-    accepted and the phi-integrated norm density is returned (1 for a
-    normalized mode); a rule is refused there (ValueError), as no z
-    quadrature enters.
+    Finite geometry integrates over the whole cylinder on z_quadrature.
+    For the infinite geometry the z-integrand carries a delta(k - k')
+    factor that quadrature cannot represent, so only equal-k mode pairs
+    are accepted and the phi-integrated norm density is returned (1 for
+    a normalized mode).
     """
     if a.geometry != b.geometry:
         raise ValueError("inner_product needs modes of the same geometry")
     if a.geometry == "infinite":
-        if rule is not None:
-            raise ValueError("infinite-geometry inner product takes no rule")
         if a.k != b.k:
             raise ValueError("infinite-geometry inner product is defined "
                              "at equal k only (norm density check)")
         # the density at z = 0; 2 pi cancels the plane waves' 1/(2 pi)
         z, w = np.zeros(1), np.full(1, 2.0 * math.pi)
     else:
-        rule = rule or QuadratureRule.finite(d)
-        z, w = rule.z_nodes, rule.z_weights
+        z, w = z_quadrature(d)
     return complex(_closed_phi_products(
         [_z_profiles(a, d, z)], [_z_profiles(b, d, z)], w)[0, 0])
 
@@ -211,18 +193,17 @@ def _closed_phi_products(left, right, z_weights: np.ndarray) -> np.ndarray:
     return 2.0 * math.pi * np.where(same, S, 0.0).sum(axis=2)
 
 
-def gram_matrix(modes, d: DimensionlessParams,
-                rule: QuadratureRule | None = None) -> np.ndarray:
-    """M x M matrix G[i, j] = inner_product(modes[i], modes[j], d, rule).
+def gram_matrix(modes, d: DimensionlessParams) -> np.ndarray:
+    """M x M matrix G[i, j] = inner_product(modes[i], modes[j], d).
 
     Finite geometry only.  Each mode's z profiles are evaluated once, and
     one closed-phi reduction gives all entries, bitwise as inner_product.
     """
     if any(m.geometry != "finite" for m in modes):
         raise ValueError("gram_matrix needs finite-geometry modes")
-    rule = rule or QuadratureRule.finite(d)
-    grids = [_z_profiles(m, d, rule.z_nodes) for m in modes]
-    return _closed_phi_products(grids, grids, rule.z_weights)
+    z, w = z_quadrature(d)
+    grids = [_z_profiles(m, d, z) for m in modes]
+    return _closed_phi_products(grids, grids, w)
 
 
 def dirac_residual(mode: ModeSpec, d: DimensionlessParams, z_samples,
@@ -359,21 +340,21 @@ def apply_restricted_dirac(field: FourierSpinorField, d: DimensionlessParams
 
 
 def field_inner_product(a: FourierSpinorField, b: FourierSpinorField,
-                        d: DimensionlessParams, rule: QuadratureRule) -> complex:
+                        d: DimensionlessParams) -> complex:
     """Quadrature scalar product of two test fields, R = 1.
 
     The integrand is the Lorentz-invariant bilinear a-bar b = a^dag g0 b,
     the product under which the restricted Dirac operator is
     self-adjoint; mode norms use the plain a^dag b product instead.  The
     phi integral of a term pair is 2 pi at equal exponents p and 0
-    otherwise; the z integral is the quadrature.
+    otherwise; the z integral is z_quadrature.
     """
-    z, total = rule.z_nodes, 0j
+    (z, w), total = z_quadrature(d), 0j
     for g0, comp_a, comp_b in zip((1.0, 1.0, -1.0, -1.0), a.terms, b.terms):
         for amp_a, p_a, kind_a, m_a in comp_a:
             conj_h = np.conj(amp_a) * _term_profile(kind_a, m_a, d.nu, z)
             for amp_b, p_b, kind_b, m_b in comp_b:
                 if p_a == p_b:
                     h = amp_b * _term_profile(kind_b, m_b, d.nu, z)
-                    total += g0 * ((conj_h * h) @ rule.z_weights)
+                    total += g0 * ((conj_h * h) @ w)
     return complex(2.0 * math.pi * total)

@@ -24,7 +24,7 @@ import numpy as np
 from . import currents, fermi, spectrum, spinors
 from .params import DimensionlessParams
 from .spectrum import ModeSpec, energy_finite, enumerate_fermi_sea, mode_energy
-from .spinors import QuadratureRule, STANDARD_GAMMAS
+from .spinors import STANDARD_GAMMAS
 
 __all__ = ["SuiteResult", "run_suites"]
 
@@ -76,7 +76,7 @@ def suite_orthonormality() -> SuiteResult:
     worst = 0.0
     for beta in (0.0, 0.3):
         d = DimensionlessParams(mu=1.0, nu=1.0, beta=beta)
-        G = spinors.gram_matrix(modes, d, QuadratureRule.finite(d))
+        G = spinors.gram_matrix(modes, d)
         worst = max(worst, float(np.max(np.abs(G - np.eye(len(modes))))))
     return _result("orthonormality", 1e-10, worst)
 
@@ -127,7 +127,6 @@ def suite_k_operator() -> SuiteResult:
 
 def suite_circular_current() -> SuiteResult:
     d = DimensionlessParams(mu=1.0, nu=1.0, beta=0.4)
-    rule = QuadratureRule.finite(d)
     mixings = [(1.0, 0.0), (0.0, 1.0), (1 / math.sqrt(2), 1 / math.sqrt(2))]
     worst = 0.0
     for n in (1, 2, 3):
@@ -136,7 +135,7 @@ def suite_circular_current() -> SuiteResult:
             for cp, cm in mixings:
                 st = currents.MixedState(n=n, lam=lam, c_plus=cp, c_minus=cm)
                 closed = currents.circular_current_mode(st, d)
-                quad = currents.circular_current_mode_quadrature(st, d, rule)
+                quad = currents.circular_current_mode_quadrature(st, d)
                 worst = max(worst, abs(closed - quad))
                 vals.append(closed)
             if not (vals[0] == vals[1] == vals[2]):
@@ -245,7 +244,6 @@ def suite_boundary() -> SuiteResult:
 def suite_hermiticity(seed: int = 0) -> SuiteResult:
     rng = np.random.default_rng(seed + 7)
     d = DimensionlessParams(mu=1.0, nu=1.0, beta=0.25)
-    rule = QuadratureRule.finite(d, z_order=96)
 
     def random_field():
         comps = []
@@ -266,9 +264,9 @@ def suite_hermiticity(seed: int = 0) -> SuiteResult:
         a, b = random_field(), random_field()
         # self-adjointness holds in the invariant a-bar b product
         lhs = spinors.field_inner_product(
-            a, spinors.apply_restricted_dirac(b, d), d, rule)
+            a, spinors.apply_restricted_dirac(b, d), d)
         rhs = spinors.field_inner_product(
-            b, spinors.apply_restricted_dirac(a, d), d, rule)
+            b, spinors.apply_restricted_dirac(a, d), d)
         scale = max(1.0, abs(lhs))
         worst = max(worst, abs(lhs - rhs.conjugate()) / scale)
     return _result("hermiticity", 1e-8, worst)

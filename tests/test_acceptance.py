@@ -30,8 +30,8 @@ from abcyl.fermi import (j_coeff, persistent_compact, persistent_exact,
 from abcyl.params import DimensionlessParams
 from abcyl.spectrum import ModeSpec, chi, energy_finite, \
     enumerate_fermi_sea, largest_half_odd, mode_energy
-from abcyl.spinors import (QuadratureRule, dirac_residual, eval_mode,
-                           k_operator_apply)
+from abcyl.spinors import (dirac_residual, eval_mode, k_operator_apply,
+                           z_quadrature)
 
 
 def _report(num, name, worst, tol, passed=None):
@@ -58,12 +58,12 @@ def test_criterion_01_orthonormality():
     worst = 0.0
     for beta in (0.0, 0.3, 0.9):
         d = DimensionlessParams(mu=1.0, nu=1.0, beta=beta)
-        rule = QuadratureRule.finite(d, z_order=64)
+        z, w = z_quadrature(d)
         modes = _mode_set()
         A = np.stack([
-            eval_mode(m, d, 0.0, phi[:, None], rule.z_nodes[None, :])
+            eval_mode(m, d, 0.0, phi[:, None], z[None, :])
             for m in modes])
-        W = (A * rule.z_weights[None, None, None, :]
+        W = (A * w[None, None, None, :]
              * (2.0 * math.pi / _PHI_POINTS))
         G = np.einsum("acpz,bcpz->ab", W.conj(), A)
         worst = max(worst, float(np.max(np.abs(G - np.eye(len(modes))))))

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -304,6 +305,9 @@ def test_sea_over_the_column_cap_exits_3(argv):
       "3"), 2),
     (("packet", "--mu", "1", "--k0", "1", "--width", "1e-10", "--zsteps",
       "3"), 2),
+    # a z span or a phase reach that overflows
+    (("packet", "--mu", "1", "--zmin=-1e308", "--zmax=1e308"), 2),
+    (("packet", "--mu", "1", "--t", "1e308", "--zmax", "1e308"), 2),
 ])
 def test_bad_input_is_refused_with_one_error_line(argv, code):
     proc = _cli_subprocess(*argv, timeout=20)
@@ -397,6 +401,23 @@ def test_readme_command_line_flags_match_parser():
     defined = top.union(*map(_option_strings, sub.choices.values()))
     assert documented <= defined, sorted(documented - defined)
     assert top <= documented, sorted(top - documented)
+
+
+def _readme_commands():
+    """The commands of the sh block under README's "Command line", with
+    backslash continuations joined and the program name dropped."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.strip()]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(),
+                         ids=lambda argv: argv[0])
+def test_readme_command_line_examples_run(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.strip()
 
 
 def test_sweep_lambda_saturation(capsys):
@@ -569,6 +590,14 @@ def test_global_flag_accepted_in_either_position(capsys, flag):
 def test_verify_seed_before_subcommand(capsys):
     code, out, _ = run(capsys, "--seed", "2", "verify")
     assert code == 0 and out.startswith("suite,tolerance,worst,passed")
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_verify_refuses_a_negative_seed_by_name(capsys, before):
+    argv = ["--seed", "-1", "verify"] if before else ["verify", "--seed", "-1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: --seed must be >= 0, got -1\n"
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -17,7 +17,7 @@ from abcyl.currents import (MAX_MOMENTUM_ORDER, GaussianPacket, MixedState,
                             packet_velocity_expectation, packet_zprofile)
 from abcyl.params import DimensionlessParams, ResolutionError
 from abcyl.spectrum import chi
-from abcyl.spinors import QuadratureRule, leggauss
+from abcyl.spinors import leggauss
 
 D = DimensionlessParams(mu=1.0, nu=1.0, beta=0.3)
 
@@ -161,10 +161,11 @@ def _grid_direct(p, d, t, z):
 def _grid_norm_and_flux(p, d, t, z_window):
     """Norm and z-integrated flux on an order-1200 Gauss-Legendre z rule:
     the reference for the closed-form z integrals."""
-    zr = QuadratureRule.window(-z_window, z_window, 1200)
-    h = packet_zprofile(p, d, t, zr.z_nodes)
-    norm = 2.0 * math.pi * (np.sum(np.abs(h) ** 2, axis=0) @ zr.z_weights)
-    return norm, _grid_direct(p, d, t, zr.z_nodes) @ zr.z_weights
+    x, w = leggauss(1200)
+    z, wz = z_window * x, z_window * w
+    h = packet_zprofile(p, d, t, z)
+    norm = 2.0 * math.pi * (np.sum(np.abs(h) ** 2, axis=0) @ wz)
+    return norm, _grid_direct(p, d, t, z) @ wz
 
 
 # (packet, beta, t, z window); the last packet has left the window in part
@@ -297,11 +298,14 @@ def test_packet_current_bounded_by_saturation(lam, k0, width, mu, beta):
     ({"weight_plus": 1e150, "width": 1e10}, "packet norm"),
     ({"weight_plus": 1e-200}, "packet norm"),
     ({"order": 1}, "order >= 2"),
-    ({"order": MAX_MOMENTUM_ORDER + 1}, "above the cap")])
+    ({"order": MAX_MOMENTUM_ORDER + 1}, "above the cap"),
+    ({"order": 400.5}, "must be an integer"),
+    ({"order": "400"}, "must be an integer")])
 def test_packet_refuses_what_it_cannot_integrate(change, message):
     # each gave NaN rows, all-zero rows, a polarization of 1 for
     # lambda = 1, or an OverflowError or ZeroDivisionError while the
-    # amplitudes or their norm were built; an order above the cap grew
+    # amplitudes or their norm were built, or a TypeError from leggauss
+    # on a non-integer order; an order above the cap grew
     # time and memory as order^2.  Only the constructor runs here, so no
     # grid of the refused order is built.
     with pytest.raises(ValueError, match=message):

@@ -37,6 +37,7 @@ def test_script_writes_csv(script, argv):
 @pytest.mark.parametrize("script,argv,code", [
     ("packet_propagation.py", ("--korder", "200", "--times", "0"), 4),
     ("saturation_scan.py", ("--mu", "-1"), 2),
+    ("packet_propagation.py", ("--times", "1e308"), 2),
 ])
 def test_script_refusal_exits_like_the_cli(script, argv, code):
     # a refusal ended in a traceback with exit 1

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from abcyl import spinors, verify
 from abcyl.params import DimensionlessParams
 from abcyl.spectrum import ModeSpec, mode_energy
-from abcyl.spinors import (STANDARD_GAMMAS, FourierSpinorField, QuadratureRule,
+from abcyl.spinors import (STANDARD_GAMMAS, FourierSpinorField,
                            apply_restricted_dirac, current_density, dirac_residual, eval_mode,
                            field_inner_product, gram_matrix,
-                           inner_product, k_operator_apply)
+                           inner_product, k_operator_apply, z_quadrature)
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -53,14 +53,13 @@ def test_cross_mode_orthogonality():
 
 def test_gram_matrix_equals_inner_product_bitwise():
     d = DimensionlessParams(mu=1.0, nu=1.0, beta=0.3)
-    rule = QuadratureRule.finite(d)
     modes = [_finite(n, s * lam, sigma) for n in (1, 2, 3)
              for lam in (0.5, 1.5) for s in (1, -1) for sigma in (0.5, -0.5)]
-    G = gram_matrix(modes, d, rule)
+    G = gram_matrix(modes, d)
     assert G.shape == (24, 24)
     for i, a in enumerate(modes):
         for j, b in enumerate(modes):
-            assert G[i, j] == inner_product(a, b, d, rule)
+            assert G[i, j] == inner_product(a, b, d)
     infinite = ModeSpec(geometry="infinite", lam=0.5, sigma=0.5, k=1.3)
     with pytest.raises(ValueError):
         gram_matrix([modes[0], infinite], d)
@@ -76,31 +75,31 @@ def test_gram_matrix_matches_phi_grid_quadrature(beta):
     # over the same z rule must give the same matrix.  The grid sums z
     # before phi: one flat sum over (c, phi, z) rounds to above 1e-14.
     d = DimensionlessParams(mu=1.0, nu=1.0, beta=beta)
-    rule = QuadratureRule.finite(d)
+    z, w = z_quadrature(d)
     modes = [_finite(n, s * lam, sigma) for n in (1, 2, 3)
              for lam in (0.5, 1.5) for s in (1, -1) for sigma in (0.5, -0.5)]
-    A = np.stack([eval_mode(m, d, 0.0, _PHI[:, None], rule.z_nodes[None, :])
+    A = np.stack([eval_mode(m, d, 0.0, _PHI[:, None], z[None, :])
                   for m in modes])
     G = (2.0 * math.pi / _PHI_POINTS) * np.stack([
-        np.sum(np.einsum("cpz,bcpz->bpz", a.conj(), A) @ rule.z_weights,
-               axis=1) for a in A])
-    assert np.max(np.abs(gram_matrix(modes, d, rule) - G)) < 1e-14
+        np.sum(np.einsum("cpz,bcpz->bpz", a.conj(), A) @ w, axis=1)
+        for a in A])
+    assert np.max(np.abs(gram_matrix(modes, d) - G)) < 1e-14
 
 
 def test_field_inner_product_matches_phi_grid_quadrature():
     d = DimensionlessParams(mu=1.0, nu=1.0, beta=0.25)
-    rule = QuadratureRule.finite(d, z_order=64)
+    z, w = z_quadrature(d)
     a = FourierSpinorField(terms=(
         ((1.0, 0.5, "sin", 1), (0.4j, -1.5, "sin", 2)),
         ((2.0j, 1.5, "sin", 2),), ((0.7, -0.5, "cos", 1),),
         ((1.1, 0.5, "sin", 1), (0.3, 0.5, "one", 0))))
     b = apply_restricted_dirac(a, d)
-    pa = a.evaluate(_PHI[:, None], rule.z_nodes[None, :], d.nu)
-    pb = b.evaluate(_PHI[:, None], rule.z_nodes[None, :], d.nu)
+    pa = a.evaluate(_PHI[:, None], z[None, :], d.nu)
+    pb = b.evaluate(_PHI[:, None], z[None, :], d.nu)
     pb[2:] *= -1.0  # gamma^0
     grid = (2.0 * math.pi / _PHI_POINTS) * np.sum(
-        np.einsum("cpz,cpz->pz", pa.conj(), pb) @ rule.z_weights)
-    assert abs(field_inner_product(a, b, d, rule) - grid) < 1e-13
+        np.einsum("cpz,cpz->pz", pa.conj(), pb) @ w)
+    assert abs(field_inner_product(a, b, d) - grid) < 1e-13
 
 
 @pytest.mark.parametrize("sigma, component", [(0.5, 3), (-0.5, 2)])
@@ -148,9 +147,6 @@ def test_infinite_norm_density():
     other = ModeSpec(geometry="infinite", lam=0.5, sigma=0.5, k=0.9)
     with pytest.raises(ValueError):
         inner_product(mode, other, d)
-    # no z quadrature enters the norm density, so a rule is refused
-    with pytest.raises(ValueError):
-        inner_product(mode, mode, d, QuadratureRule.window(-50.0, 3.0, 2))
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.3])
@@ -305,16 +301,22 @@ def test_restricted_dirac_action_on_fields():
 
 def test_restricted_dirac_self_adjoint_in_dirac_product():
     d = DimensionlessParams(mu=1.0, nu=1.0, beta=0.25)
-    rule = QuadratureRule.finite(d, z_order=64)
     a = FourierSpinorField(terms=(
         ((1.0, 0.5, "sin", 1),), ((2.0j, 1.5, "sin", 2),),
         ((0.7, -0.5, "cos", 1),), ((1.1, 0.5, "sin", 1),)))
     b = FourierSpinorField(terms=(
         ((0.3, -1.5, "sin", 2),), ((1.0, 0.5, "sin", 1),),
         ((2.0, 1.5, "sin", 3),), ((0.5j, -0.5, "cos", 2),)))
-    lhs = field_inner_product(a, apply_restricted_dirac(b, d), d, rule)
-    rhs = field_inner_product(b, apply_restricted_dirac(a, d), d, rule)
+    lhs = field_inner_product(a, apply_restricted_dirac(b, d), d)
+    rhs = field_inner_product(b, apply_restricted_dirac(a, d), d)
     assert lhs == pytest.approx(rhs.conjugate(), abs=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hermiticity_suite_is_at_roundoff_on_the_fixed_z_rule(seed):
+    # the suite's fields are sin/cos of m nu z with m < 4, which the 64
+    # nodes integrate to roundoff: far inside the suite's 1e-8 tolerance
+    assert verify.suite_hermiticity(seed).worst <= 1e-13
 
 
 @given(n=st.integers(1, 4), lam2=st.integers(-7, 6),
