@@ -11,6 +11,7 @@ Usage: python3 scripts/packet_propagation.py [--mu 1] [--k0 1]
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
@@ -35,13 +36,18 @@ def main() -> int:
     d = DimensionlessParams(mu=args.mu)
     p = GaussianPacket(lam=args.lam, k0=args.k0, width=args.width,
                        order=args.korder)
+    windows = [abs(t) + 8.0 / args.width for t in args.times]
+    for t, window in zip(args.times, windows):
+        # the profile spans 2 window, the norm's z range window + 10
+        if not math.isfinite(2.0 * (window + 10.0)):
+            raise ValueError(f"--times {t:g}: the z window |t| + 8/width = "
+                             f"{window:.3g} is too wide to sample")
     v = packet_velocity_expectation(p, d)
     print(f"# velocity expectation = {v:.12g}", file=sys.stderr)
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["t", "z", "I3"])
-    for t in args.times:
-        window = abs(t) + 8.0 / args.width
+    for t, window in zip(args.times, windows):
         zs = np.linspace(-window, window, 41)
         i3 = longitudinal_current_packet_direct(p, d, t, zs)
         for z, val in zip(zs, i3):

@@ -46,11 +46,12 @@ __all__ = [
 
 _NORM_TOL = 1e-10
 _WINDOW_SIGMAS = 8.0  # half-width of a Gaussian packet's k window, in widths
+_GRAM_ROWS = 64  # rows of the norm's sinc kernel formed at once
 
-# Largest momentum quadrature a packet takes.  The norm's Nk x Nk sinc
-# kernel and leggauss's eigenproblem grow as Nk^2: a default `packet`
-# request at korder 2000 takes 0.75-0.93 s and 156 MB peak RSS (3200:
-# 2.4 s and 346 MB) on a 2-core x86-64 host.
+# Largest momentum quadrature a packet takes.  The norm's sinc kernel is
+# Nk^2 work, formed _GRAM_ROWS rows at a time: a default `packet` request
+# at korder 2000 takes 0.34 s (0.58 CPU-s) and 34 MB peak RSS on a 2-core
+# x86-64 host.
 MAX_MOMENTUM_ORDER = 2000
 
 
@@ -229,7 +230,8 @@ def check_resolution(p: GaussianPacket, d, t, z) -> None:
     required = math.pi / (4.0 * reach)
     if spacing > required:
         min_points = math.ceil(len(k) * spacing / required)
-        raise ResolutionError(spacing, required, min_points)
+        raise ResolutionError(spacing, required, min_points,
+                              MAX_MOMENTUM_ORDER)
 
 
 def _zprofile_coefficients(p: GaussianPacket, d: DimensionlessParams):
@@ -321,11 +323,25 @@ def longitudinal_current_packet_formula(p: GaussianPacket,
 def _zprofile_gram(p: GaussianPacket, d: DimensionlessParams, t: float,
                    z_window: float) -> np.ndarray:
     """P[i, j] = int_{-W}^{W} conj(h_i) h_j dz in closed form: b^H K b with
-    b = c e^{-iEt} and K(k, k') = 2W sinc((k'-k) W / pi), shape (4, 4)."""
+    b = c e^{-iEt} and K(k, k') = 2 sin((k'-k) W) / (k'-k), shape (4, 4).
+
+    K b is built _GRAM_ROWS rows of K at a time against the 8 real
+    columns [Re b; Im b], so no Nk x Nk array is ever formed.
+    """
     k, E, c = _zprofile_coefficients(p, d)
     b = c * np.exp(-1j * t * E)
-    kernel = np.sinc(np.subtract.outer(k, k) * (z_window / math.pi))
-    return 2.0 * z_window * (np.conj(b) @ kernel @ b.T)
+    cols = np.hstack([b.real.T, b.imag.T])  # (Nk, 8)
+    Kb = np.empty_like(cols)
+    for start in range(0, len(k), _GRAM_ROWS):
+        rows = slice(start, start + _GRAM_ROWS)
+        arg = np.subtract.outer(k[rows], k)
+        arg *= z_window
+        # the diagonal's sin(0)/0 is 1, and so is sin(1e-20)/1e-20
+        arg[arg == 0.0] = 1e-20
+        kernel = np.sin(arg)
+        kernel /= arg
+        np.matmul(kernel, cols, out=Kb[rows])
+    return 2.0 * z_window * (np.conj(b) @ (Kb[:, :4] + 1j * Kb[:, 4:]))
 
 
 def packet_norm(p: GaussianPacket, d: DimensionlessParams, t: float,

@@ -165,13 +165,21 @@ class RegimeError(ValueError):
 class ResolutionError(ValueError):
     """Momentum grid too coarse to resolve a packet's phase at (t, z)."""
 
-    def __init__(self, spacing: float, required: float, min_points: int):
+    def __init__(self, spacing: float, required: float, min_points: int,
+                 max_points: int):
         self.spacing = spacing
         self.required = required
         self.min_points = min_points
+        # above the cap no grid is accepted, and the count is the ceiling
+        # of a float: %g keeps it exact below 10**6 and short above
+        if min_points <= max_points:
+            advice = f"use at least {min_points} points"
+        else:
+            advice = (f"no order up to the cap {max_points} resolves the "
+                      f"reach, which needs {min_points:g} points")
         super().__init__(
             f"momentum grid spacing {spacing:.3e} exceeds the resolution "
-            f"bound {required:.3e}; use at least {min_points} points")
+            f"bound {required:.3e}; {advice}")
 
 
 def parse_config_text(text: str) -> dict[str, float]:

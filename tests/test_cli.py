@@ -13,6 +13,7 @@ import pytest
 
 from abcyl import spinors
 from abcyl.cli import build_parser, main
+from abcyl.currents import MAX_MOMENTUM_ORDER
 from abcyl.spectrum import MAX_SEA_COLUMNS, half_odd_run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -162,6 +163,17 @@ def test_packet_resolution_exit_4(capsys):
                        "--zmax", "100", "--zsteps", "3", "--korder", "20")
     assert code == 4
     assert "points" in err
+
+
+@pytest.mark.parametrize("t, count", [("1e3", "31813"),
+                                      ("1e300", "3.16523e+301")])
+def test_reach_beyond_every_order_is_refused_in_one_short_line(t, count):
+    # a far but finite reach printed its point count as a 300-digit integer
+    proc = _cli_subprocess("packet", "--mu", "1", "--t", t, timeout=20)
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and len(proc.stderr) < 200
+    assert (f"no order up to the cap {MAX_MOMENTUM_ORDER} resolves the "
+            f"reach, which needs {count} points") in proc.stderr
 
 
 @pytest.mark.parametrize("flag, message", [

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,7 +70,7 @@ def test_packet_grid_normalizes():
 
 
 def test_packet_grid_solves_each_order_once():
-    # leggauss(order) is an order x order eigenproblem.  The packet
+    # leggauss(order) is a Newton solve over order/2 nodes.  The packet
     # carries its momentum rule, so every observable of every packet of
     # one order shares a single solve, on p.order nodes
     order = 137
@@ -89,9 +90,85 @@ def test_packet_grid_solves_each_order_once():
     packet_norm(p2, d, 1.0, 5.0)
     packet_total_flux(p2, d, 1.0, 5.0)
     assert leggauss.cache_info().misses == before + 1
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = leggauss(order)
     assert np.array_equal(k1, 1.0 + 8.0 * 0.5 * x)
     assert np.array_equal(wk2, 8.0 * 0.7 * w)
+
+
+_RULE_ORDERS = [*range(2, 301), *range(301, MAX_MOMENTUM_ORDER, 433),
+                MAX_MOMENTUM_ORDER]
+
+
+def test_leggauss_nodes_match_numpy():
+    # numpy's rule is the eigenvalues of the order x order Jacobi matrix
+    for order in _RULE_ORDERS:
+        x, _ = leggauss(order)
+        ref, _ = np.polynomial.legendre.leggauss(order)
+        assert np.max(np.abs(x - ref)) <= 4.5e-16, order
+
+
+def _mp_gauss_weight(mpmath, order, x0):
+    """Gauss weight 2 (1-x^2) / (n P_{n-1}(x))^2 at the root of P_n next
+    to x0, with the root refined by Newton at the working precision."""
+    x = mpmath.mpf(x0)
+    for _ in range(3):
+        pn, pm = mpmath.legendre(order, x), mpmath.legendre(order - 1, x)
+        x -= pn * (1 - x * x) / (order * (pm - x * pn))
+    return 2 * (1 - x * x) / (order * mpmath.legendre(order - 1, x)) ** 2
+
+
+@pytest.mark.parametrize("order", [2, 3, 64, 400, 800, MAX_MOMENTUM_ORDER])
+def test_leggauss_weights_match_a_40_digit_reference(order):
+    # numpy's weights are off by up to 1.3e-8 relative at order 2000; the
+    # first and last three nodes are where a rule loses accuracy first
+    mpmath = pytest.importorskip("mpmath")
+    x, w = leggauss(order)
+    picks = {0, 1, 2, order // 2, order - 3, order - 2, order - 1,
+             *range(order // 2, order, max(1, order // 12))}
+    with mpmath.workdps(40):
+        for i in sorted(i for i in picks if 0 <= i < order):
+            ref = _mp_gauss_weight(mpmath, order, x[i])
+            assert abs(float(w[i] / ref - 1)) <= 1e-10, (order, i)
+
+
+def test_leggauss_is_mirror_symmetric_and_sums_to_two():
+    for order in _RULE_ORDERS:
+        x, w = leggauss(order)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0)
+        if order % 2:
+            assert x[order // 2] == 0.0 and not np.signbit(x[order // 2])
+        assert abs(math.fsum(w) - 2.0) <= 1e-14, order
+
+
+def test_leggauss_cached_arrays_are_read_only():
+    x, w = leggauss(64)
+    for a in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    assert leggauss(64)[0] is x
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_packet_quadrature_forms_no_order_squared_array():
+    # an order x order array at MAX_MOMENTUM_ORDER is 32 MB of float64:
+    # the eigenproblem of numpy's rule and the norm's sinc kernel
+    order = MAX_MOMENTUM_ORDER
+    assert _traced_peak(leggauss.__wrapped__, order) < 1e6
+    d = DimensionlessParams(mu=1.0, beta=0.2)
+    p = GaussianPacket(lam=0.5, k0=1.0, width=0.5, weight_minus=0.3 + 0.2j,
+                       order=order)
+    packet_grid(p)  # the rule is solved outside the traced calls
+    assert _traced_peak(packet_norm, p, d, 2.0, 15.0) < 8e6
+    assert _traced_peak(packet_total_flux, p, d, 2.0, 15.0) < 8e6
 
 
 def test_packet_validation():

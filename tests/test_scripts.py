@@ -45,3 +45,12 @@ def test_script_refusal_exits_like_the_cli(script, argv, code):
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("error: ")
+
+
+def test_overflowing_time_window_is_refused_before_any_output():
+    # the CSV header and two numpy RuntimeWarnings from the overflowing
+    # +/-(|t| + 8/width) window came out before the error line
+    proc = _run_script("packet_propagation.py", "--times", "0", "1e308")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: --times 1e+308")
+    assert proc.stderr.count("\n") == 1
