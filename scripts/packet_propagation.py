@@ -17,9 +17,9 @@ import sys
 import numpy as np
 
 from abcyl.cli import run_command
-from abcyl.currents import (GaussianPacket, longitudinal_current_packet_direct,
-                            packet_norm, packet_total_flux,
-                            packet_velocity_expectation)
+from abcyl.currents import (GaussianPacket, check_resolution,
+                            longitudinal_current_packet_direct, packet_norm,
+                            packet_total_flux, packet_velocity_expectation)
 from abcyl.params import DimensionlessParams
 
 
@@ -42,13 +42,18 @@ def main() -> int:
         if not math.isfinite(2.0 * (window + 10.0)):
             raise ValueError(f"--times {t:g}: the z window |t| + 8/width = "
                              f"{window:.3g} is too wide to sample")
+    profiles = [np.linspace(-window, window, 41) for window in windows]
+    # refuse a grid that cannot resolve the profile or the flux's wider
+    # window before any output, as abcyl packet does
+    for t, window, zs in zip(args.times, windows, profiles):
+        check_resolution(p, d, t, zs)
+        check_resolution(p, d, t, [-window - 10.0, window + 10.0])
     v = packet_velocity_expectation(p, d)
     print(f"# velocity expectation = {v:.12g}", file=sys.stderr)
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["t", "z", "I3"])
-    for t, window in zip(args.times, windows):
-        zs = np.linspace(-window, window, 41)
+    for t, window, zs in zip(args.times, windows, profiles):
         i3 = longitudinal_current_packet_direct(p, d, t, zs)
         for z, val in zip(zs, i3):
             writer.writerow([t, format(z, ".6g"), format(val, ".17g")])

@@ -15,21 +15,28 @@ import csv
 import dataclasses
 import importlib.util
 import io
-import json
 import math
+import os
 import sys
 
-from . import fermi
 from .params import (E_TIMES_C, HBARC_EV_NM, PARAM_KEYS, ConfigError,
                      DimensionlessParams, RegimeError, ResolutionError,
                      parse_config_text, resolve_params, validate_regime)
 from .spectrum import (check_sea_columns, chi, energy_finite, energy_infinite,
                        half_odd_count, half_odd_run)
 
+# numpy's bundled OpenBLAS reads this once, when a numpy layer first
+# loads.  Its largest call here is a (64 x Nk) by (Nk x 8) product with
+# Nk <= 2000, which a second thread does not speed up, while the idle
+# helper thread burns CPU in every packet and verify process.  A value
+# the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 
 def _lazy(name: str):
-    """abcyl.<name>, in sys.modules from now on but executed (and numpy
-    imported) only when one of its attributes is first read."""
+    """abcyl.<name>, in sys.modules from now on but executed (and, for a
+    numpy layer, numpy imported) only when one of its attributes is first
+    read."""
     fullname = f"{__package__}.{name}"
     if fullname in sys.modules:
         return sys.modules[fullname]
@@ -42,11 +49,12 @@ def _lazy(name: str):
     return module
 
 
-# the numpy layers: only packet and verify read from them.  spinors is
-# registered too, so every layer is in sys.modules once cli is imported
-# (perfbench's tracer looks the layers up there)
-currents, spinors, verify = (_lazy(m) for m in ("currents", "spinors",
-                                                "verify"))
+# fermi is read by persistent and the persistent sweeps only; the numpy
+# layers currents, spinors and verify by packet and verify only.  spinors
+# is registered too, so every layer is in sys.modules once cli is
+# imported (perfbench's tracer looks the layers up there)
+fermi, currents, spinors, verify = (_lazy(m) for m in (
+    "fermi", "currents", "spinors", "verify"))
 
 SCHEMA_VERSION = 1
 
@@ -61,10 +69,10 @@ EXIT_RESOLUTION = 4
 MAX_ROWS = 1_000_000
 
 # Largest (z, k) phase matrix a packet request builds.  At the cap, on a
-# 2-core x86-64 host: korder 400 with 2500 z points takes 0.26 s and 67 MB
-# peak RSS, korder 2000 with 500 takes 0.95 s and 157 MB, and korder 2
-# with 500 000 (all at z = 0, so no phase to resolve) takes 3.8 s and
-# 233 MB, mostly in its CSV rows.
+# 2-core x86-64 host with one BLAS thread: korder 400 with 2500 z points
+# takes 0.34 s and 61 MB peak RSS, korder 2000 with 500 takes 0.35 s and
+# 61 MB, and korder 2 with 500 000 (all at z = 0, so no phase to
+# resolve) takes 3.2 s and 231 MB, mostly in its CSV rows.
 MAX_PHASE_ELEMENTS = 1_000_000
 
 
@@ -113,6 +121,7 @@ def _emit(args, header: list[str], rows: list[list], json_payload=None) -> None:
         for row in rows:
             writer.writerow([_fmt(x) for x in row])
     else:
+        import json
         payload = json_payload
         if payload is None:
             payload = {"schema_version": SCHEMA_VERSION,
@@ -153,6 +162,8 @@ def cmd_spectrum(args) -> int:
         if args.k is not None or args.lam is not None:
             raise ConfigError("--k and --lambda apply to --geometry "
                               "infinite only")
+        if args.nmax < 1:
+            raise ConfigError(f"spectrum needs nmax >= 1, got {args.nmax}")
         if d.nu <= 0.0:
             raise RegimeError("finite spectrum needs nu > 0 (or length_nm)")
     elif d.nu != 0.0:
@@ -168,8 +179,10 @@ def cmd_spectrum(args) -> int:
         energy_scale = HBARC_EV_NM / values["radius_nm"]        # -> eV
         current_scale = E_TIMES_C / (values["radius_nm"] * 1e-9)  # -> A
     lo, hi = -args.lmax - 1e-12, args.lmax + 1e-12
+    if args.lam is None and half_odd_count(lo, hi) == 0:
+        raise ConfigError(f"spectrum needs lmax >= 0.5, got {args.lmax:g}")
     if args.geometry == "finite":
-        _check_rows(max(args.nmax, 0) * half_odd_count(lo, hi))
+        _check_rows(args.nmax * half_odd_count(lo, hi))
         for lam in half_odd_run(lo, hi):
             for n in range(1, args.nmax + 1):
                 re_ = energy_finite(n, lam, d)

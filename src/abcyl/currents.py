@@ -50,8 +50,8 @@ _GRAM_ROWS = 64  # rows of the norm's sinc kernel formed at once
 
 # Largest momentum quadrature a packet takes.  The norm's sinc kernel is
 # Nk^2 work, formed _GRAM_ROWS rows at a time: a default `packet` request
-# at korder 2000 takes 0.34 s (0.58 CPU-s) and 34 MB peak RSS on a 2-core
-# x86-64 host.
+# at korder 2000 takes 0.26 s (0.26 CPU-s) and 34 MB peak RSS on a 2-core
+# x86-64 host with one BLAS thread.
 MAX_MOMENTUM_ORDER = 2000
 
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import functools
 import json
 import math
@@ -821,3 +822,83 @@ def test_only_packet_and_verify_import_numpy(requests, loads_numpy):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
         "codes": [code for _, code in requests], "numpy": loads_numpy}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--nmax", "0"), "spectrum needs nmax >= 1, got 0"),
+    (("--nmax", "-2"), "spectrum needs nmax >= 1, got -2"),
+    (("--lmax", "0.2"), "spectrum needs lmax >= 0.5, got 0.2"),
+    (("--lmax", "-3"), "spectrum needs lmax >= 0.5, got -3"),
+    (("--geometry", "infinite", "--nu", "0", "--k", "1", "--lmax", "0"),
+     "spectrum needs lmax >= 0.5, got 0"),
+])
+def test_spectrum_refuses_an_empty_table(capsys, argv, message):
+    # these printed the header alone and exited 0
+    code, out, err = run(capsys, "spectrum", *_FINITE, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+# json is not imported here, so that the probe can tell whether a request
+# imported it; each request is one space-separated argument
+_MODULE_PROBE = """
+import contextlib, io, os, sys
+from abcyl.cli import main
+codes = []
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        codes.append(main(argv.split()))
+print(repr({"codes": codes, "numpy": "numpy" in sys.modules,
+            "json": "json" in sys.modules,
+            "fermi_executed": type(sys.modules["abcyl.fermi"]) is type(sys),
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}))
+"""
+
+
+def _probe_modules(requests, **env_overrides):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    for key, value in env_overrides.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE,
+         *(" ".join(argv) for argv, _ in requests)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = ast.literal_eval(proc.stdout)
+    assert report.pop("codes") == [code for _, code in requests]
+    return report
+
+
+def test_csv_requests_that_skip_numpy_import_neither_numpy_nor_json():
+    report = _probe_modules(_MATH_ONLY)
+    assert not report["numpy"] and not report["json"]
+
+
+@pytest.mark.parametrize("requests", [
+    [(("packet", "--mu", "1", "--zsteps", "3"), 0)],
+    [(("spectrum", *_FINITE), 0),
+     (("spectrum", "--geometry", "infinite", "--mu", "1", "--k", "1"), 0)],
+], ids=["packet", "spectrum"])
+def test_packet_and_spectrum_leave_fermi_unexecuted(requests):
+    # type(), unlike any attribute read, does not load a lazy module
+    assert not _probe_modules(requests)["fermi_executed"]
+
+
+_PACKET_REQUEST = [(("packet", "--mu", "1", "--zsteps", "3"), 0)]
+
+
+def test_cli_runs_blas_on_one_thread_by_default():
+    # removed explicitly: importing abcyl.cli has already set it here
+    report = _probe_modules(_PACKET_REQUEST, OPENBLAS_NUM_THREADS=None)
+    assert report["numpy"] and report["blas_threads"] == "1"
+
+
+def test_cli_keeps_a_blas_thread_count_the_user_set():
+    report = _probe_modules(_PACKET_REQUEST, OPENBLAS_NUM_THREADS="2")
+    assert report["numpy"] and report["blas_threads"] == "2"

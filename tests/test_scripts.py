@@ -54,3 +54,12 @@ def test_overflowing_time_window_is_refused_before_any_output():
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: --times 1e+308")
     assert proc.stderr.count("\n") == 1
+
+
+def test_unresolved_grid_is_refused_before_any_output():
+    # the CSV header came out before the resolution error
+    proc = _run_script("packet_propagation.py", "--korder", "200",
+                       "--times", "0")
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr.startswith("error: momentum grid spacing")
+    assert proc.stderr.count("\n") == 1
