@@ -158,14 +158,21 @@ def cmd_spectrum(args) -> int:
     energy_scale = 1.0
     current_scale = 1.0
     rows = []
+    nmax = 3 if args.nmax is None else args.nmax
+    lmax = 2.5 if args.lmax is None else args.lmax
     if args.geometry == "finite":
         if args.k is not None or args.lam is not None:
             raise ConfigError("--k and --lambda apply to --geometry "
                               "infinite only")
-        if args.nmax < 1:
-            raise ConfigError(f"spectrum needs nmax >= 1, got {args.nmax}")
+        if nmax < 1:
+            raise ConfigError(f"spectrum needs nmax >= 1, got {nmax}")
         if d.nu <= 0.0:
             raise RegimeError("finite spectrum needs nu > 0 (or length_nm)")
+    elif args.nmax is not None:
+        raise ConfigError("--nmax applies to --geometry finite only")
+    elif args.lam is not None and args.lmax is not None:
+        raise ConfigError("--lmax does not apply with --lambda, which picks "
+                          "the one lambda printed")
     elif d.nu != 0.0:
         raise RegimeError("infinite spectrum modes live on the infinite "
                           "cylinder (nu must be 0)")
@@ -178,13 +185,13 @@ def cmd_spectrum(args) -> int:
                               "that sets the units hbar c/R and e c/R")
         energy_scale = HBARC_EV_NM / values["radius_nm"]        # -> eV
         current_scale = E_TIMES_C / (values["radius_nm"] * 1e-9)  # -> A
-    lo, hi = -args.lmax - 1e-12, args.lmax + 1e-12
+    lo, hi = -lmax - 1e-12, lmax + 1e-12
     if args.lam is None and half_odd_count(lo, hi) == 0:
-        raise ConfigError(f"spectrum needs lmax >= 0.5, got {args.lmax:g}")
+        raise ConfigError(f"spectrum needs lmax >= 0.5, got {lmax:g}")
     if args.geometry == "finite":
-        _check_rows(args.nmax * half_odd_count(lo, hi))
+        _check_rows(nmax * half_odd_count(lo, hi))
         for lam in half_odd_run(lo, hi):
-            for n in range(1, args.nmax + 1):
+            for n in range(1, nmax + 1):
                 re_ = energy_finite(n, lam, d)
                 ch = chi(n, lam, d)
                 rows.append([n, lam, re_ * energy_scale,
@@ -287,14 +294,20 @@ def cmd_packet(args) -> int:
 
 _SWEEP_PARAMS = ("beta", "mu", "nu", "alpha", "lambda", "n")
 
-# observable -> value at (n, lambda, d); all live on the finite cylinder
-_SWEEP_OBSERVABLES = {
-    "chi": chi,
-    "energy": energy_finite,
-    "persistent_exact": lambda n, lam, d: fermi.persistent_exact(d).value,
-    "persistent_linearized":
-        lambda n, lam, d: fermi.persistent_linearized(d).value,
-}
+# the single-mode sweep observables, value at (n, lambda, d)
+_MODE_OBSERVABLES = {"chi": chi, "energy": energy_finite}
+
+
+def _observable(name: str):
+    """The sweep observable name, a function of (n, lambda, d) on the finite
+    cylinder.  persistent_<tag> reads fermi.persistent_<tag> at each call,
+    so that only its sweep runs fermi and each point calls that method."""
+    if name in _MODE_OBSERVABLES:
+        return _MODE_OBSERVABLES[name]
+    tag = name.removeprefix("persistent_")
+    if tag != name and tag in fermi.METHODS:
+        return lambda n, lam, d: getattr(fermi, name)(d).value
+    raise ConfigError(f"unknown observable {name!r}")
 
 
 def cmd_sweep(args) -> int:
@@ -302,15 +315,27 @@ def cmd_sweep(args) -> int:
     base = resolve_params(values)
     if args.param not in _SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep parameter {args.param!r}")
-    if args.observable not in _SWEEP_OBSERVABLES:
-        raise ConfigError(f"unknown observable {args.observable!r}")
-    if not args.observable.startswith("persistent_"):
+    observable = _observable(args.observable)
+    persistent = args.observable.startswith("persistent_")
+    if not persistent:
         _refuse_fermi_level({*values, args.param},
                             f"the {args.observable} sweep")
     mode_param = args.param in ("lambda", "n")
-    if mode_param and args.observable.startswith("persistent_"):
+    if mode_param and persistent:
         raise ConfigError(f"{args.observable} sums the whole Fermi sea and "
                           f"does not depend on {args.param}")
+    # a flag that this sweep does not read is refused, not ignored
+    for flag, value, read in (
+            ("steps", args.steps, not mode_param),
+            ("scale", args.scale, not mode_param),
+            ("n", args.n, not persistent and args.param != "n"),
+            ("lambda", args.lam, not persistent and args.param != "lambda")):
+        if value is not None and not read:
+            raise ConfigError(f"the {args.observable} sweep over {args.param} "
+                              f"does not read --{flag}")
+    steps = 11 if args.steps is None else args.steps
+    n = 1 if args.n is None else args.n
+    lam = 0.5 if args.lam is None else args.lam
     if args.param == "lambda":
         _check_rows(half_odd_count(args.start, args.stop + 1e-12))
         points = half_odd_run(args.start, args.stop + 1e-12)
@@ -319,32 +344,31 @@ def cmd_sweep(args) -> int:
         _check_rows(last - first + 1)
         points = range(first, last + 1)
     else:
-        if args.steps < 2:
+        if steps < 2:
             raise ConfigError("sweep needs steps >= 2")
         if not args.stop > args.start:
             raise ConfigError("sweep needs stop > start")
-        _check_rows(args.steps)
+        _check_rows(steps)
         if args.scale == "log":
             if args.start <= 0:
                 raise ConfigError("log sweep needs start > 0")
             lo, hi = math.log(args.start), math.log(args.stop)
-            points = [math.exp(lo + i * (hi - lo) / (args.steps - 1))
-                      for i in range(args.steps)]
+            points = [math.exp(lo + i * (hi - lo) / (steps - 1))
+                      for i in range(steps)]
         else:
-            points = [args.start + i * (args.stop - args.start) / (args.steps - 1)
-                      for i in range(args.steps)]
+            points = [args.start + i * (args.stop - args.start) / (steps - 1)
+                      for i in range(steps)]
 
     grid = [(x, base if mode_param
              else dataclasses.replace(base, **{args.param: x}))
             for x in points]
-    if args.observable.startswith("persistent_"):
+    if persistent:
         for _, d in grid:
             check_sea_columns(d)
     rows = []
     for x, d in grid:
-        lam = x if args.param == "lambda" else args.lam
-        n = x if args.param == "n" else args.n
-        rows.append([x, _SWEEP_OBSERVABLES[args.observable](n, lam, d)])
+        rows.append([x, observable(x if args.param == "n" else n,
+                                   x if args.param == "lambda" else lam, d)])
     _emit(args, [args.param, args.observable], rows)
     return EXIT_OK
 
@@ -417,8 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_flags(sp, top=False)
     _add_param_flags(sp)
     sp.add_argument("--geometry", choices=("finite", "infinite"), default="finite")
-    sp.add_argument("--nmax", type=int, default=3)
-    sp.add_argument("--lmax", type=float, default=2.5)
+    # --nmax (default 3) is read by the finite geometry only, and --lmax
+    # (2.5) by both unless --lambda picks the one lambda
+    sp.add_argument("--nmax", type=int, default=None)
+    sp.add_argument("--lmax", type=float, default=None)
     sp.add_argument("--k", type=float, default=None)
     sp.add_argument("--lambda", dest="lam", type=float, default=None)
     sp.set_defaults(func=cmd_spectrum)
@@ -449,11 +475,14 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--param", required=True)
     sw.add_argument("--start", type=float, required=True)
     sw.add_argument("--stop", type=float, required=True)
-    sw.add_argument("--steps", type=int, default=11)
-    sw.add_argument("--scale", choices=("linear", "log"), default="linear")
+    # --steps (default 11) and --scale (linear) apply to the sweeps over
+    # beta, mu, nu and alpha; --n (1) and --lambda (0.5) pick the mode of
+    # chi and energy when the sweep is not over that quantum number
+    sw.add_argument("--steps", type=int, default=None)
+    sw.add_argument("--scale", choices=("linear", "log"), default=None)
     sw.add_argument("--observable", default="chi")
-    sw.add_argument("--n", type=int, default=1)
-    sw.add_argument("--lambda", dest="lam", type=float, default=0.5)
+    sw.add_argument("--n", type=int, default=None)
+    sw.add_argument("--lambda", dest="lam", type=float, default=None)
     sw.set_defaults(func=cmd_sweep)
 
     vf = sub.add_parser("verify", help="run every invariant suite")
@@ -462,11 +491,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def run_command(fn, *args) -> int:
-    """Return fn(*args); a refusal instead prints one `error: ...` line on
-    stderr and returns its exit code (2 config, 3 regime, 4 resolution)."""
+def main(argv=None) -> int:
+    """Run one command and return its exit code; a refusal instead prints
+    one `error: ...` line on stderr and returns 2 (config), 3 (regime) or
+    4 (resolution)."""
+    args = build_parser().parse_args(argv)
     try:
-        return fn(*args)
+        _check_global_flags(args)
+        _check_finite_flags(args)
+        return args.func(args)
     except ValueError as exc:
         _diag(f"error: {exc}")
         if isinstance(exc, RegimeError):
@@ -477,16 +510,6 @@ def run_command(fn, *args) -> int:
     except OverflowError as exc:
         _diag(f"error: numeric overflow: {exc}")
         return EXIT_CONFIG
-
-
-def _run(args) -> int:
-    _check_global_flags(args)
-    _check_finite_flags(args)
-    return args.func(args)
-
-
-def main(argv=None) -> int:
-    return run_command(_run, build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

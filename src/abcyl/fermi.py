@@ -45,6 +45,7 @@ from .spectrum import (FermiSea, _check_mode, enumerate_fermi_sea,
                        half_odd_run, largest_half_odd)
 
 __all__ = [
+    "METHODS",
     "PersistentReport",
     "persistent_exact",
     "j_coeff",
@@ -344,6 +345,10 @@ def persistent_nonrel(d: DimensionlessParams,
     v_lf = (d.beta / math.pi) * sea.lambda_F / d.mu
     return _sea_report("nonrel", d, sea, v_ne,
                        notes=(f"lambda_F variant: {v_lf!r}",))
+
+
+# persistent_all's keys; persistent_<tag> computes each one alone
+METHODS = ("exact", "linearized", "compact", "short", "nonrel")
 
 
 def persistent_all(d: DimensionlessParams) -> dict[str, PersistentReport]:

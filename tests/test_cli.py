@@ -279,6 +279,8 @@ _BETA_SWEEP = ("--param", "beta", "--start", "0", "--stop", "0.4",
     # only the last point is over the cap, and it is refused up front
     ("sweep", "--mu", "1", "--nu", "1", "--param", "alpha", "--start", "1",
      "--stop", "5e4", "--steps", "3", "--observable", "persistent_exact"),
+    *(("sweep", *_SEA_SIZE, *_BETA_SWEEP, "--observable", f"persistent_{tag}")
+      for tag in ("compact", "short", "nonrel")),
 ])
 def test_sea_over_the_column_cap_exits_3(argv):
     # 5e7 columns (5e4 at the alpha sweep's last point)
@@ -426,8 +428,19 @@ def _readme_commands():
     return [shlex.split(line)[1:] for line in lines if line.strip()]
 
 
-@pytest.mark.parametrize("argv", _readme_commands(),
-                         ids=lambda argv: argv[0])
+_README_COMMANDS = _readme_commands()
+
+
+def _example_ids(commands):
+    """Each example's command name; a repeated command adds its position in
+    the block, so that every id is unique and the first keeps its name."""
+    names = [argv[0] for argv in commands]
+    return [name if names.index(name) == i else f"{name}-{i}"
+            for i, name in enumerate(names)]
+
+
+@pytest.mark.parametrize("argv", _README_COMMANDS,
+                         ids=_example_ids(_README_COMMANDS))
 def test_readme_command_line_examples_run(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out.strip()
@@ -513,12 +526,68 @@ def test_sweep_persistent_over_mode_number_exit_2(capsys, param, observable):
     assert observable in err and err.rstrip().endswith(f"depend on {param}")
 
 
+@pytest.mark.parametrize("tag", ["exact", "linearized", "compact", "short",
+                                 "nonrel"])
+def test_persistent_sweep_matches_the_persistent_row(capsys, tag):
+    # the first point of a beta sweep is the point persistent reports
+    params = ("--mu", "250", "--nu", "1", "--alpha", "50")
+    code, out, _ = run(capsys, "persistent", *params, "--beta", "1e-4")
+    assert code == 0
+    (value,) = [line.split(",")[1] for line in out.splitlines()
+                if line.startswith(f"{tag},")]
+    code, out, err = run(capsys, "sweep", *params, "--param", "beta",
+                         "--start", "1e-4", "--stop", "2e-4", "--steps", "2",
+                         "--observable", f"persistent_{tag}")
+    assert code == 0 and err == ""
+    assert out.splitlines()[:2] == [f"beta,persistent_{tag}",
+                                    f"0.0001,{value}"]
+
+
+_PERSISTENT_BETA = ("sweep", "--mu", "250", "--nu", "1", "--alpha", "50",
+                    "--param", "beta", "--start", "1e-4", "--stop", "2e-4",
+                    "--steps", "2", "--observable", "persistent_exact")
+_LAMBDA_CHI = ("sweep", "--mu", "1", "--nu", "1", "--param", "lambda",
+               "--start", "0.5", "--stop", "3.5")
+_N_CHI = ("sweep", "--mu", "1", "--nu", "1", "--param", "n", "--start", "1",
+          "--stop", "3")
+
+
+# each exited 0 with the output of the same request without the flag
+@pytest.mark.parametrize("argv, message", [
+    ((*_PERSISTENT_BETA, "--lambda", "7.5"),
+     "persistent_exact sweep over beta does not read --lambda"),
+    ((*_PERSISTENT_BETA, "--n", "4"),
+     "persistent_exact sweep over beta does not read --n"),
+    ((*_LAMBDA_CHI, "--steps", "99"),
+     "chi sweep over lambda does not read --steps"),
+    ((*_LAMBDA_CHI, "--scale", "log"),
+     "chi sweep over lambda does not read --scale"),
+    ((*_LAMBDA_CHI, "--lambda", "1.5"),
+     "chi sweep over lambda does not read --lambda"),
+    ((*_N_CHI, "--n", "7"), "chi sweep over n does not read --n"),
+    ((*_N_CHI, "--scale", "linear"), "chi sweep over n does not read --scale"),
+    (("spectrum", "--geometry", "infinite", "--mu", "1", "--k", "1",
+      "--nmax", "0"), "--nmax applies to --geometry finite only"),
+    (("spectrum", "--geometry", "infinite", "--mu", "1", "--k", "1",
+      "--lambda", "1.5", "--lmax", "0.1"), "--lmax does not apply with "
+     "--lambda"),
+])
+def test_flag_the_request_does_not_read_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_sweep_unknown_observable_exit_2(capsys):
+    # persistent_all is a function of fermi, but not one method
     for nu in ("0", "1"):
-        code, out, err = run(capsys, "sweep", "--mu", "1", "--nu", nu,
-                             "--param", "beta", "--start", "0", "--stop",
-                             "0.1", "--observable", "bogus")
-        assert code == 2 and out == "" and "bogus" in err
+        for observable in ("bogus", "persistent_all", "persistent_"):
+            code, out, err = run(capsys, "sweep", "--mu", "1", "--nu", nu,
+                                 "--param", "beta", "--start", "0", "--stop",
+                                 "0.1", "--observable", observable)
+            assert code == 2 and out == ""
+            assert err == f"error: unknown observable {observable!r}\n"
 
 
 def test_verify_passes_and_reports_schema(capsys):
@@ -884,7 +953,8 @@ def test_csv_requests_that_skip_numpy_import_neither_numpy_nor_json():
     [(("packet", "--mu", "1", "--zsteps", "3"), 0)],
     [(("spectrum", *_FINITE), 0),
      (("spectrum", "--geometry", "infinite", "--mu", "1", "--k", "1"), 0)],
-], ids=["packet", "spectrum"])
+    [((*_SWEEP_BETA, "--observable", "chi"), 0)],
+], ids=["packet", "spectrum", "chi-sweep"])
 def test_packet_and_spectrum_leave_fermi_unexecuted(requests):
     # type(), unlike any attribute read, does not load a lazy module
     assert not _probe_modules(requests)["fermi_executed"]

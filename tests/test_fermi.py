@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abcyl.fermi import (IntegralSumEstimate, c_coefficient_exact,
+from abcyl import fermi
+from abcyl.fermi import (METHODS, IntegralSumEstimate, c_coefficient_exact,
                          j_coeff, persistent_all, persistent_compact,
                          persistent_exact, persistent_linearized,
                          persistent_nonrel, persistent_short, sum_lambda_n)
@@ -171,6 +172,16 @@ def test_persistent_all_keys():
     for name, rep in reps.items():
         assert rep.method == name
         assert math.isfinite(rep.value)
+
+
+def test_methods_are_the_tags_of_persistent_all():
+    # sweep computes persistent_<tag> alone, one call per point, for each
+    # tag; each alone must equal its report from persistent_all
+    d = DimensionlessParams(mu=10.0, nu=1.0, beta=1e-3, alpha=5.0)
+    reps = persistent_all(d)
+    assert METHODS == tuple(reps)
+    for tag in METHODS:
+        assert getattr(fermi, f"persistent_{tag}")(d) == reps[tag]
 
 
 @given(beta=st.floats(1e-6, 0.05), alpha=st.floats(1.0, 6.0),
