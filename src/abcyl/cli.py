@@ -362,7 +362,8 @@ def cmd_sweep(args) -> int:
     grid = [(x, base if mode_param
              else dataclasses.replace(base, **{args.param: x}))
             for x in points]
-    if persistent:
+    if persistent and args.observable != "persistent_short":
+        # every method but persistent_short builds a Fermi sea
         for _, d in grid:
             check_sea_columns(d)
     rows = []

@@ -27,10 +27,13 @@ with all three of those corrections.  Q comes from a bound on the first
 omitted term: with h = chi' = j,
 |h^(m)(x)| <= s (m+2)!/2 (s+x^2)^(-(m+3)/2) (the Gegenbauer form of the
 derivatives), and four such terms at |x| >= Q - 1/2 are held to eps/16
-of the column's sum of |terms|.  The left and right chi tails are paired
-into differences (B-A)(B+A)/(sqrt(s+B^2)+sqrt(s+A^2)) that do not
-cancel, each column is built symmetrically (the -beta sea gives exactly
-the negated terms), and every term is accumulated with math.fsum.
+of the column's sum of |terms|.  A column whose bound already holds at
+q = 0 has no explicit terms (Q = 0): its whole run is one such sum.
+The left and right chi tails (or the run's two ends, when Q = 0) are
+paired into differences (B-A)(B+A)/(sqrt(s+B^2)+sqrt(s+A^2)) that do
+not cancel, each column is built symmetrically (the -beta sea gives
+exactly the negated terms), and every term is accumulated with
+math.fsum.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .params import DimensionlessParams, validate_regime
-from .spectrum import (FermiSea, _check_mode, enumerate_fermi_sea,
-                       half_odd_run, largest_half_odd)
+from .spectrum import (FermiSea, _check_finite, _check_mode,
+                       enumerate_fermi_sea, half_odd_run, largest_half_odd)
 
 __all__ = [
     "METHODS",
@@ -123,8 +126,14 @@ def _j_odd_derivatives(x: float, s: float) -> tuple[float, float, float]:
             105.0 * d1 * r2 * r2 * ((33.0 * t2 - 30.0) * t2 + 5.0))
 
 
+# 2 |_EM[3]| (m+2)! and 1/(m+3) of _window, for m = 6 and m = 7
+_WINDOW = tuple((2.0 * abs(_EM[3]) * math.factorial(m + 2), 1.0 / (m + 3))
+                for m in (6, 7))
+
+
 def _window(s: float, tol: float, offset: int) -> float:
-    """Explicit window Q >= 1 of a third-order Euler-Maclaurin column sum.
+    """Explicit window of a third-order Euler-Maclaurin column sum: 0, or
+    some Q >= 1.
 
     The first omitted term at an end x is _EM[3] f^(7)(x), and
     f^(7) = h^(m) with h = chi' = j and m = 6 + offset (offset 0 for
@@ -132,11 +141,15 @@ def _window(s: float, tol: float, offset: int) -> float:
     (s+x^2)^(-(m+3)/2), with t = x/sqrt(s+x^2) and C_m the Gegenbauer
     polynomial of index 3/2, and |C_m(t)| <= C_m(1) = (m+1)(m+2)/2, so
     |h^(m)(x)| <= s (m+2)!/2 (s+x^2)^(-(m+3)/2).  Q keeps four such
-    terms, at ends |x| >= Q - 1/2, within tol.
+    terms, at ends |x| >= Q - 1/2, within tol; that holds wherever
+    s + x^2 >= w^2.  If w^2 <= s it holds at x = 0 already, and the
+    window is 0: the column has no explicit terms.
     """
-    m = 6 + offset
-    w = (2.0 * abs(_EM[3]) * math.factorial(m + 2) * s / tol) ** (1.0 / (m + 3))
-    return max(0.5 + math.sqrt(max(w * w - s, 0.0)), 1.0)
+    scale, power = _WINDOW[offset]
+    w = (scale * s / tol) ** power
+    if w * w <= s:
+        return 0.0
+    return max(0.5 + math.sqrt(w * w - s), 1.0)
 
 
 def _first_at_least(lo: float, hi: float, beta: float, bound: float) -> float:
@@ -159,28 +172,32 @@ def _chi_column(lo: float, hi: float, beta: float, s: float) -> list[float]:
     half = 0.5 * (hi - lo + 1.0)
     tol = _EM_TOL * 2.0 * half**2 / (math.sqrt(s + half**2) + math.sqrt(s))
     bound = _window(s, tol, 0)
-    lam_r = _first_at_least(lo, hi, beta, bound)
-    lam_l = -_first_at_least(-hi, -lo, -beta, bound)
-    if lam_r > hi or lam_l < lo:
-        # a tail is empty; in a sea |q| <= r the other then holds at most
-        # one state
-        lam_l, lam_r = lo - 1.0, hi + 1.0
     terms = []
-    for lam in half_odd_run(lam_l + 1.0, lam_r - 1.0):
-        q = beta + lam
-        terms.append(q / math.sqrt(s + q**2))
-    if lam_r > hi:
-        return terms
+    if bound > 0.0:
+        lam_r = _first_at_least(lo, hi, beta, bound)
+        lam_l = -_first_at_least(-hi, -lo, -beta, bound)
+        if lam_r > hi or lam_l < lo:
+            # a tail is empty; in a sea |q| <= r the other then holds at
+            # most one state
+            lam_l, lam_r = lo - 1.0, hi + 1.0
+        for lam in half_odd_run(lam_l + 1.0, lam_r - 1.0):
+            q = beta + lam
+            terms.append(q / math.sqrt(s + q**2))
+        if lam_r > hi:
+            return terms
     # sqrt(s+q^2) over [x_in, x_out] minus over [y_in, y_out], paired as
-    # outer and inner differences with exact B-A and B+A
+    # outer and inner differences with exact B-A and B+A; with no window
+    # there is no inner pair, and the outer one spans the whole run
     x_out, y_out = (beta + hi) + 0.5, 0.5 - (beta + lo)
-    x_in, y_in = (beta + lam_r) - 0.5, -(beta + lam_l) - 0.5
     terms.append(((hi + lo) + 2.0 * beta) * (hi - lo + 1.0)
                  / (math.sqrt(s + x_out**2) + math.sqrt(s + y_out**2)))
+    d_xo, d_yo = _chi_odd_derivatives(x_out, s), _chi_odd_derivatives(y_out, s)
+    if bound == 0.0:
+        return terms + [e * (a - b) for e, a, b in zip(_EM, d_xo, d_yo)]
+    x_in, y_in = (beta + lam_r) - 0.5, -(beta + lam_l) - 0.5
     terms.append(-((lam_r + lam_l) + 2.0 * beta) * (lam_r - lam_l - 1.0)
                  / (math.sqrt(s + x_in**2) + math.sqrt(s + y_in**2)))
-    d_xo, d_yo, d_xi, d_yi = (_chi_odd_derivatives(x, s)
-                              for x in (x_out, y_out, x_in, y_in))
+    d_xi, d_yi = _chi_odd_derivatives(x_in, s), _chi_odd_derivatives(y_in, s)
     terms += (_EM[k] * ((d_xo[k] - d_yo[k]) - (d_xi[k] - d_yi[k]))
               for k in range(3))
     return terms
@@ -302,8 +319,10 @@ def persistent_short(d: DimensionlessParams) -> PersistentReport:
     lambda_F, which is what the returned report then carries (with a
     note), rather than an unusable formula.  When no half-odd lambda
     fits below lambda_F, either way, it reports 0 and "empty-sea", as
-    the sea methods do.
+    the sea methods do.  It builds no sea, so it has no column cap, but
+    like them it needs nu > 0.
     """
+    _check_finite(d)
     flags = validate_regime(d)
     ring = d.nu > d.alpha
     lam2 = d.alpha**2 - d.nu**2

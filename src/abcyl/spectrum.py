@@ -147,7 +147,11 @@ class FermiSea:
 
     @property
     def lambda_F(self) -> float | None:
-        return self.lambda_n.get(1)
+        """lambda_n of column 1, the first column of any nonempty sea."""
+        if not self.columns:
+            return None
+        _, lo, hi = self.columns[0]
+        return max(abs(lo), abs(hi))
 
     def states(self):
         """Yield every occupied (n, lambda), ascending n then lambda."""
@@ -156,7 +160,7 @@ class FermiSea:
                 yield n, lam
 
     def sum_lambda_n(self) -> float:
-        return math.fsum(self.lambda_n.values())
+        return math.fsum(max(abs(lo), abs(hi)) for _, lo, hi in self.columns)
 
 
 def _half_odd_ends(lo: float, hi: float) -> tuple[float, float]:

@@ -15,6 +15,8 @@ import pytest
 from abcyl import spinors
 from abcyl.cli import build_parser, main
 from abcyl.currents import MAX_MOMENTUM_ORDER
+from abcyl.fermi import persistent_short
+from abcyl.params import DimensionlessParams
 from abcyl.spectrum import MAX_SEA_COLUMNS, half_odd_run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -269,6 +271,8 @@ def test_short_reports_zero_on_an_empty_sea(capsys):
 _SEA_SIZE = ("--mu", "1", "--nu", "1e-6", "--alpha", "50")
 _BETA_SWEEP = ("--param", "beta", "--start", "0", "--stop", "0.4",
                "--steps", "3")
+_SHORT_BETA_SWEEP = ("--param", "beta", "--start", "0", "--stop", "0.1",
+                     "--steps", "2")
 
 
 @pytest.mark.parametrize("argv", [
@@ -279,8 +283,11 @@ _BETA_SWEEP = ("--param", "beta", "--start", "0", "--stop", "0.4",
     # only the last point is over the cap, and it is refused up front
     ("sweep", "--mu", "1", "--nu", "1", "--param", "alpha", "--start", "1",
      "--stop", "5e4", "--steps", "3", "--observable", "persistent_exact"),
-    *(("sweep", *_SEA_SIZE, *_BETA_SWEEP, "--observable", f"persistent_{tag}")
-      for tag in ("compact", "short", "nonrel")),
+    ("sweep", *_SEA_SIZE, *_BETA_SWEEP, "--observable", "persistent_compact"),
+    # the persistent_short sweep's point, where only it builds no sea
+    ("sweep", *_SEA_SIZE, *_SHORT_BETA_SWEEP, "--observable",
+     "persistent_compact"),
+    ("sweep", *_SEA_SIZE, *_BETA_SWEEP, "--observable", "persistent_nonrel"),
 ])
 def test_sea_over_the_column_cap_exits_3(argv):
     # 5e7 columns (5e4 at the alpha sweep's last point)
@@ -289,6 +296,19 @@ def test_sea_over_the_column_cap_exits_3(argv):
     columns = int(re.search(r"spans (\d+) columns", proc.stderr).group(1))
     assert columns > MAX_SEA_COLUMNS
     assert f"the cap is {MAX_SEA_COLUMNS}" in proc.stderr
+
+
+def test_short_sweep_has_no_column_cap(capsys):
+    # persistent_short builds no sea, so a long cylinder is no refusal
+    code, out, err = run(capsys, "sweep", *_SEA_SIZE, *_SHORT_BETA_SWEEP,
+                         "--observable", "persistent_short")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "beta,persistent_short" and len(lines) == 3
+    for line in lines[1:]:
+        beta, value = map(float, line.split(","))
+        d = DimensionlessParams(mu=1.0, nu=1e-6, beta=beta, alpha=50.0)
+        assert value == persistent_short(d).value
 
 
 # inputs that hung, printed NaN rows with exit 0, or ended in a traceback
@@ -323,6 +343,12 @@ def test_sea_over_the_column_cap_exits_3(argv):
     # a z span or a phase reach that overflows
     (("packet", "--mu", "1", "--zmin=-1e308", "--zmax=1e308"), 2),
     (("packet", "--mu", "1", "--t", "1e308", "--zmax", "1e308"), 2),
+    # a persistent_short sweep reads no sea size, but still needs nu > 0
+    # and finite input
+    (("sweep", "--mu", "1", "--nu", "0", "--alpha", "50",
+      *_SHORT_BETA_SWEEP, "--observable", "persistent_short"), 3),
+    (("sweep", "--mu", "1", "--nu", "1", "--alpha", "50", "--beta", "inf",
+      *_SHORT_BETA_SWEEP, "--observable", "persistent_short"), 2),
 ])
 def test_bad_input_is_refused_with_one_error_line(argv, code):
     proc = _cli_subprocess(*argv, timeout=20)

@@ -13,7 +13,7 @@ from abcyl.fermi import (METHODS, IntegralSumEstimate, c_coefficient_exact,
                          j_coeff, persistent_all, persistent_compact,
                          persistent_exact, persistent_linearized,
                          persistent_nonrel, persistent_short, sum_lambda_n)
-from abcyl.params import DimensionlessParams
+from abcyl.params import DimensionlessParams, RegimeError
 from abcyl.spectrum import FermiSea, chi, enumerate_fermi_sea, half_odd_run
 
 _ULP = sys.float_info.epsilon
@@ -156,6 +156,12 @@ def test_short_ring_substitution():
     assert rep.value == pytest.approx(expected, rel=1e-12)
 
 
+def test_short_needs_a_finite_cylinder():
+    # no sea and no column cap, but nu = 0 is the infinite cylinder
+    with pytest.raises(RegimeError, match="needs nu > 0"):
+        persistent_short(DimensionlessParams(mu=1.0, nu=0.0, alpha=3.0))
+
+
 def test_nonrel_report():
     d = DimensionlessParams(mu=1000.0, nu=1.0, beta=1e-4, alpha=20.0)
     rep = persistent_nonrel(d)
@@ -255,11 +261,24 @@ def test_column_sums_match_per_state_sums(mu, nu, alpha, beta):
     assert abs(c_coefficient_exact(d) - c) <= 4 * _ULP * c
 
 
-# (mu, nu, alpha, beta): a heavy dense sea, the README's point and two
-# light fermions, where the explicit window and the order matter most
+def _mpmath_current(mpmath, d, sea):
+    """R*I summed state by state over sea at mpmath's working precision."""
+    q0 = mpmath.mpf(d.beta)
+    return mpmath.fsum(
+        q / mpmath.sqrt(s + q * q)
+        for n, lo, hi in sea.columns
+        for s in (mpmath.mpf(d.mu) ** 2 + (mpmath.mpf(d.nu) * n) ** 2,)
+        for q in (q0 + lam for lam in half_odd_run(lo, hi))) / (2 * mpmath.pi)
+
+
+# (mu, nu, alpha, beta): a heavy dense sea, the README's point, two
+# light fermions, where the explicit window and the order matter most,
+# and a sea whose first 19 and last 4 columns keep a window and whose
+# other 76 have none
 @pytest.mark.parametrize("mu, nu, alpha, beta", [
     (250.0, 1.0, 200.0, 0.3), (25.0, 1.0, 10.3, 0.05),
-    (1.0, 0.5, 60.0, 0.37), (1.0, 0.1, 100.0, 0.2)])
+    (1.0, 0.5, 60.0, 0.37), (1.0, 0.1, 100.0, 0.2),
+    (90.0, 1.0, 100.0, 0.3)])
 def test_exact_against_mpmath(mu, nu, alpha, beta):
     # both the column sums and the per-state sum within 1 ulp of sum |chi|
     # of a 30-digit sum over the same sea
@@ -267,18 +286,85 @@ def test_exact_against_mpmath(mu, nu, alpha, beta):
     d = DimensionlessParams(mu, nu, beta, alpha)
     sea = enumerate_fermi_sea(d)
     with mpmath.workdps(30):
-        q0, two_pi = mpmath.mpf(beta), 2 * mpmath.pi
-        exact = mpmath.fsum(
-            q / mpmath.sqrt(s + q * q)
-            for n, lo, hi in sea.columns
-            for s in (mpmath.mpf(mu) ** 2 + (mpmath.mpf(nu) * n) ** 2,)
-            for q in (q0 + lam for lam in half_odd_run(lo, hi))) / two_pi
+        exact = _mpmath_current(mpmath, d, sea)
         total, abs_total = _chi_per_state(d)
         tol = _ULP * abs_total / (2 * math.pi)
         column_err = float(abs(persistent_exact(d, sea).value - exact))
         state_err = float(abs(total / (2 * math.pi) - exact))
     assert column_err <= tol and state_err <= tol, (column_err / tol,
                                                      state_err / tol)
+
+
+@pytest.mark.parametrize("nu", [1.0, 1.0994543810025033])
+def test_small_beta_against_mpmath_in_ulps_of_the_value(nu):
+    # README's point and a point of its nu scan: at beta = 1e-4 the +-lambda
+    # terms nearly cancel, and every column is summed without explicit
+    # terms, to within 4 ulp of the current itself
+    mpmath = pytest.importorskip("mpmath")
+    d = DimensionlessParams(250.0, nu, 1e-4, 50.0)
+    sea = enumerate_fermi_sea(d)
+    with mpmath.workdps(30):
+        exact = _mpmath_current(mpmath, d, sea)
+        value = persistent_exact(d, sea).value
+        err = float(abs(value - exact))
+    assert err <= 4 * math.ulp(value), err / math.ulp(value)
+
+
+def _windows(monkeypatch, d):
+    """The explicit windows persistent_exact and c_coefficient_exact take,
+    per column in ascending n: (chi window, j window)."""
+    taken = {0: [], 1: []}
+    window = fermi._window
+
+    def spy(s, tol, offset):
+        taken[offset].append(window(s, tol, offset))
+        return taken[offset][-1]
+
+    monkeypatch.setattr(fermi, "_window", spy)
+    persistent_exact(d)
+    c_coefficient_exact(d)
+    return taken[0], taken[1]
+
+
+@pytest.mark.parametrize("nu, alpha, beta", [
+    (1.0, 200.0, 0.3), (1.0, 500.0, 0.12883976470588235), (0.1, 1000.0, -0.45),
+    (5.0, 60.0, 1e-4)])
+def test_heavy_columns_have_no_window(monkeypatch, nu, alpha, beta):
+    # at mu = 250 the bound holds at q = 0 in every column: each column
+    # is one Euler-Maclaurin sum and no window end is searched for
+    def search(*args):
+        raise AssertionError("window end searched in a whole-run column")
+
+    monkeypatch.setattr(fermi, "_first_at_least", search)
+    d = DimensionlessParams(mu=250.0, nu=nu, beta=beta, alpha=alpha)
+    chi_windows, j_windows = _windows(monkeypatch, d)
+    assert len(chi_windows) == len(enumerate_fermi_sea(d).columns) > 0
+    assert len(j_windows) > 0
+    assert set(chi_windows) == set(j_windows) == {0.0}
+
+
+def test_light_columns_keep_a_window(monkeypatch):
+    d = DimensionlessParams(mu=1.0, nu=0.1, beta=0.2, alpha=100.0)
+    chi_windows, j_windows = _windows(monkeypatch, d)
+    assert min(chi_windows[:100]) >= 1.0 and min(j_windows[:100]) >= 1.0
+
+
+def test_c_against_mpmath():
+    # a heavy dense sea, every column summed without explicit terms, within
+    # 4 ulp of c of a 30-digit sum over the same states
+    mpmath = pytest.importorskip("mpmath")
+    mu, nu, alpha = 250.0, 1.0, 200.0
+    d = DimensionlessParams(mu, nu, 0.0, alpha)
+    sea = enumerate_fermi_sea(d)
+    with mpmath.workdps(30):
+        exact = mpmath.fsum(
+            s / (s + mpmath.mpf(lam) ** 2) ** 1.5
+            for n, lo, hi in sea.columns
+            for s in (mpmath.mpf(mu) ** 2 + (mpmath.mpf(nu) * n) ** 2,)
+            for lam in half_odd_run(max(lo, 0.5), hi))
+        c = c_coefficient_exact(d, sea)
+        err = float(abs(c - exact))
+    assert err <= 4 * _ULP * c, err / (_ULP * c)
 
 
 def test_persistent_all_walks_no_state(monkeypatch):
