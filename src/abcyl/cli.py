@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import importlib.util
 import io
 import math
@@ -216,7 +215,7 @@ def cmd_spectrum(args) -> int:
 
 
 def _report_dict(rep: fermi.PersistentReport) -> dict:
-    out = dataclasses.asdict(rep)
+    out = rep._asdict()
     out.update(flags=sorted(rep.flags), notes=list(rep.notes))
     return out
 
@@ -360,7 +359,7 @@ def cmd_sweep(args) -> int:
                       for i in range(steps)]
 
     grid = [(x, base if mode_param
-             else dataclasses.replace(base, **{args.param: x}))
+             else DimensionlessParams(**{**base._asdict(), args.param: x}))
             for x in points]
     if persistent and args.observable != "persistent_short":
         # every method but persistent_short builds a Fermi sea
@@ -383,7 +382,7 @@ def cmd_verify(args) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "passed": ok,
-        "suites": [dataclasses.asdict(r) for r in results],
+        "suites": [r._asdict() for r in results],
     }
     header = ["suite", "tolerance", "worst", "passed"]
     rows = [[r.suite, r.tolerance, r.worst, r.passed] for r in results]

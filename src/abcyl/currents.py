@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .params import DimensionlessParams, ResolutionError
+from .params import CheckedRecord, DimensionlessParams, ResolutionError
 from .spectrum import ModeSpec, _check_half_odd, chi
 from .spinors import _closed_phi_products, _z_profiles, leggauss, z_quadrature
 
@@ -55,23 +55,34 @@ _GRAM_ROWS = 64  # rows of the norm's sinc kernel formed at once
 MAX_MOMENTUM_ORDER = 2000
 
 
-@dataclass(frozen=True)
-class MixedState:
-    """Normalized combination c+ U^+ + c- U^- of one finite (n, lambda)."""
-
+class _MixedFields(NamedTuple):
     n: int
     lam: float
     c_plus: complex
     c_minus: complex
 
-    def __post_init__(self):
+
+class MixedState(CheckedRecord, _MixedFields):
+    """Normalized combination c+ U^+ + c- U^- of one finite (n, lambda)."""
+
+    __slots__ = ()
+
+    def _check(self):
         norm = abs(self.c_plus) ** 2 + abs(self.c_minus) ** 2
         if abs(norm - 1.0) > 1e-13:
             raise ValueError(f"|c+|^2 + |c-|^2 = {norm!r}, must be 1")
 
 
-@dataclass(frozen=True)
-class GaussianPacket:
+class _PacketFields(NamedTuple):
+    lam: float
+    k0: float
+    width: float
+    weight_plus: complex = 1.0
+    weight_minus: complex = 0.0
+    order: int = 400
+
+
+class GaussianPacket(CheckedRecord, _PacketFields):
     """Gaussian momentum-space amplitudes of one angular momentum lambda.
 
     a+(k) = weight_plus * g(k), a-(k) = weight_minus * g(k) with
@@ -81,14 +92,9 @@ class GaussianPacket:
     on k0 +/- _WINDOW_SIGMAS widths, the one grid every observable uses.
     """
 
-    lam: float
-    k0: float
-    width: float
-    weight_plus: complex = 1.0
-    weight_minus: complex = 0.0
-    order: int = 400
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         _check_half_odd(self.lam)
         if not 0 < self.width < math.inf:
             raise ValueError(f"width must be positive and finite, "

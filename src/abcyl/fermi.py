@@ -40,10 +40,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-from .params import DimensionlessParams, validate_regime
+from .params import CheckedRecord, DimensionlessParams, validate_regime
 from .spectrum import (FermiSea, _check_finite, _check_mode,
                        enumerate_fermi_sea, half_odd_run, largest_half_odd)
 
@@ -64,10 +63,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PersistentReport:
-    """One method's persistent current with its intermediate numbers."""
-
+class _ReportFields(NamedTuple):
     method: str
     value: float                      # R*I, dimensionless
     N_e: int
@@ -75,10 +71,16 @@ class PersistentReport:
     lambda_F: float | None = None
     c: float | None = None
     sum_lambda_n: float | None = None
-    flags: frozenset[str] = field(default_factory=frozenset)
+    flags: frozenset[str] = frozenset()
     notes: tuple[str, ...] = ()
 
-    def __post_init__(self):
+
+class PersistentReport(CheckedRecord, _ReportFields):
+    """One method's persistent current with its intermediate numbers."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not math.isfinite(self.value):
             raise ValueError(f"non-finite persistent current in {self.method}")
         if self.N_e < 0:
@@ -210,13 +212,18 @@ def _j_column(lo: float, hi: float, s: float) -> list[float]:
         return []
     tol = _EM_TOL * hi / math.sqrt(s + hi**2)
     bound = _window(s, tol, 1)
-    lam_r = max(math.ceil(bound - 0.5) + 0.5, lo)
-    terms = [s / (s + lam**2) ** 1.5
-             for lam in half_odd_run(lo, min(lam_r - 1.0, hi))]
-    if lam_r > hi:
-        return terms
+    if bound == 0.0:
+        # no explicit terms: one Euler-Maclaurin sum spans the whole run
+        terms, a = [], lo - 0.5
+    else:
+        lam_r = max(math.ceil(bound - 0.5) + 0.5, lo)
+        terms = [s / (s + lam**2) ** 1.5
+                 for lam in half_odd_run(lo, min(lam_r - 1.0, hi))]
+        if lam_r > hi:
+            return terms
+        a = lam_r - 0.5
     # chi(b) - chi(a) with exact b-a and b+a
-    a, b = lam_r - 0.5, hi + 0.5
+    b = hi + 0.5
     ra, rb = math.sqrt(s + a * a), math.sqrt(s + b * b)
     terms.append(s * (b - a) * (b + a) / (ra * rb * (b * ra + a * rb)))
     d_b, d_a = _j_odd_derivatives(b, s), _j_odd_derivatives(a, s)
@@ -250,7 +257,7 @@ def c_coefficient_exact(d: DimensionlessParams,
                         sea: FermiSea | None = None) -> float:
     """c(mu, nu) = sum of j(n, lambda) over the occupied lambda > 0 states
     of the beta-free sea."""
-    sea = sea or enumerate_fermi_sea(replace(d, beta=0.0))
+    sea = sea or enumerate_fermi_sea(d._replace(beta=0.0))
     terms = []
     for n, lo, hi in sea.columns:
         terms += _j_column(lo, hi, d.mu**2 + (d.nu * n) ** 2)
@@ -260,20 +267,20 @@ def c_coefficient_exact(d: DimensionlessParams,
 def persistent_linearized(d: DimensionlessParams,
                           sea: FermiSea | None = None) -> PersistentReport:
     """First order in beta: R*I = beta c(mu, nu) / pi."""
-    sea = sea or enumerate_fermi_sea(replace(d, beta=0.0))
+    sea = sea or enumerate_fermi_sea(d._replace(beta=0.0))
     c = c_coefficient_exact(d, sea)
     return _sea_report("linearized", d, sea, d.beta * c / math.pi, c=c)
 
 
 def c_compact(d: DimensionlessParams, sea: FermiSea | None = None) -> float:
     """Compact estimate c ~= (sum of exact lambda_n) / sqrt(mu^2+alpha^2)."""
-    sea = sea or enumerate_fermi_sea(replace(d, beta=0.0))
+    sea = sea or enumerate_fermi_sea(d._replace(beta=0.0))
     return sea.sum_lambda_n() / math.sqrt(d.mu**2 + d.alpha**2)
 
 
 def persistent_compact(d: DimensionlessParams,
                        sea: FermiSea | None = None) -> PersistentReport:
-    sea = sea or enumerate_fermi_sea(replace(d, beta=0.0))
+    sea = sea or enumerate_fermi_sea(d._replace(beta=0.0))
     c = c_compact(d, sea)
     return _sea_report("compact", d, sea, d.beta * c / math.pi, c=c)
 
@@ -357,7 +364,7 @@ def persistent_nonrel(d: DimensionlessParams,
     (beta/pi) lambda_F/mu is reported in the notes.  lambda_F and N_e
     come from the exact enumeration.
     """
-    sea = sea or enumerate_fermi_sea(replace(d, beta=0.0))
+    sea = sea or enumerate_fermi_sea(d._replace(beta=0.0))
     if sea.empty:
         return _sea_report("nonrel", d, sea, 0.0)
     v_ne = (d.beta / math.pi) * sea.N_e / (2.0 * d.mu)
@@ -373,7 +380,7 @@ METHODS = ("exact", "linearized", "compact", "short", "nonrel")
 def persistent_all(d: DimensionlessParams) -> dict[str, PersistentReport]:
     """All applicable methods, keyed by method tag; the three methods on
     the beta-free sea share one enumeration of it."""
-    beta_free = enumerate_fermi_sea(replace(d, beta=0.0))
+    beta_free = enumerate_fermi_sea(d._replace(beta=0.0))
     return {
         "exact": persistent_exact(d),
         "linearized": persistent_linearized(d, beta_free),

@@ -16,7 +16,7 @@ hbar c / R and R*I by e c / R from the radius_nm it was given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "HBARC_EV_NM",
@@ -26,6 +26,7 @@ __all__ = [
     "ConfigError",
     "RegimeError",
     "ResolutionError",
+    "CheckedRecord",
     "PhysicalParams",
     "DimensionlessParams",
     "to_dimensionless",
@@ -44,21 +45,46 @@ _HBAR_J_S = 1.054571817e-34
 E_OVER_2HBAR_PER_NM2_T = _E_CHARGE_C / (2.0 * _HBAR_J_S) * 1e-18
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Device parameters in laboratory units.
+class CheckedRecord:
+    """Base of the NamedTuple records that check their fields.
 
-    length_nm is None for the infinite cylinder.
+    A record subclasses its NamedTuple of fields after this class (a
+    NamedTuple body may not override __new__ or _make) and defines
+    _check, which raises on a bad field.  The check runs on every
+    construction: _replace builds the new record through _make, which
+    here goes through the constructor as well.
     """
 
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _PhysicalFields(NamedTuple):
     mass_eV: float
     radius_nm: float
     fermi_eV: float = 0.0
     length_nm: float | None = None
     b_field_T: float = 0.0
 
-    def __post_init__(self):
-        _check_physical(vars(self))
+
+class PhysicalParams(CheckedRecord, _PhysicalFields):
+    """Device parameters in laboratory units.
+
+    length_nm is None for the infinite cylinder.
+    """
+
+    __slots__ = ()
+
+    def _check(self):
+        _check_physical(self._asdict())
 
 
 def _check_physical(values) -> None:
@@ -71,8 +97,14 @@ def _check_physical(values) -> None:
         raise ValueError(f"fermi_eV must be non-negative, got {fermi}")
 
 
-@dataclass(frozen=True)
-class DimensionlessParams:
+class _DimensionlessFields(NamedTuple):
+    mu: float
+    nu: float = 0.0
+    beta: float = 0.0
+    alpha: float = 0.0
+
+
+class DimensionlessParams(CheckedRecord, _DimensionlessFields):
     """The parameter bundle every formula consumes.
 
     All four groups are finite, and alpha and |beta| stay below 2**51:
@@ -80,19 +112,16 @@ class DimensionlessParams:
     lambda + 1 still lands on the next half-odd-integer.
     """
 
-    mu: float
-    nu: float = 0.0
-    beta: float = 0.0
-    alpha: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not self.mu > 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if self.nu < 0:
             raise ValueError(f"nu must be non-negative, got {self.nu}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-        for name, value in vars(self).items():
+        for name, value in zip(self._fields, self):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         for name, value in (("alpha", self.alpha), ("|beta|", abs(self.beta))):

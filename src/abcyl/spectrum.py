@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .params import DimensionlessParams, RegimeError
+from .params import CheckedRecord, DimensionlessParams, RegimeError
 
 __all__ = [
     "MAX_SEA_COLUMNS",
@@ -60,18 +60,21 @@ def _check_mode(n: int, lam: float, d: DimensionlessParams) -> None:
     _check_half_odd(lam)
 
 
-@dataclass(frozen=True)
-class ModeSpec:
-    """A single-particle mode: geometry, longitudinal quantum number,
-    total angular momentum lambda and polarization sigma."""
-
+class _ModeFields(NamedTuple):
     geometry: str                 # "infinite" | "finite"
     lam: float                    # half-odd-integer
     sigma: float                  # +1/2 or -1/2
     k: float | None = None        # kR, infinite geometry only
     n: int | None = None          # 1, 2, ..., finite geometry only
 
-    def __post_init__(self):
+
+class ModeSpec(CheckedRecord, _ModeFields):
+    """A single-particle mode: geometry, longitudinal quantum number,
+    total angular momentum lambda and polarization sigma."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.geometry not in ("infinite", "finite"):
             raise ValueError(f"unknown geometry {self.geometry!r}")
         _check_half_odd(self.lam)
@@ -119,8 +122,7 @@ def largest_half_odd(x: float) -> float | None:
     return math.floor(x - 0.5) + 0.5
 
 
-@dataclass(frozen=True)
-class FermiSea:
+class FermiSea(NamedTuple):
     """Occupied states at T=0: columns holds (n, lambda_lo, lambda_hi)
     for every nonempty column in ascending n, and column n occupies each
     half-odd-integer lambda from lambda_lo to lambda_hi."""
@@ -216,7 +218,7 @@ def enumerate_fermi_sea(d: DimensionlessParams) -> FermiSea:
     The sea holds the states with nu^2 n^2 + (lambda+beta)^2 <= alpha^2
     (equivalent to E <= E_F + M); boundary ties count as occupied.  The
     beta-free sea of the linearized methods is the sea of
-    dataclasses.replace(d, beta=0.0).  check_sea_columns runs first.
+    d._replace(beta=0.0).  check_sea_columns runs first.
 
     Column n occupies one run, |lambda+beta| <= sqrt(alpha^2 - nu^2 n^2);
     its ends are settled by the occupation test itself, so ties and sqrt

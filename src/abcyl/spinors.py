@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +57,7 @@ def _block(upper_left, upper_right, lower_left, lower_right):
     return np.block([[upper_left, upper_right], [lower_left, lower_right]])
 
 
-@dataclass(frozen=True)
-class GammaSet:
+class GammaSet(NamedTuple):
     """The fixed 4x4 matrices of the standard representation."""
 
     g0: np.ndarray
@@ -310,8 +309,7 @@ def current_density(psi: np.ndarray, phi: float):
 
 # --- analytic test-spinor fields for operator-level checks ---------------
 
-@dataclass(frozen=True)
-class FourierSpinorField:
+class FourierSpinorField(NamedTuple):
     """Smooth test spinor on the finite cylinder, represented term-wise.
 
     Each component is a finite sum of amp * e^{i p phi} * h(m nu z) with

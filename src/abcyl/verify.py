@@ -17,7 +17,7 @@ actual identity and pins the sign-flip structure where it is not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ from .spinors import STANDARD_GAMMAS
 __all__ = ["SuiteResult", "run_suites"]
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     suite: str
     tolerance: float
     worst: float
@@ -197,7 +196,7 @@ def suite_beta_expansion() -> SuiteResult:
 def suite_ladder() -> SuiteResult:
     d = DimensionlessParams(mu=250.0, nu=1.0, beta=1e-4, alpha=50.0)
     ex = fermi.persistent_exact(d)
-    sea0 = enumerate_fermi_sea(replace(d, beta=0.0))
+    sea0 = enumerate_fermi_sea(d._replace(beta=0.0))
     lin = fermi.persistent_linearized(d, sea0)
     cmp_ = fermi.persistent_compact(d, sea0)
     gap1 = abs(ex.value - lin.value) / abs(lin.value)

@@ -11,7 +11,6 @@ the same spin, and K gives that lower component the opposite eigenvalue.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -241,7 +240,7 @@ def test_criterion_10_short_and_nonrel_limits():
 def test_criterion_11_packet_longitudinal_current():
     d = DimensionlessParams(mu=1.0)
     p = GaussianPacket(lam=0.5, k0=1.0, width=0.5)
-    fine = replace(p, order=1600)
+    fine = p._replace(order=1600)
     v = packet_velocity_expectation(fine, d)
     worst = 0.0
     fluxes = []

@@ -946,6 +946,8 @@ for argv in sys.argv[1:]:
         codes.append(main(argv.split()))
 print(repr({"codes": codes, "numpy": "numpy" in sys.modules,
             "json": "json" in sys.modules,
+            "dataclasses": "dataclasses" in sys.modules,
+            "inspect": "inspect" in sys.modules,
             "fermi_executed": type(sys.modules["abcyl.fermi"]) is type(sys),
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}))
 """
@@ -973,6 +975,18 @@ def _probe_modules(requests, **env_overrides):
 def test_csv_requests_that_skip_numpy_import_neither_numpy_nor_json():
     report = _probe_modules(_MATH_ONLY)
     assert not report["numpy"] and not report["json"]
+
+
+@pytest.mark.parametrize("requests, numpy", [(_MATH_ONLY, False),
+                                             (_NUMPY, True)],
+                         ids=["math-only", "packet-verify"])
+def test_requests_import_neither_dataclasses_nor_inspect(requests, numpy):
+    # the records are NamedTuples: dataclasses would import inspect, dis,
+    # ast and tokenize, and exec each record's generated methods
+    report = _probe_modules(requests)
+    assert not report["dataclasses"]
+    # numpy imports inspect itself
+    assert numpy or not report["inspect"]
 
 
 @pytest.mark.parametrize("requests", [

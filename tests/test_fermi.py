@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -29,7 +28,7 @@ def _chi_per_state(d):
 def _c_per_state(d):
     """The per-state oracle of c: j summed over the lambda > 0 states of
     the beta-free sea."""
-    sea = enumerate_fermi_sea(dataclasses.replace(d, beta=0.0))
+    sea = enumerate_fermi_sea(d._replace(beta=0.0))
     return math.fsum(j_coeff(n, lam, d) for n, lam in sea.states() if lam > 0)
 
 

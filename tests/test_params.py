@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -6,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abcyl.currents import GaussianPacket, MixedState
+from abcyl.fermi import PersistentReport
 from abcyl.params import (E_OVER_2HBAR_PER_NM2_T, E_TIMES_C, HBARC_EV_NM,
                           ConfigError, DimensionlessParams, PhysicalParams,
                           parse_config_text, resolve_params, to_dimensionless,
                           validate_regime)
+from abcyl.spectrum import ModeSpec
 
 
 def test_constants():
@@ -47,8 +49,28 @@ def test_dimensionless_validation():
 
 
 def test_dimensionless_fields_are_the_four_groups():
-    assert [f.name for f in dataclasses.fields(DimensionlessParams)] == [
+    assert list(DimensionlessParams._fields) == [
         "mu", "nu", "beta", "alpha"]
+
+
+@pytest.mark.parametrize("good, bad", [
+    (DimensionlessParams(mu=1.0), {"mu": -1.0}),
+    (DimensionlessParams(mu=1.0), {"nu": math.inf}),
+    (PhysicalParams(mass_eV=1.0, radius_nm=1.0), {"radius_nm": 0.0}),
+    (ModeSpec(geometry="finite", lam=0.5, sigma=0.5, n=1), {"sigma": 0.3}),
+    (PersistentReport(method="exact", value=0.0, N_e=0), {"value": math.nan}),
+    (MixedState(n=1, lam=0.5, c_plus=1.0, c_minus=0.0), {"c_minus": 1.0}),
+    (GaussianPacket(lam=0.5, k0=0.0, width=1.0), {"order": 1}),
+], ids=["mu", "nu", "radius", "sigma", "value", "mixing", "order"])
+def test_checks_hold_on_construction_and_on_replace(good, bad):
+    # _replace builds through _make, which a NamedTuple runs without
+    # __new__; CheckedRecord routes it through the constructor
+    with pytest.raises(ValueError) as built:
+        type(good)(**{**good._asdict(), **bad})
+    with pytest.raises(ValueError) as replaced:
+        good._replace(**bad)
+    assert str(replaced.value) == str(built.value)
+    assert type(good._replace()) is type(good) and good._replace() == good
 
 
 @pytest.mark.parametrize("key, value, message", [

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -89,7 +88,7 @@ def test_fermi_sea_empty():
 def test_fermi_sea_exact_uses_beta():
     d = DimensionlessParams(mu=1.0, nu=1.0, alpha=2.0, beta=0.4)
     exact = enumerate_fermi_sea(d)
-    quad = enumerate_fermi_sea(dataclasses.replace(d, beta=0.0))
+    quad = enumerate_fermi_sea(d._replace(beta=0.0))
     # beta=0.4 pushes (1, 1.5) out: (1.5+0.4)^2 + 1 > 4
     assert (1, 1.5) in tuple(quad.states())
     assert (1, 1.5) not in tuple(exact.states())
@@ -195,7 +194,7 @@ def scan_fermi_sea(d):
 
 
 def assert_matches_scan(d):
-    for point in (d, dataclasses.replace(d, beta=0.0)):
+    for point in (d, d._replace(beta=0.0)):
         occupied, lambda_n = scan_fermi_sea(point)
         sea = enumerate_fermi_sea(point)
         assert tuple(sea.states()) == occupied
