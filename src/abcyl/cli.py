@@ -18,8 +18,8 @@ import math
 import os
 import sys
 
-from .params import (E_TIMES_C, HBARC_EV_NM, PARAM_KEYS, ConfigError,
-                     DimensionlessParams, RegimeError, ResolutionError,
+from .params import (_CONFLICTS, E_TIMES_C, HBARC_EV_NM, PARAM_KEYS,
+                     ConfigError, RegimeError, ResolutionError,
                      parse_config_text, resolve_params, validate_regime)
 from .spectrum import (check_sea_columns, chi, energy_finite, energy_infinite,
                        half_odd_count, half_odd_run)
@@ -92,8 +92,70 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
                        type=float, default=None)
 
 
-def _gather_values(args) -> dict[str, float]:
-    """The parameter keys of --config, overridden by the flags given."""
+def _gather_params(args):
+    return resolve_params(_read_request(args))
+
+
+# each flag that a request may leave unread: (its dest, its default)
+_UNREAD = {"--config": ("config", None), "--seed": ("seed", 0),
+           "--physical": ("physical", None), "--nmax": ("nmax", 3),
+           "--lmax": ("lmax", 2.5), "--k": ("k", None),
+           "--lambda": ("lam", 0.5), "--steps": ("steps", 11),
+           "--scale": ("scale", "linear"), "--n": ("n", 1)}
+
+
+def _reads(args, given) -> tuple[str, set[str]]:
+    """The name of the request kind of args, and the flags of _UNREAD and
+    parameter keys that it reads (and `--param p` for each p one point of
+    a sweep reads); given, the names it gives, decides on radius_nm."""
+    if args.command == "verify":
+        return "verify", {"--seed"}
+    request, reads = args.command, {"--config", "mu", "nu", "beta"}
+    if args.command == "spectrum":
+        request = f"the {args.geometry} spectrum"
+        reads.add("--physical")
+        if args.geometry == "finite":
+            reads |= {"--nmax", "--lmax"}
+        elif args.lam is None:
+            reads |= {"--k", "--lmax"}
+        else:
+            request += " at one --lambda"
+            reads |= {"--k", "--lambda"}
+    elif args.command == "packet":
+        reads.add("--lambda")
+    elif args.command == "persistent":
+        reads.add("alpha")
+    elif args.command == "sweep":
+        request = f"the {args.observable} sweep over {args.param}"
+        # a Fermi level for a persistent current, a mode for chi and energy
+        if args.observable.startswith("persistent_"):
+            reads.add("alpha")
+        else:
+            reads |= {"--n", "--lambda"}
+        # the sweep sets the quantity it sweeps at each point
+        swept = {"beta": "beta", "mu": "mu", "nu": "nu", "alpha": "alpha",
+                 "lambda": "--lambda", "n": "--n"}.get(args.param)
+        if swept in reads:
+            reads = reads - {swept} | {f"--param {args.param}"}
+        if args.param not in ("lambda", "n"):
+            reads |= {"--steps", "--scale"}
+    drivers = {key for group, key in _CONFLICTS.items() if group in reads}
+    if "--physical" in given or drivers & given:
+        drivers.add("radius_nm")
+    return request, reads | drivers
+
+
+def _read_request(args) -> dict[str, float]:
+    """The parameter keys of --config, overridden by the flags given.  A
+    flag (before --config is opened) or key given and not read exits 2; a
+    flag of _UNREAD that is read and not given takes its default."""
+    given = {flag for flag, (dest, _) in _UNREAD.items()
+             if getattr(args, dest, None) is not None}
+    if args.command == "sweep":
+        given.add(f"--param {args.param}")
+    request, reads = _reads(args, given)
+    if given - reads:
+        raise ConfigError(f"{request} does not read {min(given - reads)}")
     values: dict[str, float] = {}
     if args.config:
         try:
@@ -105,11 +167,14 @@ def _gather_values(args) -> dict[str, float]:
         v = getattr(args, f"par_{key}", None)
         if v is not None:
             values[key] = v
+    given |= values.keys()
+    request, reads = _reads(args, given)
+    if given - reads:
+        raise ConfigError(f"{request} does not read {min(given - reads)}")
+    for flag in reads & _UNREAD.keys() - given:
+        dest, default = _UNREAD[flag]
+        setattr(args, dest, default)
     return values
-
-
-def _gather_params(args) -> DimensionlessParams:
-    return resolve_params(_gather_values(args))
 
 
 def _emit(args, header: list[str], rows: list[list], json_payload=None) -> None:
@@ -136,61 +201,43 @@ def _emit(args, header: list[str], rows: list[list], json_payload=None) -> None:
         sys.stdout.write(data)
 
 
-def _refuse_fermi_level(keys, command: str) -> None:
-    """Exit 2 on the given keys that set a Fermi level, which command never
-    reads."""
-    for key in ("alpha", "fermi_eV"):
-        if key in keys:
-            raise ConfigError(f"{command} has no Fermi level and does not "
-                              f"read {key}")
-
-
 def _check_rows(count: int) -> None:
     if count > MAX_ROWS:
         raise ConfigError(f"the table would hold {count} rows; the cap is "
                           f"{MAX_ROWS}")
 
 
-def cmd_spectrum(args) -> int:
-    values = _gather_values(args)
+def cmd_spectrum(args, values) -> int:
     d = resolve_params(values)
     energy_scale = 1.0
     current_scale = 1.0
     rows = []
-    nmax = 3 if args.nmax is None else args.nmax
-    lmax = 2.5 if args.lmax is None else args.lmax
     if args.geometry == "finite":
-        if args.k is not None or args.lam is not None:
-            raise ConfigError("--k and --lambda apply to --geometry "
-                              "infinite only")
-        if nmax < 1:
-            raise ConfigError(f"spectrum needs nmax >= 1, got {nmax}")
+        if args.nmax < 1:
+            raise ConfigError(f"spectrum needs nmax >= 1, got {args.nmax}")
         if d.nu <= 0.0:
             raise RegimeError("finite spectrum needs nu > 0 (or length_nm)")
-    elif args.nmax is not None:
-        raise ConfigError("--nmax applies to --geometry finite only")
-    elif args.lam is not None and args.lmax is not None:
-        raise ConfigError("--lmax does not apply with --lambda, which picks "
-                          "the one lambda printed")
     elif d.nu != 0.0:
         raise RegimeError("infinite spectrum modes live on the infinite "
                           "cylinder (nu must be 0)")
     elif args.k is None:
         raise ConfigError("infinite geometry needs --k")
-    _refuse_fermi_level(values, "spectrum")
     if args.physical:
         if "radius_nm" not in values:
             raise ConfigError("--physical needs radius_nm, the radius R "
                               "that sets the units hbar c/R and e c/R")
         energy_scale = HBARC_EV_NM / values["radius_nm"]        # -> eV
         current_scale = E_TIMES_C / (values["radius_nm"] * 1e-9)  # -> A
-    lo, hi = -lmax - 1e-12, lmax + 1e-12
-    if args.lam is None and half_odd_count(lo, hi) == 0:
-        raise ConfigError(f"spectrum needs lmax >= 0.5, got {lmax:g}")
+    lams, count = [args.lam], 1
+    if args.lam is None:
+        lo, hi = -args.lmax - 1e-12, args.lmax + 1e-12
+        lams, count = half_odd_run(lo, hi), half_odd_count(lo, hi)
+        if count == 0:
+            raise ConfigError(f"spectrum needs lmax >= 0.5, got {args.lmax:g}")
     if args.geometry == "finite":
-        _check_rows(nmax * half_odd_count(lo, hi))
-        for lam in half_odd_run(lo, hi):
-            for n in range(1, nmax + 1):
+        _check_rows(args.nmax * count)
+        for lam in lams:
+            for n in range(1, args.nmax + 1):
                 re_ = energy_finite(n, lam, d)
                 ch = chi(n, lam, d)
                 rows.append([n, lam, re_ * energy_scale,
@@ -198,11 +245,7 @@ def cmd_spectrum(args) -> int:
         rows.sort(key=lambda r: (r[2], r[0], r[1]))
         header = ["n", "lambda", "R_E", "chi", "R_Ic"]
     else:
-        if args.lam is not None:
-            lams = [args.lam]
-        else:
-            _check_rows(half_odd_count(lo, hi))
-            lams = half_odd_run(lo, hi)
+        _check_rows(count)
         for lam in lams:
             re_ = energy_infinite(args.k, lam, d)
             ch = (lam + d.beta) / re_
@@ -220,8 +263,8 @@ def _report_dict(rep: fermi.PersistentReport) -> dict:
     return out
 
 
-def cmd_persistent(args) -> int:
-    d = _gather_params(args)
+def cmd_persistent(args, values) -> int:
+    d = resolve_params(values)
     reports = fermi.persistent_all(d)
     if reports["exact"].N_e == 0:
         _diag("warning: empty Fermi sea (no state below the Fermi level)")
@@ -248,15 +291,13 @@ def cmd_persistent(args) -> int:
     return EXIT_OK
 
 
-def cmd_packet(args) -> int:
-    values = _gather_values(args)
+def cmd_packet(args, values) -> int:
     d = resolve_params(values)
     if d.nu != 0.0:
         raise RegimeError("packet states live on the infinite cylinder "
                           "(nu must be 0)")
     if args.zsteps < 2:
         raise ConfigError("packet needs zsteps >= 2")
-    _refuse_fermi_level(values, "packet")
     packet = currents.GaussianPacket(lam=args.lam, k0=args.k0,
                                      width=args.width,
                                      weight_plus=args.mix_plus,
@@ -291,8 +332,6 @@ def cmd_packet(args) -> int:
     return EXIT_OK
 
 
-_SWEEP_PARAMS = ("beta", "mu", "nu", "alpha", "lambda", "n")
-
 # the single-mode sweep observables, value at (n, lambda, d)
 _MODE_OBSERVABLES = {"chi": chi, "energy": energy_finite}
 
@@ -309,57 +348,39 @@ def _observable(name: str):
     raise ConfigError(f"unknown observable {name!r}")
 
 
-def cmd_sweep(args) -> int:
-    values = _gather_values(args)
-    base = resolve_params(values)
-    if args.param not in _SWEEP_PARAMS:
-        raise ConfigError(f"unknown sweep parameter {args.param!r}")
+def cmd_sweep(args, values) -> int:
+    mode_param = args.param in ("lambda", "n")
+    # each point sets the swept group, which the request does not give
+    base = resolve_params(values if mode_param
+                          else {**values, args.param: args.start})
     observable = _observable(args.observable)
     persistent = args.observable.startswith("persistent_")
-    if not persistent:
-        _refuse_fermi_level({*values, args.param},
-                            f"the {args.observable} sweep")
-    mode_param = args.param in ("lambda", "n")
-    if mode_param and persistent:
-        raise ConfigError(f"{args.observable} sums the whole Fermi sea and "
-                          f"does not depend on {args.param}")
-    # a flag that this sweep does not read is refused, not ignored
-    for flag, value, read in (
-            ("steps", args.steps, not mode_param),
-            ("scale", args.scale, not mode_param),
-            ("n", args.n, not persistent and args.param != "n"),
-            ("lambda", args.lam, not persistent and args.param != "lambda")):
-        if value is not None and not read:
-            raise ConfigError(f"the {args.observable} sweep over {args.param} "
-                              f"does not read --{flag}")
-    steps = 11 if args.steps is None else args.steps
-    n = 1 if args.n is None else args.n
-    lam = 0.5 if args.lam is None else args.lam
     if args.param == "lambda":
-        _check_rows(half_odd_count(args.start, args.stop + 1e-12))
+        count = half_odd_count(args.start, args.stop + 1e-12)
         points = half_odd_run(args.start, args.stop + 1e-12)
     elif args.param == "n":
         first, last = max(1, math.ceil(args.start)), math.floor(args.stop)
-        _check_rows(last - first + 1)
-        points = range(first, last + 1)
+        count, points = last - first + 1, range(first, last + 1)
     else:
+        count = steps = args.steps
         if steps < 2:
             raise ConfigError("sweep needs steps >= 2")
         if not args.stop > args.start:
             raise ConfigError("sweep needs stop > start")
-        _check_rows(steps)
         if args.scale == "log":
             if args.start <= 0:
                 raise ConfigError("log sweep needs start > 0")
             lo, hi = math.log(args.start), math.log(args.stop)
-            points = [math.exp(lo + i * (hi - lo) / (steps - 1))
-                      for i in range(steps)]
+            points = (math.exp(lo + i * (hi - lo) / (steps - 1))
+                      for i in range(steps))
         else:
-            points = [args.start + i * (args.stop - args.start) / (steps - 1)
-                      for i in range(steps)]
-
-    grid = [(x, base if mode_param
-             else DimensionlessParams(**{**base._asdict(), args.param: x}))
+            points = (args.start + i * (args.stop - args.start) / (steps - 1)
+                      for i in range(steps))
+    _check_rows(count)
+    if count < 1:
+        raise ConfigError(f"the sweep over {args.param} has no point from "
+                          f"{args.start:g} to {args.stop:g}")
+    grid = [(x, base if mode_param else base._replace(**{args.param: x}))
             for x in points]
     if persistent and args.observable != "persistent_short":
         # every method but persistent_short builds a Fermi sea
@@ -367,17 +388,16 @@ def cmd_sweep(args) -> int:
             check_sea_columns(d)
     rows = []
     for x, d in grid:
-        rows.append([x, observable(x if args.param == "n" else n,
-                                   x if args.param == "lambda" else lam, d)])
+        rows.append([x, observable(x if args.param == "n" else args.n,
+                                   x if args.param == "lambda" else args.lam, d)])
     _emit(args, [args.param, args.observable], rows)
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    seed = 0 if args.seed is None else args.seed
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
-    results = verify.run_suites(seed=seed)
+def cmd_verify(args, values) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    results = verify.run_suites(seed=args.seed)
     ok = all(r.passed for r in results)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -406,20 +426,6 @@ def _add_global_flags(p: argparse.ArgumentParser, top: bool) -> None:
                         "(spectrum)")
 
 
-# the commands that apply each global flag; any other command rejects
-# the flag instead of ignoring it
-_FLAG_COMMAND = {"seed": ("verify",), "physical": ("spectrum",),
-                 "config": ("spectrum", "persistent", "packet", "sweep")}
-
-
-def _check_global_flags(args) -> None:
-    for dest, commands in _FLAG_COMMAND.items():
-        if getattr(args, dest) is not None and args.command not in commands:
-            raise ConfigError(f"--{dest.replace('_', '-')} applies to "
-                              f"{', '.join(commands)} only, not to "
-                              f"{args.command}")
-
-
 def _check_finite_flags(args) -> None:
     """Exit 2 on a NaN or infinite float flag; the parameter flags are
     checked where they become the four groups."""
@@ -441,8 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_flags(sp, top=False)
     _add_param_flags(sp)
     sp.add_argument("--geometry", choices=("finite", "infinite"), default="finite")
-    # --nmax (default 3) is read by the finite geometry only, and --lmax
-    # (2.5) by both unless --lambda picks the one lambda
     sp.add_argument("--nmax", type=int, default=None)
     sp.add_argument("--lmax", type=float, default=None)
     sp.add_argument("--k", type=float, default=None)
@@ -475,9 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--param", required=True)
     sw.add_argument("--start", type=float, required=True)
     sw.add_argument("--stop", type=float, required=True)
-    # --steps (default 11) and --scale (linear) apply to the sweeps over
-    # beta, mu, nu and alpha; --n (1) and --lambda (0.5) pick the mode of
-    # chi and energy when the sweep is not over that quantum number
     sw.add_argument("--steps", type=int, default=None)
     sw.add_argument("--scale", choices=("linear", "log"), default=None)
     sw.add_argument("--observable", default="chi")
@@ -497,9 +498,8 @@ def main(argv=None) -> int:
     4 (resolution)."""
     args = build_parser().parse_args(argv)
     try:
-        _check_global_flags(args)
         _check_finite_flags(args)
-        return args.func(args)
+        return args.func(args, _read_request(args))
     except ValueError as exc:
         _diag(f"error: {exc}")
         if isinstance(exc, RegimeError):

@@ -12,11 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from abcyl import spinors
+from abcyl import cli, spinors
 from abcyl.cli import build_parser, main
 from abcyl.currents import MAX_MOMENTUM_ORDER
 from abcyl.fermi import persistent_short
-from abcyl.params import DimensionlessParams
+from abcyl.params import PARAM_KEYS, DimensionlessParams
 from abcyl.spectrum import MAX_SEA_COLUMNS, half_odd_run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,7 +74,7 @@ def test_finite_spectrum_rejects_infinite_only_flags(capsys, flag):
 
 
 @pytest.mark.parametrize("params", [
-    ("--mu", "1", "--nu", "1", "--alpha", "3"),
+    ("--mu", "1", "--nu", "1", "--beta", "0.3"),
     ("--mass-eV", "511000", "--radius-nm", "2", "--length-nm", "6")])
 def test_infinite_spectrum_rejects_finite_nu_exit_3(capsys, params):
     # the infinite table has no n column, so it would print the nu = 0
@@ -347,7 +347,7 @@ def test_short_sweep_has_no_column_cap(capsys):
     # and finite input
     (("sweep", "--mu", "1", "--nu", "0", "--alpha", "50",
       *_SHORT_BETA_SWEEP, "--observable", "persistent_short"), 3),
-    (("sweep", "--mu", "1", "--nu", "1", "--alpha", "50", "--beta", "inf",
+    (("sweep", "--mu", "1", "--nu", "1", "--alpha", "inf",
       *_SHORT_BETA_SWEEP, "--observable", "persistent_short"), 2),
 ])
 def test_bad_input_is_refused_with_one_error_line(argv, code):
@@ -385,8 +385,23 @@ def test_fermi_level_refused_where_unread(capsys, tmp_path, command, key):
     cfg.write_text(f"mass_eV = 511000\nradius_nm = 2\n{key}\n")
     code, out, err = run(capsys, *command, "--config", str(cfg))
     assert code == 2 and out == ""
-    assert err == (f"error: {command[0]} has no Fermi level and does not "
-                   f"read {key.split()[0]}\n")
+    geometry = "infinite" if "infinite" in command else "finite"
+    request = "packet" if command[0] == "packet" else f"the {geometry} spectrum"
+    assert err == f"error: {request} does not read {key.split()[0]}\n"
+
+
+@pytest.mark.parametrize("observable", ["chi", "persistent_exact"])
+def test_sweep_refuses_its_group_from_config(capsys, tmp_path, observable):
+    # the config's beta was dropped, and every row swept beta over 0 to 0.1
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("beta = 0.3\n")
+    alpha = ("--alpha", "3") if observable.startswith("persistent_") else ()
+    code, out, err = run(capsys, "sweep", "--mu", "25", "--nu", "1", *alpha,
+                         "--config", str(cfg), "--param", "beta", "--start",
+                         "0", "--stop", "0.1", "--steps", "2", "--observable",
+                         observable)
+    assert code == 2 and out == ""
+    assert err == f"error: the {observable} sweep over beta does not read beta\n"
 
 
 @pytest.mark.parametrize("observable", ["chi", "energy"])
@@ -404,8 +419,10 @@ def test_mode_sweep_refuses_a_fermi_level(capsys, observable, argv, key):
     # the same value in every row with exit 0
     code, out, err = run(capsys, "sweep", *argv, "--observable", observable)
     assert code == 2 and out == ""
-    assert err == (f"error: the {observable} sweep has no Fermi level and "
-                   f"does not read {key}\n")
+    param = argv[argv.index("--param") + 1]
+    unread = f"--param {key}" if param == key else key
+    assert err == (f"error: the {observable} sweep over {param} does not "
+                   f"read {unread}\n")
 
 
 def test_physical_needs_radius(capsys):
@@ -549,7 +566,8 @@ def test_sweep_persistent_over_mode_number_exit_2(capsys, param, observable):
                          "--start", "0.5", "--stop", "3.5",
                          "--observable", observable)
     assert code == 2 and out == ""
-    assert observable in err and err.rstrip().endswith(f"depend on {param}")
+    assert err == (f"error: the {observable} sweep over {param} does not "
+                   f"read --param {param}\n")
 
 
 @pytest.mark.parametrize("tag", ["exact", "linearized", "compact", "short",
@@ -593,16 +611,28 @@ _N_CHI = ("sweep", "--mu", "1", "--nu", "1", "--param", "n", "--start", "1",
     ((*_N_CHI, "--n", "7"), "chi sweep over n does not read --n"),
     ((*_N_CHI, "--scale", "linear"), "chi sweep over n does not read --scale"),
     (("spectrum", "--geometry", "infinite", "--mu", "1", "--k", "1",
-      "--nmax", "0"), "--nmax applies to --geometry finite only"),
+      "--nmax", "0"), "the infinite spectrum does not read --nmax"),
     (("spectrum", "--geometry", "infinite", "--mu", "1", "--k", "1",
-      "--lambda", "1.5", "--lmax", "0.1"), "--lmax does not apply with "
-     "--lambda"),
+      "--lambda", "1.5", "--lmax", "0.1"),
+     "the infinite spectrum at one --lambda does not read --lmax"),
+    # radius_nm sets no group when no other physical key is given
+    (("persistent", "--mu", "25", "--nu", "1", "--alpha", "10.3", "--beta",
+      "0.05", "--radius-nm", "7"), "persistent does not read radius_nm"),
+    (("spectrum", "--mu", "1", "--nu", "1", "--beta", "0.2", "--radius-nm",
+      "7"), "the finite spectrum does not read radius_nm"),
+    # a sweep sets the group it sweeps, and the physical key that drives it
+    (("sweep", "--mu", "1", "--nu", "1", "--beta", "0.3", "--param", "beta",
+      "--start", "0", "--stop", "0.1", "--steps", "2"),
+     "the chi sweep over beta does not read beta"),
+    (("sweep", "--mu", "1", "--length-nm", "5", "--radius-nm", "2", "--param",
+      "nu", "--start", "0.5", "--stop", "1", "--steps", "2"),
+     "the chi sweep over nu does not read length_nm"),
 ])
 def test_flag_the_request_does_not_read_exits_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert message in err
+    assert err.endswith(f"{message}\n")
 
 
 def test_sweep_unknown_observable_exit_2(capsys):
@@ -655,6 +685,10 @@ _GLOBAL_FLAGS = {
     ("--seed", "2"): ("verify",),
     ("--config", "params.cfg"): ("spectrum", "persistent", "packet", "sweep"),
 }
+# how a refusal names the request of each _COMMAND_ARGV
+_REQUEST_NAMES = {"spectrum": "the finite spectrum", "persistent": "persistent",
+                  "packet": "packet", "sweep": "the chi sweep over beta",
+                  "verify": "verify"}
 
 
 def _with_flag(flag, command, before):
@@ -675,16 +709,16 @@ _REJECTED_IDS = [f"flag{i + 4 * (i >= 4)}-{command}"
 def test_global_flag_rejected_where_ignored(capsys, flag, command, before):
     code, out, err = run(capsys, *_with_flag(flag, command, before))
     assert code == 2 and out == ""
-    owners = ", ".join(_GLOBAL_FLAGS[flag])
-    assert err == f"error: {flag[0]} applies to {owners} only, not to {command}\n"
+    assert err == f"error: {_REQUEST_NAMES[command]} does not read {flag[0]}\n"
 
 
 @pytest.mark.parametrize("flag", [("--physical",)])
 def test_global_flag_accepted_in_either_position(capsys, flag):
     (command,) = _GLOBAL_FLAGS[flag]
-    # --physical needs the radius that sets its units
+    # --physical needs the radius that sets its units, which is read only
+    # with --physical here
     radius = ("--radius-nm", "2")
-    code, plain, _ = run(capsys, *_COMMAND_ARGV[command], *radius)
+    code, plain, _ = run(capsys, *_COMMAND_ARGV[command])
     assert code == 0
     outs = set()
     for before in (True, False):
@@ -756,7 +790,8 @@ def test_sweep_lambda_points_match_counting_loop(capsys, start, stop):
     code, out, _ = run(capsys, "sweep", "--mu", "1", "--nu", "1",
                        "--param", "lambda", f"--start={start!r}",
                        f"--stop={stop!r}", "--observable", "chi")
-    assert code == 0
+    # a range that holds no half-odd lambda is refused, as an empty table
+    assert code == (0 if want else 2)
     assert [float(line.split(",")[0])
             for line in out.strip().splitlines()[1:]] == want
 
@@ -934,6 +969,19 @@ def test_spectrum_refuses_an_empty_table(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--param", "n", "--start", "0.2", "--stop", "0.7"),
+     "the sweep over n has no point from 0.2 to 0.7"),
+    (("--param", "lambda", "--start", "3", "--stop", "1"),
+     "the sweep over lambda has no point from 3 to 1"),
+])
+def test_sweep_refuses_an_empty_table(capsys, argv, message):
+    # these printed the header alone and exited 0
+    code, out, err = run(capsys, "sweep", *_FINITE, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 # json is not imported here, so that the probe can tell whether a request
 # imported it; each request is one space-separated argument
 _MODULE_PROBE = """
@@ -1012,3 +1060,161 @@ def test_cli_runs_blas_on_one_thread_by_default():
 def test_cli_keeps_a_blas_thread_count_the_user_set():
     report = _probe_modules(_PACKET_REQUEST, OPENBLAS_NUM_THREADS="2")
     assert report["numpy"] and report["blas_threads"] == "2"
+
+
+# --- what each kind of request reads ----------------------------------------
+
+_SWEEP_RANGES = {"beta": ("0.1", "0.3"), "mu": ("1", "2"), "nu": ("0.5", "1"),
+                 "alpha": ("2", "3"), "lambda": ("0.5", "2.5"), "n": ("1", "3")}
+
+
+def _sweep_kind(observable, param):
+    # a persistent current is 0 at beta = 0, whatever else is given
+    params = ({"mu": "25", "nu": "1", "beta": "0.1", "alpha": "3"}
+              if observable.startswith("persistent_")
+              else {"mu": "1", "nu": "1"})
+    params.pop(param, None)
+    start, stop = _SWEEP_RANGES[param]
+    return (("sweep", "--observable", observable, "--param", param,
+             "--start", start, "--stop", stop), params)
+
+
+# a valid request of each kind (or, for three sweeps, one that is refused
+# for its --param): its argv without the parameter keys, and the keys
+_KINDS = {
+    "spectrum-finite": (("spectrum",), {"mu": "1", "nu": "1"}),
+    "spectrum-infinite": (("spectrum", "--geometry", "infinite", "--k", "1"),
+                          {"mu": "1"}),
+    "spectrum-infinite-lambda": (("spectrum", "--geometry", "infinite",
+                                  "--k", "1", "--lambda", "0.5"), {"mu": "1"}),
+    "persistent": (("persistent",),
+                   {"mu": "25", "nu": "1", "beta": "0.1", "alpha": "3"}),
+    "packet": (("packet", "--zsteps", "3", "--korder", "200"), {"mu": "1"}),
+    "verify": (("verify",), {}),
+    **{f"sweep-{observable}-{param}": _sweep_kind(observable, param)
+       for observable in ("chi", "persistent_exact")
+       for param in _SWEEP_RANGES},
+}
+
+# two values of each flag and key; at radius_nm 2 the physical keys put
+# mu, nu, beta and alpha near 1, 1, 0.03 and 4
+_VALUES = {"--nmax": ("1", "2"), "--lmax": ("0.5", "1.5"), "--k": ("1", "2"),
+           "--lambda": ("0.5", "1.5"), "--steps": ("2", "3"),
+           "--scale": ("linear", "log"), "--n": ("1", "2"),
+           "--seed": ("0", "1"), "--format": ("csv", "json"),
+           "mu": ("1", "2"), "nu": ("1", "2"),
+           "beta": ("0.1", "0.2"), "alpha": ("3", "5"),
+           "mass_eV": ("100", "200"), "radius_nm": ("2", "3"),
+           "length_nm": ("6", "9"), "b_field_T": ("10", "20"),
+           "fermi_eV": ("300", "500")}
+_DRIVES = {"mass_eV": "mu", "length_nm": "nu", "b_field_T": "beta",
+           "fermi_eV": "alpha"}
+
+
+def _argv(prefix, params, *flags):
+    return [*prefix, *flags, *(x for key, value in params.items()
+                               for x in (f"--{key.replace('_', '-')}", value))]
+
+
+def _with(prefix, params, name, tmp_path):
+    """The request with name given once."""
+    if name in PARAM_KEYS:
+        return _argv(prefix, {**params, name: _VALUES[name][0]})
+    if name == "--physical":
+        return _argv(prefix, params, name)
+    if name in ("--config", "--out"):
+        # the config does not exist: an unread --config is never opened
+        return _argv(prefix, params, name, str(tmp_path / name[2:]))
+    return _argv(prefix, params, name, _VALUES[name][0])
+
+
+def _pair(prefix, params, name, reads, tmp_path):
+    """Two requests that differ in name alone, each giving what name needs
+    to be read."""
+    if name == "--out":
+        return (_argv(prefix, params),
+                _argv(prefix, params, name, str(tmp_path / "out")))
+    if name == "--physical":
+        return (_argv(prefix, params),
+                _argv(prefix, {**params, "radius_nm": "2"}, name))
+    if name == "--config":
+        # the first key given moves into the config file
+        (key, _), *rest = params.items()
+        argvs = []
+        for value in _VALUES[key]:
+            cfg = tmp_path / f"{key}-{value}.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            argvs.append(_argv(prefix, dict(rest), name, str(cfg)))
+        return argvs
+    if name.startswith("--"):
+        return tuple(_argv(prefix, params, name, v) for v in _VALUES[name])
+    params = dict(params)
+    if name in _DRIVES:
+        params.pop(_DRIVES[name], None)
+        params["radius_nm"] = "2"
+        if name == "fermi_eV" and "mass_eV" in reads:
+            params.pop("mu", None)
+            params["mass_eV"] = "100"
+    return tuple(_argv(prefix, {**params, name: v}) for v in _VALUES[name])
+
+
+def _physical(params):
+    """params with the first group given set by its physical key instead."""
+    group = next(g for g in ("mu", "nu", "beta") if g in params)
+    (driver,) = [d for d, g in _DRIVES.items() if g == group]
+    return {**{k: v for k, v in params.items() if k != group},
+            driver: _VALUES[driver][0]}
+
+
+def _walk():
+    """(kind, name) for --format, --out and each flag of _UNREAD and key
+    that the kind's parser accepts; for a sweep whose observable does not
+    read its --param, only (kind, "--param <p>")."""
+    parser = build_parser()
+    (commands,) = [action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    for kind, (prefix, params) in _KINDS.items():
+        if prefix[0] == "sweep":
+            args = parser.parse_args(_argv(prefix, params))
+            swept = f"--param {args.param}"
+            if swept not in cli._reads(args, set(params))[1]:
+                yield kind, swept
+                continue
+        flags = _option_strings(commands.choices[prefix[0]])
+        for name in ("--format", "--out", *cli._UNREAD, *PARAM_KEYS):
+            if f"--{name.lstrip('-').replace('_', '-')}" in flags:
+                yield kind, name
+
+
+@pytest.mark.parametrize("kind, name", list(_walk()))
+def test_a_request_reads_what_the_description_says(capsys, tmp_path, kind,
+                                                    name):
+    # read: changing it changes stdout, or exits with a documented error
+    # (nu must be 0 on the infinite cylinder, fermi_eV needs mass_eV);
+    # unread: exit 2 with one line that names it
+    prefix, params = _KINDS[kind]
+    argv = (_argv(prefix, params) if name.startswith("--param ")
+            else _with(prefix, params, name, tmp_path))
+    request, reads = cli._reads(build_parser().parse_args(argv),
+                                {*params, name})
+    if name in reads or name in ("--format", "--out"):
+        runs = [run(capsys, *a)
+                for a in _pair(prefix, params, name, reads, tmp_path)]
+        for code, out, err in runs:
+            assert code == 0 or (code in (2, 3, 4) and out == ""
+                                 and err.count("\n") == 1), err
+            assert "does not read" not in err
+        assert runs[0][:2] != runs[1][:2] or runs[0][0] != 0
+    else:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {request} does not read {name}\n"
+    if name == "radius_nm" and params:
+        # read once a physical key that the request reads is given
+        params = _physical(params)
+        argvs = _pair(prefix, params, name, reads, tmp_path)
+        args = build_parser().parse_args(argvs[0])
+        assert name in cli._reads(args, {*params, name})[1]
+        runs = [run(capsys, *a) for a in argvs]
+        assert all(code == 0 for code, _, _ in runs)
+        assert runs[0][1] != runs[1][1]
