@@ -140,6 +140,8 @@ def _reads(args, given) -> tuple[str, set[str]]:
         if args.param not in ("lambda", "n"):
             reads |= {"--steps", "--scale"}
     drivers = {key for group, key in _CONFLICTS.items() if group in reads}
+    if "mu" not in reads:  # fermi_eV sets alpha only together with mass_eV
+        drivers.discard("fermi_eV")
     if "--physical" in given or drivers & given:
         drivers.add("radius_nm")
     return request, reads | drivers

@@ -17,7 +17,7 @@ The exact and linearized sums cost O(n_F), not O(N_e).  Column n
 (s = mu^2 + nu^2 n^2) holds a unit-step run of q = lambda + beta, and
 both summands have elementary antiderivatives: chi = q/sqrt(s+q^2)
 integrates to sqrt(s+q^2), and j = s/(s+lambda^2)^(3/2) = chi' to chi.
-Terms with |q| below a window Q(s) are summed one by one; each tail
+Terms with |q| below a window Q(s) are summed explicitly; each tail
 beyond it is summed by the midpoint Euler-Maclaurin formula
 
     sum of f(a..b) = F(b+1/2) - F(a-1/2) - [f']/24 + 7[f^(3)]/5760
@@ -29,11 +29,15 @@ omitted term: with h = chi' = j,
 derivatives), and four such terms at |x| >= Q - 1/2 are held to eps/16
 of the column's sum of |terms|.  A column whose bound already holds at
 q = 0 has no explicit terms (Q = 0): its whole run is one such sum.
-The left and right chi tails (or the run's two ends, when Q = 0) are
-paired into differences (B-A)(B+A)/(sqrt(s+B^2)+sqrt(s+A^2)) that do
-not cancel, each column is built symmetrically (the -beta sea gives
-exactly the negated terms), and every term is accumulated with
-math.fsum.
+A chi column with a window is first shifted by m = round(beta), which
+leaves every q bitwise as it is and |b| = |beta - m| <= 1/2; its window
+is then -w..w, summed in pairs chi(lambda+b) + chi(-lambda+b) =
+4 s b lambda/(A C (a C + c A)), a, c = lambda +- b, A, C = sqrt(s+a^2),
+sqrt(s+c^2).  These, and the differences (B-A)(B+A)/(sqrt(s+B^2) +
+sqrt(s+A^2)) that pair the left and right chi tails (or the run's two
+ends, when Q = 0), do not cancel; each column is built symmetrically
+(the -beta sea gives exactly the negated terms), and every term is
+accumulated with math.fsum.
 """
 
 from __future__ import annotations
@@ -154,17 +158,6 @@ def _window(s: float, tol: float, offset: int) -> float:
     return max(0.5 + math.sqrt(w * w - s), 1.0)
 
 
-def _first_at_least(lo: float, hi: float, beta: float, bound: float) -> float:
-    """Smallest lambda in the run lo..hi with beta + lambda >= bound, or
-    hi + 1; decided by that test itself, as the sea's ends are."""
-    lam = min(max(math.ceil(bound - beta - 0.5) + 0.5, lo), hi + 1.0)
-    while lam > lo and beta + (lam - 1.0) >= bound:
-        lam -= 1.0
-    while lam <= hi and beta + lam < bound:
-        lam += 1.0
-    return lam
-
-
 def _chi_column(lo: float, hi: float, beta: float, s: float) -> list[float]:
     """Terms whose sum is chi summed over the column run lo..hi.
 
@@ -176,16 +169,24 @@ def _chi_column(lo: float, hi: float, beta: float, s: float) -> list[float]:
     bound = _window(s, tol, 0)
     terms = []
     if bound > 0.0:
-        lam_r = _first_at_least(lo, hi, beta, bound)
-        lam_l = -_first_at_least(-hi, -lo, -beta, bound)
-        if lam_r > hi or lam_l < lo:
-            # a tail is empty; in a sea |q| <= r the other then holds at
-            # most one state
-            lam_l, lam_r = lo - 1.0, hi + 1.0
-        for lam in half_odd_run(lam_l + 1.0, lam_r - 1.0):
-            q = beta + lam
-            terms.append(q / math.sqrt(s + q**2))
-        if lam_r > hi:
+        # lambda + m and beta - m give bitwise the same q; now |beta| <= 1/2
+        m = round(beta)
+        lo, hi, beta = lo + m, hi + m, beta - m
+        if (hi + lo) + 2.0 * beta == 0.0:
+            return []  # the run's q pair off as q, -q: it sums to exactly 0
+        # the symmetric window -w..w keeps every |q| < bound; its +-lambda
+        # pairs chi(a) - chi(c), a, c = lambda +- beta, have no cancellation
+        w = min(math.ceil(bound + abs(beta) - 0.5) - 0.5, hi, -lo)
+        for lam in half_odd_run(0.5, w):
+            a, c = lam + beta, lam - beta
+            ra, rc = math.sqrt(s + a * a), math.sqrt(s + c * c)
+            terms.append(4.0 * s * beta * lam / (ra * rc * (a * rc + c * ra)))
+        if w == hi or w == -lo:
+            # a tail is empty; in a sea the other holds at most one state
+            for lam in (*half_odd_run(lo, -w - 1.0),
+                        *half_odd_run(w + 1.0, hi)):
+                q = beta + lam
+                terms.append(q / math.sqrt(s + q**2))
             return terms
     # sqrt(s+q^2) over [x_in, x_out] minus over [y_in, y_out], paired as
     # outer and inner differences with exact B-A and B+A; with no window
@@ -196,8 +197,8 @@ def _chi_column(lo: float, hi: float, beta: float, s: float) -> list[float]:
     d_xo, d_yo = _chi_odd_derivatives(x_out, s), _chi_odd_derivatives(y_out, s)
     if bound == 0.0:
         return terms + [e * (a - b) for e, a, b in zip(_EM, d_xo, d_yo)]
-    x_in, y_in = (beta + lam_r) - 0.5, -(beta + lam_l) - 0.5
-    terms.append(-((lam_r + lam_l) + 2.0 * beta) * (lam_r - lam_l - 1.0)
+    x_in, y_in = (beta + w) + 0.5, 0.5 - (beta - w)
+    terms.append(-4.0 * beta * (w + 0.5)
                  / (math.sqrt(s + x_in**2) + math.sqrt(s + y_in**2)))
     d_xi, d_yi = _chi_odd_derivatives(x_in, s), _chi_odd_derivatives(y_in, s)
     terms += (_EM[k] * ((d_xo[k] - d_yo[k]) - (d_xi[k] - d_yi[k]))
@@ -205,20 +206,17 @@ def _chi_column(lo: float, hi: float, beta: float, s: float) -> list[float]:
     return terms
 
 
-def _j_column(lo: float, hi: float, s: float) -> list[float]:
-    """Terms whose sum is j summed over the lambda > 0 part of lo..hi."""
-    lo = max(lo, 0.5)
-    if lo > hi:
-        return []
+def _j_column(hi: float, s: float) -> list[float]:
+    """Terms whose sum is j summed over lambda = 1/2..hi."""
     tol = _EM_TOL * hi / math.sqrt(s + hi**2)
     bound = _window(s, tol, 1)
     if bound == 0.0:
         # no explicit terms: one Euler-Maclaurin sum spans the whole run
-        terms, a = [], lo - 0.5
+        terms, a = [], 0.0
     else:
-        lam_r = max(math.ceil(bound - 0.5) + 0.5, lo)
+        lam_r = math.ceil(bound - 0.5) + 0.5
         terms = [s / (s + lam**2) ** 1.5
-                 for lam in half_odd_run(lo, min(lam_r - 1.0, hi))]
+                 for lam in half_odd_run(0.5, min(lam_r - 1.0, hi))]
         if lam_r > hi:
             return terms
         a = lam_r - 0.5
@@ -259,8 +257,8 @@ def c_coefficient_exact(d: DimensionlessParams,
     of the beta-free sea."""
     sea = sea or enumerate_fermi_sea(d._replace(beta=0.0))
     terms = []
-    for n, lo, hi in sea.columns:
-        terms += _j_column(lo, hi, d.mu**2 + (d.nu * n) ** 2)
+    for n, _, hi in sea.columns:
+        terms += _j_column(hi, d.mu**2 + (d.nu * n) ** 2)
     return math.fsum(terms)
 
 

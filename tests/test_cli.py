@@ -627,6 +627,11 @@ _N_CHI = ("sweep", "--mu", "1", "--nu", "1", "--param", "n", "--start", "1",
     (("sweep", "--mu", "1", "--length-nm", "5", "--radius-nm", "2", "--param",
       "nu", "--start", "0.5", "--stop", "1", "--steps", "2"),
      "the chi sweep over nu does not read length_nm"),
+    # fermi_eV sets alpha only with mass_eV, which a mu sweep does not read
+    (("sweep", "--param", "mu", "--start", "1", "--stop", "2", "--nu", "1",
+      "--beta", "0.1", "--radius-nm", "2", "--fermi-eV", "300",
+      "--observable", "persistent_exact"),
+     "the persistent_exact sweep over mu does not read fermi_eV"),
 ])
 def test_flag_the_request_does_not_read_exits_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -1190,7 +1195,7 @@ def _walk():
 def test_a_request_reads_what_the_description_says(capsys, tmp_path, kind,
                                                     name):
     # read: changing it changes stdout, or exits with a documented error
-    # (nu must be 0 on the infinite cylinder, fermi_eV needs mass_eV);
+    # (nu must be 0 on the infinite cylinder);
     # unread: exit 2 with one line that names it
     prefix, params = _KINDS[kind]
     argv = (_argv(prefix, params) if name.startswith("--param ")

@@ -4,7 +4,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abcyl import fermi
@@ -245,10 +245,23 @@ def test_exact_is_flux_periodic(mu, nu, alpha, beta):
         assert abs(shifted.value - value) <= atol
 
 
+@pytest.mark.parametrize("mu, nu, alpha", [(25.0, 1.0, 10.3),
+                                           (1.0, 0.5, 60.0),
+                                           (250.0, 1.0, 50.0)])
+@pytest.mark.parametrize("beta", [0.5, -0.5, 1.5])
+def test_exact_vanishes_at_half_flux(mu, nu, alpha, beta):
+    # at half-integer beta every column's q = lambda + beta run is
+    # symmetric about 0, so the exact sum is exactly 0
+    rep = persistent_exact(DimensionlessParams(mu, nu, beta, alpha))
+    assert rep.value == 0.0 and rep.N_e > 0
+
+
 @given(mu=st.floats(0.5, 300.0), nu=st.floats(0.1, 2.0),
        alpha=st.floats(0.0, 300.0),
        beta=st.floats(-0.5, 0.5, exclude_min=True))
 @settings(max_examples=20, deadline=None)
+# after the shift by round(beta), one column holds the single state -1/2
+@example(mu=1.0, nu=0.25, alpha=1.0, beta=0.25)
 def test_column_sums_match_per_state_sums(mu, nu, alpha, beta):
     # the closed-form column sums against the per-state fsum: chi within
     # 1 ulp of sum |chi|, c within 4 ulp of c
@@ -294,19 +307,38 @@ def test_exact_against_mpmath(mu, nu, alpha, beta):
                                                      state_err / tol)
 
 
+def _ulps_from_mpmath(d):
+    """persistent_exact's distance from a 30-digit sum over the same sea,
+    in ulp of its value."""
+    mpmath = pytest.importorskip("mpmath")
+    sea = enumerate_fermi_sea(d)
+    with mpmath.workdps(30):
+        exact = _mpmath_current(mpmath, d, sea)
+        value = persistent_exact(d, sea).value
+        return float(abs(value - exact)) / math.ulp(value)
+
+
 @pytest.mark.parametrize("nu", [1.0, 1.0994543810025033])
 def test_small_beta_against_mpmath_in_ulps_of_the_value(nu):
     # README's point and a point of its nu scan: at beta = 1e-4 the +-lambda
     # terms nearly cancel, and every column is summed without explicit
     # terms, to within 4 ulp of the current itself
-    mpmath = pytest.importorskip("mpmath")
-    d = DimensionlessParams(250.0, nu, 1e-4, 50.0)
-    sea = enumerate_fermi_sea(d)
-    with mpmath.workdps(30):
-        exact = _mpmath_current(mpmath, d, sea)
-        value = persistent_exact(d, sea).value
-        err = float(abs(value - exact))
-    assert err <= 4 * math.ulp(value), err / math.ulp(value)
+    err = _ulps_from_mpmath(DimensionlessParams(250.0, nu, 1e-4, 50.0))
+    assert err <= 4, err
+
+
+# (mu, nu, alpha, beta): seas whose light columns keep an explicit window;
+# at beta = 1e-4 the +-lambda terms nearly cancel, and beta = 1.2 sums as
+# beta = 0.2 over the shifted runs
+@pytest.mark.parametrize("mu, nu, alpha, beta", [
+    (25.0, 1.0, 10.3, 1e-4), (1.0, 0.5, 60.0, 1e-4), (5.0, 0.3, 40.0, 1e-4),
+    (25.0, 1.0, 10.3, 0.05), (1.0, 0.5, 60.0, 0.3), (1.0, 0.5, 60.0, -0.37),
+    (1.0, 0.5, 60.0, 1.2), (5.0, 0.3, 40.0, 0.45)])
+def test_paired_window_against_mpmath_in_ulps_of_the_value(mu, nu, alpha,
+                                                           beta):
+    # the window summed in +-lambda pairs, to within 4 ulp of the current
+    err = _ulps_from_mpmath(DimensionlessParams(mu, nu, beta, alpha))
+    assert err <= 4, err
 
 
 def _windows(monkeypatch, d):
@@ -330,11 +362,7 @@ def _windows(monkeypatch, d):
     (5.0, 60.0, 1e-4)])
 def test_heavy_columns_have_no_window(monkeypatch, nu, alpha, beta):
     # at mu = 250 the bound holds at q = 0 in every column: each column
-    # is one Euler-Maclaurin sum and no window end is searched for
-    def search(*args):
-        raise AssertionError("window end searched in a whole-run column")
-
-    monkeypatch.setattr(fermi, "_first_at_least", search)
+    # is one Euler-Maclaurin sum
     d = DimensionlessParams(mu=250.0, nu=nu, beta=beta, alpha=alpha)
     chi_windows, j_windows = _windows(monkeypatch, d)
     assert len(chi_windows) == len(enumerate_fermi_sea(d).columns) > 0
