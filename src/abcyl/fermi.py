@@ -251,11 +251,23 @@ def j_coeff(n: int, lam: float, d: DimensionlessParams) -> float:
     return s / (s + lam**2) ** 1.5
 
 
+def _check_beta_free(sea: FermiSea) -> None:
+    """Refuse a sea with an asymmetric column.  Every column of the
+    beta-free sea runs from -hi to hi, and a sea whose columns all do
+    has exactly the beta-free sea's columns."""
+    for n, lo, hi in sea.columns:
+        if lo != -hi:
+            raise ValueError(f"column n = {n} runs lambda from {lo} to {hi}; "
+                             f"c needs the beta-free sea, whose columns "
+                             f"run from -lambda_n to lambda_n")
+
+
 def c_coefficient_exact(d: DimensionlessParams,
                         sea: FermiSea | None = None) -> float:
     """c(mu, nu) = sum of j(n, lambda) over the occupied lambda > 0 states
-    of the beta-free sea."""
+    of the beta-free sea; ValueError for a sea with an asymmetric column."""
     sea = sea or enumerate_fermi_sea(d._replace(beta=0.0))
+    _check_beta_free(sea)
     terms = []
     for n, _, hi in sea.columns:
         terms += _j_column(hi, d.mu**2 + (d.nu * n) ** 2)
@@ -271,8 +283,10 @@ def persistent_linearized(d: DimensionlessParams,
 
 
 def c_compact(d: DimensionlessParams, sea: FermiSea | None = None) -> float:
-    """Compact estimate c ~= (sum of exact lambda_n) / sqrt(mu^2+alpha^2)."""
+    """Compact estimate c ~= (sum of exact lambda_n) / sqrt(mu^2+alpha^2)
+    over the beta-free sea; ValueError for a sea with an asymmetric column."""
     sea = sea or enumerate_fermi_sea(d._replace(beta=0.0))
+    _check_beta_free(sea)
     return sea.sum_lambda_n() / math.sqrt(d.mu**2 + d.alpha**2)
 
 

@@ -17,6 +17,7 @@ actual identity and pins the sign-flip structure where it is not.
 from __future__ import annotations
 
 import math
+import random
 from typing import NamedTuple
 
 import numpy as np
@@ -80,45 +81,52 @@ def suite_orthonormality() -> SuiteResult:
     return _result("orthonormality", 1e-10, worst)
 
 
+def _uniform(rng, a, b, size):
+    return np.array([rng.uniform(a, b) for _ in range(size)])
+
+
 def suite_dirac_residual(seed: int = 0) -> SuiteResult:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     d = DimensionlessParams(mu=1.0, nu=1.0, beta=0.3)
     worst = 0.0
     for mode in _finite_modes():
-        zs = rng.uniform(0.0, d.length, size=32)
+        zs = _uniform(rng, 0.0, d.length, 32)
         res = spinors.dirac_residual(mode, d, zs)
         worst = max(worst, res / mode_energy(mode, d))
     for k in (0.0, 1.3, -2.7):
         mode = ModeSpec(geometry="infinite", k=k, lam=1.5, sigma=0.5)
-        zs = rng.uniform(-3.0, 3.0, size=32)
+        zs = _uniform(rng, -3.0, 3.0, 32)
         res = spinors.dirac_residual(mode, d, zs)
         worst = max(worst, res / mode_energy(mode, d))
     return _result("dirac_residual", 1e-12, worst, detail="relative to R*E")
 
 
+# the (t, phi, z) points (0, 0.4, 0.9) and (1.2, 2.2, 1.7), one tuple
+# per coordinate, so that each mode is evaluated once at both
+_K_POINTS = ((0.0, 1.2), (0.4, 2.2), (0.9, 1.7))
+
+
 def suite_k_operator() -> SuiteResult:
     d = DimensionlessParams(mu=1.0, nu=1.0, beta=0.3)
     worst = 0.0
-    pts = [(0.0, 0.4, 0.9), (1.2, 2.2, 1.7)]
+    t, phi, z = _K_POINTS
     for lam in (0.5, -0.5, 1.5, -2.5):
         for sig in (0.5, -0.5):
             mode = ModeSpec(geometry="infinite", k=0.0, lam=lam, sigma=sig)
-            for (t, phi, z) in pts:
-                psi = spinors.eval_mode(mode, d, t, phi, z)
-                got = spinors.k_operator_apply(mode, d, t, phi, z)
-                want = (lam if sig > 0 else -lam) * psi
-                worst = max(worst, float(np.max(np.abs(got - want))))
+            psi = spinors.eval_mode(mode, d, t, phi, z)
+            got = spinors.k_operator_apply(mode, d, t, phi, z)
+            want = (lam if sig > 0 else -lam) * psi
+            worst = max(worst, float(np.max(np.abs(got - want))))
     # finite modes: identity on the sin-profile components, exact sign
     # flip on the cos(k_n z) component
     for mode in _finite_modes(nmax=2, lmax=1.5):
-        for (t, phi, z) in pts:
-            psi = spinors.eval_mode(mode, d, t, phi, z)
-            got = spinors.k_operator_apply(mode, d, t, phi, z)
-            ev = mode.lam if mode.sigma > 0 else -mode.lam
-            cos_idx = 2 if mode.sigma > 0 else 3
-            want = ev * psi
-            want[cos_idx] = -ev * psi[cos_idx]
-            worst = max(worst, float(np.max(np.abs(got - want))))
+        psi = spinors.eval_mode(mode, d, t, phi, z)
+        got = spinors.k_operator_apply(mode, d, t, phi, z)
+        ev = mode.lam if mode.sigma > 0 else -mode.lam
+        cos_idx = 2 if mode.sigma > 0 else 3
+        want = ev * psi
+        want[cos_idx] = -ev * psi[cos_idx]
+        worst = max(worst, float(np.max(np.abs(got - want))))
     return _result("k_operator", 1e-13, worst,
                    detail="printed relation where exact; sign-flip pinned on "
                           "the longitudinal component")
@@ -143,14 +151,14 @@ def suite_circular_current() -> SuiteResult:
 
 
 def suite_derivative_identity(seed: int = 0) -> SuiteResult:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     h = 1e-6
     worst = 0.0
     for _ in range(50):
         mu = rng.uniform(0.5, 5.0)
         nu = rng.uniform(0.2, 2.0)
-        n = int(rng.integers(1, 6))
-        lam = (int(rng.integers(0, 5)) + 0.5) * rng.choice([-1.0, 1.0])
+        n = rng.randrange(1, 6)
+        lam = (rng.randrange(0, 5) + 0.5) * rng.choice([-1.0, 1.0])
         beta = rng.uniform(-0.4, 0.4)
         if abs(lam + beta) < 0.3:
             beta += 0.4 * math.copysign(1.0, lam)
@@ -226,14 +234,14 @@ def suite_boundary() -> SuiteResult:
     d = DimensionlessParams(mu=1.0, nu=1.0, beta=0.3)
     worst = 0.0
     ok = True
+    ends = np.array([0.0, d.length])
     for mode in _finite_modes(nmax=2, lmax=1.5):
-        for z in (0.0, d.length):
-            v = spinors.eval_mode(mode, d, 0.0, 0.9, z)
-            sin_idx = [0, 1, 3] if mode.sigma > 0 else [0, 1, 2]
-            cos_idx = 2 if mode.sigma > 0 else 3
-            worst = max(worst, float(np.max(np.abs(v[sin_idx]))))
-            if abs(v[cos_idx]) < 1e-6:
-                ok = False
+        v = spinors.eval_mode(mode, d, 0.0, 0.9, ends)
+        sin_idx = [0, 1, 3] if mode.sigma > 0 else [0, 1, 2]
+        cos_idx = 2 if mode.sigma > 0 else 3
+        worst = max(worst, float(np.max(np.abs(v[sin_idx]))))
+        if np.any(np.abs(v[cos_idx]) < 1e-6):
+            ok = False
     if not ok:
         worst = max(worst, 1.0)
     return _result("boundary_behavior", 1e-13, worst,
@@ -241,7 +249,7 @@ def suite_boundary() -> SuiteResult:
 
 
 def suite_hermiticity(seed: int = 0) -> SuiteResult:
-    rng = np.random.default_rng(seed + 7)
+    rng = random.Random(seed + 7)
     d = DimensionlessParams(mu=1.0, nu=1.0, beta=0.25)
 
     def random_field():
@@ -250,10 +258,11 @@ def suite_hermiticity(seed: int = 0) -> SuiteResult:
             kinds = ("sin",) if j < 2 else ("sin", "cos")
             terms = []
             for _ in range(3):
-                amp = complex(rng.normal(), rng.normal())
-                p = (int(rng.integers(-3, 3)) + 0.5)
-                kind = kinds[int(rng.integers(0, len(kinds)))]
-                m = int(rng.integers(1, 4))
+                # gauss() has no default arguments before Python 3.11
+                amp = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+                p = rng.randrange(-3, 3) + 0.5
+                kind = rng.choice(kinds)
+                m = rng.randrange(1, 4)
                 terms.append((amp, p, kind, m))
             comps.append(tuple(terms))
         return spinors.FourierSpinorField(terms=tuple(comps))

@@ -998,6 +998,7 @@ for argv in sys.argv[1:]:
             contextlib.redirect_stderr(io.StringIO()):
         codes.append(main(argv.split()))
 print(repr({"codes": codes, "numpy": "numpy" in sys.modules,
+            "numpy.random": "numpy.random" in sys.modules,
             "json": "json" in sys.modules,
             "dataclasses": "dataclasses" in sys.modules,
             "inspect": "inspect" in sys.modules,
@@ -1040,6 +1041,20 @@ def test_requests_import_neither_dataclasses_nor_inspect(requests, numpy):
     assert not report["dataclasses"]
     # numpy imports inspect itself
     assert numpy or not report["inspect"]
+
+
+def test_numpy_requests_import_no_numpy_random():
+    # verify draws its sample points from the standard library's random;
+    # numpy releases that import numpy.random with numpy itself load it
+    # whatever the request does
+    bare = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, numpy; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, timeout=120)
+    assert bare.returncode == 0, bare.stderr
+    report = _probe_modules(_NUMPY)
+    assert report["numpy"]
+    assert report["numpy.random"] is (bare.stdout.strip() == "True")
 
 
 @pytest.mark.parametrize("requests", [

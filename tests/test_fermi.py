@@ -404,3 +404,21 @@ def test_persistent_all_walks_no_state(monkeypatch):
     reports = persistent_all(d)
     assert reports["exact"].N_e > 3_000_000
     assert reports["linearized"].value > 0.0
+
+
+@pytest.mark.parametrize("c_of", [c_coefficient_exact, fermi.c_compact,
+                                  persistent_linearized, persistent_compact],
+                         ids=["exact", "compact", "linearized",
+                              "persistent_compact"])
+def test_c_refuses_a_sea_at_beta(c_of):
+    # the beta = 0.25 sea's column 3 holds lambda = -1/2 alone; c is
+    # defined on the beta-free sea, whose columns are all symmetric
+    d = DimensionlessParams(mu=1.0, nu=0.25, beta=0.25, alpha=1.0)
+    sea = enumerate_fermi_sea(d)
+    assert sea.columns[2] == (3, -0.5, -0.5)
+    with pytest.raises(ValueError, match=r"^column n = 3 runs lambda from "
+                                         r"-0\.5 to -0\.5; c needs the "
+                                         r"beta-free sea"):
+        c_of(d, sea)
+    # and takes the beta-free sea it documents
+    c_of(d, enumerate_fermi_sea(d._replace(beta=0.0)))
