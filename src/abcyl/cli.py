@@ -11,7 +11,9 @@ failure, 2 config error, 3 regime error, 4 resolution error.
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
+import gc
 import importlib.util
 import io
 import math
@@ -498,6 +500,10 @@ def main(argv=None) -> int:
     """Run one command and return its exit code; a refusal instead prints
     one `error: ...` line on stderr and returns 2 (config), 3 (regime) or
     4 (resolution)."""
+    # freeze the heap at exit, once per process, so that the final
+    # collections skip it; a caller keeps a live collector until then
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     try:
         _check_finite_flags(args)

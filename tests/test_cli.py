@@ -1,6 +1,7 @@
 import argparse
 import ast
 import functools
+import gc
 import json
 import math
 import os
@@ -237,12 +238,12 @@ def test_physical_keys_out_of_range_exit_2(capsys, flags, message):
     assert err == f"error: {message}\n"
 
 
-def _cli_subprocess(*argv, timeout):
+def _cli_subprocess(*argv, timeout, text=True):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-m", "abcyl.cli", *argv],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=text, env=env,
                           timeout=timeout)
 
 
@@ -349,6 +350,10 @@ def test_short_sweep_has_no_column_cap(capsys):
       *_SHORT_BETA_SWEEP, "--observable", "persistent_short"), 3),
     (("sweep", "--mu", "1", "--nu", "1", "--alpha", "inf",
       *_SHORT_BETA_SWEEP, "--observable", "persistent_short"), 2),
+    # a key the request does not read, in a process that freezes its heap
+    # at exit
+    (("persistent", "--mu", "25", "--nu", "1", "--alpha", "10.3", "--beta",
+      "0.05", "--radius-nm", "7"), 2),
 ])
 def test_bad_input_is_refused_with_one_error_line(argv, code):
     proc = _cli_subprocess(*argv, timeout=20)
@@ -1080,6 +1085,67 @@ def test_cli_runs_blas_on_one_thread_by_default():
 def test_cli_keeps_a_blas_thread_count_the_user_set():
     report = _probe_modules(_PACKET_REQUEST, OPENBLAS_NUM_THREADS="2")
     assert report["numpy"] and report["blas_threads"] == "2"
+
+
+# --- the heap frozen at exit -------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("persistent", "--mu", "250", "--nu", "1", "--alpha", "50"),
+    ("packet", "--mu", "1", "--zsteps", "3"),
+    ("persistent", "--mu", "25", "--nu", "1", "--alpha", "10.3", "--beta",
+     "0.05", "--radius-nm", "7"),
+], ids=["persistent", "packet", "refused"])
+def test_main_leaves_the_collector_as_it_was(capsys, argv):
+    # the freeze runs at exit only, so an in-process caller keeps a live
+    # collector and no frozen object
+    before = gc.isenabled(), gc.get_freeze_count()
+    run(capsys, *argv)
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+# gc.freeze is wrapped before abcyl.cli is imported, so main registers the
+# wrapper; it prints once for each time it runs.  Python 3.12 starts with
+# some objects frozen already, so the counts are taken from the start.
+_FREEZE_PROBE = """
+import contextlib, gc, io
+start = gc.get_freeze_count()
+freeze = gc.freeze
+def counting_freeze():
+    freeze()
+    print("freeze ran, froze more:", gc.get_freeze_count() > start)
+gc.freeze = counting_freeze
+from abcyl.cli import main
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["persistent", "--mu", "250", "--nu", "1",
+                     "--alpha", "50"]) == 0
+print("frozen before exit:", gc.get_freeze_count() - start)
+"""
+
+
+def test_a_process_that_calls_main_twice_freezes_once_at_exit():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _FREEZE_PROBE],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["frozen before exit: 0",
+                                        "freeze ran, froze more: True"]
+
+
+@pytest.mark.parametrize("argv", [("packet", "--mu", "1", "--korder", "400"),
+                                  ("verify", "--format", "json")],
+                         ids=["packet", "verify-json"])
+def test_a_fresh_process_writes_out_what_it_prints(tmp_path, argv):
+    # the freeze runs after --out is closed and before stdout is flushed
+    printed = _cli_subprocess(*argv, timeout=60, text=False)
+    out = tmp_path / "out"
+    written = _cli_subprocess(*argv, "--out", str(out), timeout=60,
+                              text=False)
+    assert printed.returncode == written.returncode == 0, written.stderr
+    assert printed.stdout and written.stdout == b""
+    assert out.read_bytes() == printed.stdout
 
 
 # --- what each kind of request reads ----------------------------------------
