@@ -23,8 +23,6 @@ import sys
 from .params import (_CONFLICTS, E_TIMES_C, HBARC_EV_NM, PARAM_KEYS,
                      ConfigError, RegimeError, ResolutionError,
                      parse_config_text, resolve_params, validate_regime)
-from .spectrum import (check_sea_columns, chi, energy_finite, energy_infinite,
-                       half_odd_count, half_odd_run)
 
 # numpy's bundled OpenBLAS reads this once, when a numpy layer first
 # loads.  Its largest call here is a (64 x Nk) by (Nk x 8) product with
@@ -50,12 +48,13 @@ def _lazy(name: str):
     return module
 
 
-# fermi is read by persistent and the persistent sweeps only; the numpy
-# layers currents, spinors and verify by packet and verify only.  spinors
-# is registered too, so every layer is in sys.modules once cli is
-# imported (perfbench's tracer looks the layers up there)
-fermi, currents, spinors, verify = (_lazy(m) for m in (
-    "fermi", "currents", "spinors", "verify"))
+# spectrum is read by spectrum, persistent and sweep; fermi by persistent
+# and the persistent sweeps only; the numpy layers currents and verify by
+# packet and verify only, and spinors by verify.  spinors is registered
+# too, so every layer is in sys.modules once cli is imported (perfbench's
+# tracer looks the layers up there)
+spectrum, fermi, currents, spinors, verify = (_lazy(m) for m in (
+    "spectrum", "fermi", "currents", "spinors", "verify"))
 
 SCHEMA_VERSION = 1
 
@@ -235,15 +234,16 @@ def cmd_spectrum(args, values) -> int:
     lams, count = [args.lam], 1
     if args.lam is None:
         lo, hi = -args.lmax - 1e-12, args.lmax + 1e-12
-        lams, count = half_odd_run(lo, hi), half_odd_count(lo, hi)
+        lams = spectrum.half_odd_run(lo, hi)
+        count = spectrum.half_odd_count(lo, hi)
         if count == 0:
             raise ConfigError(f"spectrum needs lmax >= 0.5, got {args.lmax:g}")
     if args.geometry == "finite":
         _check_rows(args.nmax * count)
         for lam in lams:
             for n in range(1, args.nmax + 1):
-                re_ = energy_finite(n, lam, d)
-                ch = chi(n, lam, d)
+                re_ = spectrum.energy_finite(n, lam, d)
+                ch = spectrum.chi(n, lam, d)
                 rows.append([n, lam, re_ * energy_scale,
                              ch, ch / (2 * math.pi) * current_scale])
         rows.sort(key=lambda r: (r[2], r[0], r[1]))
@@ -251,7 +251,7 @@ def cmd_spectrum(args, values) -> int:
     else:
         _check_rows(count)
         for lam in lams:
-            re_ = energy_infinite(args.k, lam, d)
+            re_ = spectrum.energy_infinite(args.k, lam, d)
             ch = (lam + d.beta) / re_
             rows.append([args.k, lam, re_ * energy_scale,
                          ch, ch / (2 * math.pi) * current_scale])
@@ -336,8 +336,9 @@ def cmd_packet(args, values) -> int:
     return EXIT_OK
 
 
-# the single-mode sweep observables, value at (n, lambda, d)
-_MODE_OBSERVABLES = {"chi": chi, "energy": energy_finite}
+# the single-mode sweep observables: the spectrum function of each, a
+# value at (n, lambda, d)
+_MODE_OBSERVABLES = {"chi": "chi", "energy": "energy_finite"}
 
 
 def _observable(name: str):
@@ -345,7 +346,7 @@ def _observable(name: str):
     cylinder.  persistent_<tag> reads fermi.persistent_<tag> at each call,
     so that only its sweep runs fermi and each point calls that method."""
     if name in _MODE_OBSERVABLES:
-        return _MODE_OBSERVABLES[name]
+        return getattr(spectrum, _MODE_OBSERVABLES[name])
     tag = name.removeprefix("persistent_")
     if tag != name and tag in fermi.METHODS:
         return lambda n, lam, d: getattr(fermi, name)(d).value
@@ -360,8 +361,8 @@ def cmd_sweep(args, values) -> int:
     observable = _observable(args.observable)
     persistent = args.observable.startswith("persistent_")
     if args.param == "lambda":
-        count = half_odd_count(args.start, args.stop + 1e-12)
-        points = half_odd_run(args.start, args.stop + 1e-12)
+        count = spectrum.half_odd_count(args.start, args.stop + 1e-12)
+        points = spectrum.half_odd_run(args.start, args.stop + 1e-12)
     elif args.param == "n":
         first, last = max(1, math.ceil(args.start)), math.floor(args.stop)
         count, points = last - first + 1, range(first, last + 1)
@@ -389,7 +390,7 @@ def cmd_sweep(args, values) -> int:
     if persistent and args.observable != "persistent_short":
         # every method but persistent_short builds a Fermi sea
         for _, d in grid:
-            check_sea_columns(d)
+            spectrum.check_sea_columns(d)
     rows = []
     for x, d in grid:
         rows.append([x, observable(x if args.param == "n" else args.n,

@@ -22,9 +22,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import CheckedRecord, DimensionlessParams, ResolutionError
-from .spectrum import ModeSpec, _check_half_odd, chi
-from .spinors import _closed_phi_products, _z_profiles, leggauss, z_quadrature
+from .params import (CheckedRecord, DimensionlessParams, ResolutionError,
+                     _check_half_odd)
+from .quadrature import leggauss
+
+# spectrum and spinors serve only the mode-level functions, which import
+# them when called, so a packet request executes neither
 
 __all__ = [
     "MAX_MOMENTUM_ORDER",
@@ -132,7 +135,8 @@ def circular_current_mode(state: MixedState, d: DimensionlessParams) -> float:
     """R*I^c of a mixed state; independent of the mixing by construction,
     and the API takes the full state deliberately so tests can assert
     that the output is bitwise identical across mixings."""
-    return chi(state.n, state.lam, d) / (2.0 * math.pi)
+    from . import spectrum
+    return spectrum.chi(state.n, state.lam, d) / (2.0 * math.pi)
 
 
 def circular_current_mode_quadrature(state: MixedState,
@@ -142,12 +146,13 @@ def circular_current_mode_quadrature(state: MixedState,
     is stationary, so the current does not depend on t).  It is c^H X c
     with X the 2 x 2 closed-phi products of the U^+, U^- profiles against
     their g0 g_phi images."""
-    z, w = z_quadrature(d)
-    profiles = [_z_profiles(ModeSpec(geometry="finite", n=state.n,
-                                     lam=state.lam, sigma=sigma), d, z)
-                for sigma in (0.5, -0.5)]
-    X = _closed_phi_products(profiles, [_g0_gphi(h, p) for h, p in profiles],
-                             w)
+    from . import spectrum, spinors
+    z, w = spinors.z_quadrature(d)
+    modes = [spectrum.ModeSpec(geometry="finite", n=state.n, lam=state.lam,
+                               sigma=sigma) for sigma in (0.5, -0.5)]
+    profiles = [spinors._z_profiles(mode, d, z) for mode in modes]
+    X = spinors._closed_phi_products(
+        profiles, [_g0_gphi(h, p) for h, p in profiles], w)
     c = np.array([state.c_plus, state.c_minus], dtype=complex)
     return float((np.conj(c) @ X @ c).real / (2.0 * math.pi))
 

@@ -67,6 +67,17 @@ class CheckedRecord:
         return cls(*iterable)
 
 
+# every lambda a mode or a packet takes must be half-odd to this tolerance
+_HALF_ODD_TOL = 1e-9
+
+
+def _check_half_odd(lam: float) -> None:
+    two = 2.0 * lam
+    odd = round(two)
+    if abs(two - odd) > _HALF_ODD_TOL or odd % 2 == 0:
+        raise ValueError(f"lambda must be a half-odd-integer, got {lam}")
+
+
 class _PhysicalFields(NamedTuple):
     mass_eV: float
     radius_nm: float

@@ -16,7 +16,8 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .params import CheckedRecord, DimensionlessParams, RegimeError
+from .params import (CheckedRecord, DimensionlessParams, RegimeError,
+                     _check_half_odd)
 
 __all__ = [
     "MAX_SEA_COLUMNS",
@@ -36,16 +37,6 @@ __all__ = [
 # Widest Fermi sea, in columns n, that enumerate_fermi_sea builds; the
 # persistent sums cost tens of microseconds per column (seconds at the cap).
 MAX_SEA_COLUMNS = 30_000
-
-_HALF_ODD_TOL = 1e-9
-
-
-def _check_half_odd(lam: float) -> None:
-    two = 2.0 * lam
-    odd = round(two)
-    if abs(two - odd) > _HALF_ODD_TOL or odd % 2 == 0:
-        raise ValueError(f"lambda must be a half-odd-integer, got {lam}")
-
 
 def _check_finite(d: DimensionlessParams) -> None:
     if d.nu <= 0.0:

@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from abcyl import cli, spinors
+import abcyl
+from abcyl import cli, quadrature, spinors
 from abcyl.cli import build_parser, main
 from abcyl.currents import MAX_MOMENTUM_ORDER
 from abcyl.fermi import persistent_short
@@ -214,11 +216,11 @@ def test_quad_order_flag_is_gone(capsys, before):
 
 def test_packet_request_solves_one_gauss_legendre_order(capsys):
     # the momentum rule is the only Gauss-Legendre order a packet needs
-    spinors.leggauss.cache_clear()
+    quadrature.leggauss.cache_clear()
     code, _, _ = run(capsys, "packet", "--mu", "1", "--k0", "1",
                      "--width", "0.5", "--korder", "400")
     assert code == 0
-    assert spinors.leggauss.cache_info().currsize == 1
+    assert quadrature.leggauss.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -1007,7 +1009,9 @@ print(repr({"codes": codes, "numpy": "numpy" in sys.modules,
             "json": "json" in sys.modules,
             "dataclasses": "dataclasses" in sys.modules,
             "inspect": "inspect" in sys.modules,
-            "fermi_executed": type(sys.modules["abcyl.fermi"]) is type(sys),
+            "executed": sorted(name for name, m in sys.modules.items()
+                               if name.split(".")[0] == "abcyl"
+                               and type(m) is type(sys)),
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}))
 """
 
@@ -1062,15 +1066,38 @@ def test_numpy_requests_import_no_numpy_random():
     assert report["numpy.random"] is (bare.stdout.strip() == "True")
 
 
-@pytest.mark.parametrize("requests", [
-    [(("packet", "--mu", "1", "--zsteps", "3"), 0)],
-    [(("spectrum", *_FINITE), 0),
-     (("spectrum", "--geometry", "infinite", "--mu", "1", "--k", "1"), 0)],
-    [((*_SWEEP_BETA, "--observable", "chi"), 0)],
-], ids=["packet", "spectrum", "chi-sweep"])
-def test_packet_and_spectrum_leave_fermi_unexecuted(requests):
-    # type(), unlike any attribute read, does not load a lazy module
-    assert not _probe_modules(requests)["fermi_executed"]
+_PACKET_LAYERS = ["cli", "currents", "params", "quadrature"]
+_FERMI_LAYERS = ["cli", "fermi", "params", "spectrum"]
+_SPECTRUM_LAYERS = ["cli", "params", "spectrum"]
+_METHODS = ("exact", "linearized", "compact", "short", "nonrel")
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (("packet", "--mu", "1", "--zsteps", "3"), _PACKET_LAYERS),
+    (("packet", "--mu", "1", "--korder", "800", "--format", "json"),
+     _PACKET_LAYERS),
+    (("persistent", "--mu", "250", "--nu", "1", "--alpha", "50"),
+     _FERMI_LAYERS),
+    *(((*_SWEEP_BETA, *_ALPHA, "--observable", f"persistent_{m}"),
+       _FERMI_LAYERS) for m in _METHODS),
+    (("spectrum", *_FINITE), _SPECTRUM_LAYERS),
+    (("spectrum", "--geometry", "infinite", "--mu", "1", "--k", "1"),
+     _SPECTRUM_LAYERS),
+    ((*_SWEEP_BETA, "--observable", "chi"), _SPECTRUM_LAYERS),
+    (("sweep", *_FINITE, "--param", "n", "--start", "1", "--stop", "5",
+      "--lambda", "1.5", "--observable", "energy"), _SPECTRUM_LAYERS),
+    (("verify",),
+     sorted(m.name for m in pkgutil.iter_modules(abcyl.__path__))),
+], ids=["packet", "packet-json", "persistent",
+        *(f"sweep-persistent_{m}" for m in _METHODS),
+        "spectrum-finite", "spectrum-infinite", "sweep-chi", "sweep-energy",
+        "verify"])
+def test_each_request_executes_only_the_modules_it_reads(argv, modules):
+    # a packet builds its momentum rule from quadrature alone, so neither
+    # the spinor oracles nor the spectrum runs; type(), unlike any
+    # attribute read, does not load a lazy module
+    report = _probe_modules([(argv, 0)])
+    assert report["executed"] == ["abcyl", *(f"abcyl.{m}" for m in modules)]
 
 
 _PACKET_REQUEST = [(("packet", "--mu", "1", "--zsteps", "3"), 0)]

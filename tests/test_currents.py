@@ -1,6 +1,11 @@
+import ast
 import cmath
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +22,8 @@ from abcyl.currents import (MAX_MOMENTUM_ORDER, GaussianPacket, MixedState,
                             packet_polarization, packet_total_flux,
                             packet_velocity_expectation, packet_zprofile)
 from abcyl.params import DimensionlessParams, ResolutionError
+from abcyl.quadrature import leggauss
 from abcyl.spectrum import chi
-from abcyl.spinors import leggauss
 
 D = DimensionlessParams(mu=1.0, nu=1.0, beta=0.3)
 
@@ -51,6 +56,36 @@ def test_circular_current_closed_vs_quadrature():
         closed = circular_current_mode(state, D)
         quad = circular_current_mode_quadrature(state, D)
         assert quad == pytest.approx(closed, abs=1e-12)
+
+
+_ORACLE_PROBE = """
+import sys
+from abcyl.currents import (MixedState, circular_current_mode,
+                            circular_current_mode_quadrature)
+from abcyl.params import DimensionlessParams
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "abcyl")
+d = DimensionlessParams(mu=1.0, nu=1.0, beta=0.3)
+states = [MixedState(n=n, lam=lam, c_plus=0.6, c_minus=0.8j)
+          for n in (1, 2, 5) for lam in (-2.5, -0.5, 0.5, 1.5)]
+print(repr({"loaded": loaded, "worst": max(
+    abs(circular_current_mode_quadrature(s, d) - circular_current_mode(s, d))
+    for s in states)}))
+"""
+
+
+def test_mode_oracle_matches_closed_form_without_the_cli():
+    # currents imports spectrum and spinors only inside its mode functions,
+    # so outside the CLI (which registers them lazily) they import there
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _ORACLE_PROBE],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = ast.literal_eval(proc.stdout)
+    assert report["loaded"] == ["abcyl", "abcyl.currents", "abcyl.params",
+                                "abcyl.quadrature"]
+    assert report["worst"] <= 1e-12
 
 
 def test_circular_current_mixing_independent_bitwise():

@@ -32,6 +32,17 @@ def test_exports_are_defined_where_listed(module):
     assert foreign == []
 
 
+@pytest.mark.parametrize("module", _MODULES)
+def test_module_imports_alone_in_a_fresh_interpreter(module):
+    # no import cycle runs through quadrature, which currents and spinors
+    # both import, or through currents' deferred spectrum and spinors
+    src = os.path.dirname(os.path.dirname(abcyl.__file__))
+    proc = subprocess.run([sys.executable, "-c", f"import {module}"],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _span_targets():
     """perfbench/spans.py's TARGETS, read from its source without importing
     the benchmark package."""

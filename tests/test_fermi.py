@@ -285,12 +285,15 @@ def _mpmath_current(mpmath, d, sea):
 
 # (mu, nu, alpha, beta): a heavy dense sea, the README's point, two
 # light fermions, where the explicit window and the order matter most,
-# and a sea whose first 19 and last 4 columns keep a window and whose
-# other 76 have none
+# a sea whose first 19 and last 4 columns keep a window and whose
+# other 76 have none, and seas of two and three states whose column sums
+# and per-state sums lie on opposite sides of the true sum, 1.32 and
+# 1.07 times the bound apart
 @pytest.mark.parametrize("mu, nu, alpha, beta", [
     (250.0, 1.0, 200.0, 0.3), (25.0, 1.0, 10.3, 0.05),
     (1.0, 0.5, 60.0, 0.37), (1.0, 0.1, 100.0, 0.2),
-    (90.0, 1.0, 100.0, 0.3)])
+    (90.0, 1.0, 100.0, 0.3), (3.9375, 2.0, 2.25, 0.353515625),
+    (251.9268141935593, 1 / 3, 1.0, 0.419921875)])
 def test_exact_against_mpmath(mu, nu, alpha, beta):
     # both the column sums and the per-state sum within 1 ulp of sum |chi|
     # of a 30-digit sum over the same sea
