@@ -388,9 +388,10 @@ def cmd_sweep(args, values) -> int:
     grid = [(x, base if mode_param else base._replace(**{args.param: x}))
             for x in points]
     if persistent and args.observable != "persistent_short":
-        # every method but persistent_short builds a Fermi sea
+        # exact's sea is at the point's beta, the other three's beta-free
+        exact = args.observable == "persistent_exact"
         for _, d in grid:
-            spectrum.check_sea_columns(d)
+            spectrum.check_sea_columns(d if exact else d._replace(beta=0.0))
     rows = []
     for x, d in grid:
         rows.append([x, observable(x if args.param == "n" else args.n,

@@ -42,6 +42,7 @@ accumulated with math.fsum.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import NamedTuple
@@ -229,15 +230,14 @@ def _j_column(hi: float, s: float) -> list[float]:
     return terms
 
 
-def persistent_exact(d: DimensionlessParams,
-                     sea: FermiSea | None = None) -> PersistentReport:
+def persistent_exact(d: DimensionlessParams) -> PersistentReport:
     """Exact sum of the mode circular currents over the occupied sea.
 
     No small-beta expansion anywhere: the sea uses the condition with
     the actual beta and chi is summed over both lambda signs, column by
     column in closed form (see the module docstring).
     """
-    sea = sea or enumerate_fermi_sea(d)
+    sea = enumerate_fermi_sea(d)
     terms = []
     for n, lo, hi in sea.columns:
         terms += _chi_column(lo, hi, d.beta, d.mu**2 + (d.nu * n) ** 2)
@@ -251,50 +251,41 @@ def j_coeff(n: int, lam: float, d: DimensionlessParams) -> float:
     return s / (s + lam**2) ** 1.5
 
 
-def _check_beta_free(sea: FermiSea) -> None:
-    """Refuse a sea with an asymmetric column.  Every column of the
-    beta-free sea runs from -hi to hi, and a sea whose columns all do
-    has exactly the beta-free sea's columns."""
-    for n, lo, hi in sea.columns:
-        if lo != -hi:
-            raise ValueError(f"column n = {n} runs lambda from {lo} to {hi}; "
-                             f"c needs the beta-free sea, whose columns "
-                             f"run from -lambda_n to lambda_n")
+@functools.lru_cache(maxsize=1)
+def _beta_free_sea(mu: float, nu: float, alpha: float) -> FermiSea:
+    """The beta-free sea that linearized, compact and nonrel expand
+    around; the last one built is kept, so the methods of one request,
+    and the points of a beta sweep, share it."""
+    return enumerate_fermi_sea(DimensionlessParams(mu, nu, 0.0, alpha))
 
 
-def c_coefficient_exact(d: DimensionlessParams,
-                        sea: FermiSea | None = None) -> float:
+def c_coefficient_exact(d: DimensionlessParams) -> float:
     """c(mu, nu) = sum of j(n, lambda) over the occupied lambda > 0 states
-    of the beta-free sea; ValueError for a sea with an asymmetric column."""
-    sea = sea or enumerate_fermi_sea(d._replace(beta=0.0))
-    _check_beta_free(sea)
+    of the beta-free sea."""
     terms = []
-    for n, _, hi in sea.columns:
+    for n, _, hi in _beta_free_sea(d.mu, d.nu, d.alpha).columns:
         terms += _j_column(hi, d.mu**2 + (d.nu * n) ** 2)
     return math.fsum(terms)
 
 
-def persistent_linearized(d: DimensionlessParams,
-                          sea: FermiSea | None = None) -> PersistentReport:
+def persistent_linearized(d: DimensionlessParams) -> PersistentReport:
     """First order in beta: R*I = beta c(mu, nu) / pi."""
-    sea = sea or enumerate_fermi_sea(d._replace(beta=0.0))
-    c = c_coefficient_exact(d, sea)
-    return _sea_report("linearized", d, sea, d.beta * c / math.pi, c=c)
+    c = c_coefficient_exact(d)
+    return _sea_report("linearized", d, _beta_free_sea(d.mu, d.nu, d.alpha),
+                       d.beta * c / math.pi, c=c)
 
 
-def c_compact(d: DimensionlessParams, sea: FermiSea | None = None) -> float:
+def c_compact(d: DimensionlessParams) -> float:
     """Compact estimate c ~= (sum of exact lambda_n) / sqrt(mu^2+alpha^2)
-    over the beta-free sea; ValueError for a sea with an asymmetric column."""
-    sea = sea or enumerate_fermi_sea(d._replace(beta=0.0))
-    _check_beta_free(sea)
-    return sea.sum_lambda_n() / math.sqrt(d.mu**2 + d.alpha**2)
+    over the beta-free sea."""
+    return (_beta_free_sea(d.mu, d.nu, d.alpha).sum_lambda_n()
+            / math.sqrt(d.mu**2 + d.alpha**2))
 
 
-def persistent_compact(d: DimensionlessParams,
-                       sea: FermiSea | None = None) -> PersistentReport:
-    sea = sea or enumerate_fermi_sea(d._replace(beta=0.0))
-    c = c_compact(d, sea)
-    return _sea_report("compact", d, sea, d.beta * c / math.pi, c=c)
+def persistent_compact(d: DimensionlessParams) -> PersistentReport:
+    c = c_compact(d)
+    return _sea_report("compact", d, _beta_free_sea(d.mu, d.nu, d.alpha),
+                       d.beta * c / math.pi, c=c)
 
 
 class IntegralSumEstimate(NamedTuple):
@@ -368,15 +359,14 @@ def persistent_short(d: DimensionlessParams) -> PersistentReport:
         notes=tuple(notes) + (f"continuous lambda_F = {lam_F_cont!r}",))
 
 
-def persistent_nonrel(d: DimensionlessParams,
-                      sea: FermiSea | None = None) -> PersistentReport:
+def persistent_nonrel(d: DimensionlessParams) -> PersistentReport:
     """Non-relativistic limit, both printed variants.
 
     value carries (beta/pi) N_e/(2 mu); the lambda_F variant
     (beta/pi) lambda_F/mu is reported in the notes.  lambda_F and N_e
     come from the exact enumeration.
     """
-    sea = sea or enumerate_fermi_sea(d._replace(beta=0.0))
+    sea = _beta_free_sea(d.mu, d.nu, d.alpha)
     if sea.empty:
         return _sea_report("nonrel", d, sea, 0.0)
     v_ne = (d.beta / math.pi) * sea.N_e / (2.0 * d.mu)
@@ -390,13 +380,11 @@ METHODS = ("exact", "linearized", "compact", "short", "nonrel")
 
 
 def persistent_all(d: DimensionlessParams) -> dict[str, PersistentReport]:
-    """All applicable methods, keyed by method tag; the three methods on
-    the beta-free sea share one enumeration of it."""
-    beta_free = enumerate_fermi_sea(d._replace(beta=0.0))
+    """All applicable methods, keyed by method tag."""
     return {
         "exact": persistent_exact(d),
-        "linearized": persistent_linearized(d, beta_free),
-        "compact": persistent_compact(d, beta_free),
+        "linearized": persistent_linearized(d),
+        "compact": persistent_compact(d),
         "short": persistent_short(d),
-        "nonrel": persistent_nonrel(d, beta_free),
+        "nonrel": persistent_nonrel(d),
     }

@@ -204,9 +204,8 @@ def suite_beta_expansion() -> SuiteResult:
 def suite_ladder() -> SuiteResult:
     d = DimensionlessParams(mu=250.0, nu=1.0, beta=1e-4, alpha=50.0)
     ex = fermi.persistent_exact(d)
-    sea0 = enumerate_fermi_sea(d._replace(beta=0.0))
-    lin = fermi.persistent_linearized(d, sea0)
-    cmp_ = fermi.persistent_compact(d, sea0)
+    lin = fermi.persistent_linearized(d)
+    cmp_ = fermi.persistent_compact(d)
     gap1 = abs(ex.value - lin.value) / abs(lin.value)
     gap2 = abs(lin.value - cmp_.value) / abs(lin.value)
     worst = max(gap1 / (10.0 * d.beta**2), gap2 / 0.02)

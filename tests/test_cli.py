@@ -18,7 +18,7 @@ import abcyl
 from abcyl import cli, quadrature, spinors
 from abcyl.cli import build_parser, main
 from abcyl.currents import MAX_MOMENTUM_ORDER
-from abcyl.fermi import persistent_short
+from abcyl.fermi import c_coefficient_exact, persistent_short
 from abcyl.params import PARAM_KEYS, DimensionlessParams
 from abcyl.spectrum import MAX_SEA_COLUMNS, half_odd_run
 
@@ -312,6 +312,28 @@ def test_short_sweep_has_no_column_cap(capsys):
         beta, value = map(float, line.split(","))
         d = DimensionlessParams(mu=1.0, nu=1e-6, beta=beta, alpha=50.0)
         assert value == persistent_short(d).value
+
+
+_NEAR_THE_CAP = ("--mu", "1", "--nu", "0.0033333333", "--alpha", "100",
+                 "--param", "beta", "--start", "0.4", "--stop", "0.5",
+                 "--steps", "2")
+
+
+def test_cap_is_checked_on_the_sea_each_method_builds(capsys):
+    # at beta = 0.5 the sea spans 30001 columns, the beta-free sea 29999:
+    # the exact sweep is refused, the linearized one builds only the
+    # beta-free sea and prints the library's beta c / pi
+    code, out, err = run(capsys, "sweep", *_NEAR_THE_CAP,
+                         "--observable", "persistent_exact")
+    assert code == 3 and out == "" and "spans 30001 columns" in err
+    code, out, err = run(capsys, "sweep", *_NEAR_THE_CAP,
+                         "--observable", "persistent_linearized")
+    assert code == 0 and err == ""
+    header, *rows = out.splitlines()
+    c = c_coefficient_exact(DimensionlessParams(1.0, 0.0033333333, 0.0, 100.0))
+    assert header == "beta,persistent_linearized"
+    assert [tuple(map(float, row.split(","))) for row in rows] == [
+        (beta, beta * c / math.pi) for beta in (0.4, 0.5)]
 
 
 # inputs that hung, printed NaN rows with exit 0, or ended in a traceback

@@ -304,7 +304,7 @@ def test_exact_against_mpmath(mu, nu, alpha, beta):
         exact = _mpmath_current(mpmath, d, sea)
         total, abs_total = _chi_per_state(d)
         tol = _ULP * abs_total / (2 * math.pi)
-        column_err = float(abs(persistent_exact(d, sea).value - exact))
+        column_err = float(abs(persistent_exact(d).value - exact))
         state_err = float(abs(total / (2 * math.pi) - exact))
     assert column_err <= tol and state_err <= tol, (column_err / tol,
                                                      state_err / tol)
@@ -317,7 +317,7 @@ def _ulps_from_mpmath(d):
     sea = enumerate_fermi_sea(d)
     with mpmath.workdps(30):
         exact = _mpmath_current(mpmath, d, sea)
-        value = persistent_exact(d, sea).value
+        value = persistent_exact(d).value
         return float(abs(value - exact)) / math.ulp(value)
 
 
@@ -392,7 +392,7 @@ def test_c_against_mpmath():
             for n, lo, hi in sea.columns
             for s in (mpmath.mpf(mu) ** 2 + (mpmath.mpf(nu) * n) ** 2,)
             for lam in half_odd_run(max(lo, 0.5), hi))
-        c = c_coefficient_exact(d, sea)
+        c = c_coefficient_exact(d)
         err = float(abs(c - exact))
     assert err <= 4 * _ULP * c, err / (_ULP * c)
 
@@ -409,19 +409,82 @@ def test_persistent_all_walks_no_state(monkeypatch):
     assert reports["linearized"].value > 0.0
 
 
-@pytest.mark.parametrize("c_of", [c_coefficient_exact, fermi.c_compact,
-                                  persistent_linearized, persistent_compact],
-                         ids=["exact", "compact", "linearized",
-                              "persistent_compact"])
-def test_c_refuses_a_sea_at_beta(c_of):
-    # the beta = 0.25 sea's column 3 holds lambda = -1/2 alone; c is
-    # defined on the beta-free sea, whose columns are all symmetric
-    d = DimensionlessParams(mu=1.0, nu=0.25, beta=0.25, alpha=1.0)
-    sea = enumerate_fermi_sea(d)
-    assert sea.columns[2] == (3, -0.5, -0.5)
-    with pytest.raises(ValueError, match=r"^column n = 3 runs lambda from "
-                                         r"-0\.5 to -0\.5; c needs the "
-                                         r"beta-free sea"):
-        c_of(d, sea)
-    # and takes the beta-free sea it documents
-    c_of(d, enumerate_fermi_sea(d._replace(beta=0.0)))
+# (mu, nu, alpha, beta): at the second point the beta sea's column 3 holds
+# lambda = -1/2 alone, where the beta-free sea's holds -1/2 and 1/2
+@pytest.mark.parametrize("mu, nu, alpha, beta", [(25.0, 1.0, 10.3, 0.3),
+                                                 (1.0, 0.25, 1.0, 0.25)])
+def test_each_method_reports_the_sea_it_sums(mu, nu, alpha, beta):
+    # exact fills the sea at the actual beta; linearized, compact and
+    # nonrel expand around the beta-free sea
+    d = DimensionlessParams(mu, nu, beta, alpha)
+    sea, free = enumerate_fermi_sea(d), enumerate_fermi_sea(d._replace(beta=0.0))
+    assert sea != free
+    reports = persistent_all(d)
+    for tag, want in (("exact", sea), ("linearized", free),
+                      ("compact", free), ("nonrel", free)):
+        rep = reports[tag]
+        assert (rep.N_e, rep.n_F, rep.lambda_F, rep.sum_lambda_n) == (
+            want.N_e, want.n_F, want.lambda_F, want.sum_lambda_n()), tag
+    if nu == 0.25:
+        assert sea.columns[2] == (3, -0.5, -0.5)
+        assert free.columns[2] == (3, -0.5, 0.5)
+
+
+@pytest.mark.parametrize("mu, nu, alpha, beta", [(25.0, 1.0, 10.3, 0.3),
+                                                 (1.0, 0.25, 1.0, 0.25),
+                                                 (250.0, 1.0, 50.0, 1e-4)])
+def test_c_compact_sums_the_beta_free_lambda_n(mu, nu, alpha, beta):
+    # the largest |lambda| of each column of the beta-free sea, state by
+    # state, over sqrt(mu^2 + alpha^2), and R*I = beta c / pi: exactly
+    d = DimensionlessParams(mu, nu, beta, alpha)
+    largest = {}
+    for n, lam in enumerate_fermi_sea(d._replace(beta=0.0)).states():
+        largest[n] = max(largest.get(n, 0.0), abs(lam))
+    c = math.fsum(largest.values()) / math.sqrt(mu**2 + alpha**2)
+    assert fermi.c_compact(d) == c
+    rep = persistent_compact(d)
+    assert (rep.c, rep.value) == (c, beta * c / math.pi)
+
+
+def _count_builds(monkeypatch):
+    """The list of the seas fermi builds from now on, one entry each,
+    starting with no beta-free sea cached."""
+    builds, build = [], fermi.enumerate_fermi_sea
+    monkeypatch.setattr(fermi, "enumerate_fermi_sea",
+                        lambda d: builds.append(d) or build(d))
+    fermi._beta_free_sea.cache_clear()
+    return builds
+
+
+def _cold(method, d):
+    """method(d) with no beta-free sea cached."""
+    fermi._beta_free_sea.cache_clear()
+    return method(d)
+
+
+_D = DimensionlessParams(mu=25.0, nu=1.0, beta=0.05, alpha=10.3)
+
+
+def test_persistent_all_builds_two_seas(monkeypatch):
+    # the sea at beta, and the beta-free sea that linearized, compact and
+    # nonrel share
+    builds = _count_builds(monkeypatch)
+    reports = persistent_all(_D)
+    assert builds == [_D, _D._replace(beta=0.0)]
+    for tag in METHODS:
+        assert _cold(getattr(fermi, f"persistent_{tag}"), _D) == reports[tag]
+
+
+@pytest.mark.parametrize("method", [persistent_linearized, persistent_compact,
+                                    persistent_nonrel])
+@pytest.mark.parametrize("param, points, seas", [
+    ("beta", (-0.4, -0.1, 0.0, 0.2, 0.45), 1), ("alpha", (2.0, 5.0, 20.0), 3)])
+def test_a_sweep_builds_the_beta_free_sea_once_per_alpha(
+        monkeypatch, method, param, points, seas):
+    # a beta sweep builds the beta-free sea once in all, an alpha sweep
+    # once per point; each value equals its cold-cache value
+    builds = _count_builds(monkeypatch)
+    grid = [_D._replace(**{param: x}) for x in points]
+    warm = [method(d) for d in grid]
+    assert len(builds) == seas
+    assert warm == [_cold(method, d) for d in grid]
