@@ -23,12 +23,13 @@ beyond it is summed by the midpoint Euler-Maclaurin formula
     sum of f(a..b) = F(b+1/2) - F(a-1/2) - [f']/24 + 7[f^(3)]/5760
                      - 31[f^(5)]/967680,
 
-with all three of those corrections.  Q comes from a bound on the first
-omitted term: with h = chi' = j,
-|h^(m)(x)| <= s (m+2)!/2 (s+x^2)^(-(m+3)/2) (the Gegenbauer form of the
-derivatives), and four such terms at |x| >= Q - 1/2 are held to eps/16
-of the column's sum of |terms|.  A column whose bound already holds at
-q = 0 has no explicit terms (Q = 0): its whole run is one such sum.
+with all three of those corrections: with h = chi' = j, the end
+differences of h, h'' and h^(4) (chi) or h', h^(3) and h^(5) (j), from
+one Gegenbauer recurrence.  Q comes from a bound on the first omitted
+term, |h^(m)(x)| <= s (m+2)!/2 (s+x^2)^(-(m+3)/2), and four such terms
+at |x| >= Q - 1/2 are held to eps/16 of the column's sum of |terms|.
+A column whose bound already holds at q = 0 has no explicit terms
+(Q = 0): its whole run is one such sum.
 A chi column with a window is first shifted by m = round(beta), which
 leaves every q bitwise as it is and |b| = |beta - m| <= 1/2; its window
 is then -w..w, summed in pairs chi(lambda+b) + chi(-lambda+b) =
@@ -115,22 +116,24 @@ _EM = (-1.0 / 24.0, 7.0 / 5760.0, -31.0 / 967680.0, 127.0 / 154828800.0)
 _EM_TOL = sys.float_info.epsilon / 16.0
 
 
-def _chi_odd_derivatives(x: float, s: float) -> tuple[float, float, float]:
-    """chi', chi^(3) and chi^(5) at x, where chi' = s (s+x^2)^(-3/2) = j."""
-    r2 = 1.0 / (s + x * x)
-    t2 = x * x * r2
-    d1 = s * r2 * math.sqrt(r2)
-    return (d1, 3.0 * d1 * r2 * (5.0 * t2 - 1.0),
-            45.0 * d1 * r2 * r2 * ((21.0 * t2 - 14.0) * t2 + 1.0))
+def _em_corrections(b: float, a: float, s: float, odd: int) -> list[float]:
+    """The corrections _EM[k] (h^(odd+2k)(b) - h^(odd+2k)(a)), k = 0, 1, 2,
+    of h = chi' = j = s (s+x^2)^(-3/2): odd 0 for the chi sum, 1 for j.
 
-
-def _j_odd_derivatives(x: float, s: float) -> tuple[float, float, float]:
-    """j', j^(3) and j^(5) at x, where j = s (s+x^2)^(-3/2)."""
-    r2 = 1.0 / (s + x * x)
-    t2 = x * x * r2
-    d1 = -3.0 * s * x * r2 * r2 * math.sqrt(r2)
-    return (d1, 5.0 * d1 * r2 * (7.0 * t2 - 3.0),
-            105.0 * d1 * r2 * r2 * ((33.0 * t2 - 30.0) * t2 + 5.0))
+    (s+x^2) h' = -3 x h gives h^(m+1) = -((2m+3) x h^(m) + m(m+2)
+    h^(m-1))/(s+x^2), the Gegenbauer recurrence, unrolled at both ends.
+    Swapping b and a negates every term exactly.
+    """
+    rb, ra = 1.0 / (s + b * b), 1.0 / (s + a * a)
+    b0, a0 = s * rb * math.sqrt(rb), s * ra * math.sqrt(ra)
+    b1, a1 = -3.0 * b * b0 * rb, -3.0 * a * a0 * ra
+    b2, a2 = -(5.0 * b * b1 + 3.0 * b0) * rb, -(5.0 * a * a1 + 3.0 * a0) * ra
+    b3, a3 = -(7.0 * b * b2 + 8.0 * b1) * rb, -(7.0 * a * a2 + 8.0 * a1) * ra
+    b4, a4 = -(9.0 * b * b3 + 15.0 * b2) * rb, -(9.0 * a * a3 + 15.0 * a2) * ra
+    b5, a5 = (-(11.0 * b * b4 + 24.0 * b3) * rb,
+              -(11.0 * a * a4 + 24.0 * a3) * ra)
+    d = (b0 - a0, b1 - a1, b2 - a2, b3 - a3, b4 - a4, b5 - a5)
+    return [_EM[0] * d[odd], _EM[1] * d[odd + 2], _EM[2] * d[odd + 4]]
 
 
 # 2 |_EM[3]| (m+2)! and 1/(m+3) of _window, for m = 6 and m = 7
@@ -138,21 +141,21 @@ _WINDOW = tuple((2.0 * abs(_EM[3]) * math.factorial(m + 2), 1.0 / (m + 3))
                 for m in (6, 7))
 
 
-def _window(s: float, tol: float, offset: int) -> float:
+def _window(s: float, tol: float, odd: int) -> float:
     """Explicit window of a third-order Euler-Maclaurin column sum: 0, or
     some Q >= 1.
 
     The first omitted term at an end x is _EM[3] f^(7)(x), and
-    f^(7) = h^(m) with h = chi' = j and m = 6 + offset (offset 0 for
-    the chi sum, 1 for the j sum).  h^(m)(x) = (-1)^m m! C_m(t) s
-    (s+x^2)^(-(m+3)/2), with t = x/sqrt(s+x^2) and C_m the Gegenbauer
-    polynomial of index 3/2, and |C_m(t)| <= C_m(1) = (m+1)(m+2)/2, so
+    f^(7) = h^(m) with h = chi' = j and m = 6 + odd (odd as in
+    _em_corrections).  h^(m)(x) = (-1)^m m! C_m(t) s (s+x^2)^(-(m+3)/2),
+    with t = x/sqrt(s+x^2) and C_m the Gegenbauer polynomial of index
+    3/2, and |C_m(t)| <= C_m(1) = (m+1)(m+2)/2, so
     |h^(m)(x)| <= s (m+2)!/2 (s+x^2)^(-(m+3)/2).  Q keeps four such
     terms, at ends |x| >= Q - 1/2, within tol; that holds wherever
     s + x^2 >= w^2.  If w^2 <= s it holds at x = 0 already, and the
     window is 0: the column has no explicit terms.
     """
-    scale, power = _WINDOW[offset]
+    scale, power = _WINDOW[odd]
     w = (scale * s / tol) ** power
     if w * w <= s:
         return 0.0
@@ -195,16 +198,13 @@ def _chi_column(lo: float, hi: float, beta: float, s: float) -> list[float]:
     x_out, y_out = (beta + hi) + 0.5, 0.5 - (beta + lo)
     terms.append(((hi + lo) + 2.0 * beta) * (hi - lo + 1.0)
                  / (math.sqrt(s + x_out**2) + math.sqrt(s + y_out**2)))
-    d_xo, d_yo = _chi_odd_derivatives(x_out, s), _chi_odd_derivatives(y_out, s)
+    terms += _em_corrections(x_out, y_out, s, 0)
     if bound == 0.0:
-        return terms + [e * (a - b) for e, a, b in zip(_EM, d_xo, d_yo)]
+        return terms
     x_in, y_in = (beta + w) + 0.5, 0.5 - (beta - w)
     terms.append(-4.0 * beta * (w + 0.5)
                  / (math.sqrt(s + x_in**2) + math.sqrt(s + y_in**2)))
-    d_xi, d_yi = _chi_odd_derivatives(x_in, s), _chi_odd_derivatives(y_in, s)
-    terms += (_EM[k] * ((d_xo[k] - d_yo[k]) - (d_xi[k] - d_yi[k]))
-              for k in range(3))
-    return terms
+    return terms + _em_corrections(y_in, x_in, s, 0)
 
 
 def _j_column(hi: float, s: float) -> list[float]:
@@ -225,9 +225,7 @@ def _j_column(hi: float, s: float) -> list[float]:
     b = hi + 0.5
     ra, rb = math.sqrt(s + a * a), math.sqrt(s + b * b)
     terms.append(s * (b - a) * (b + a) / (ra * rb * (b * ra + a * rb)))
-    d_b, d_a = _j_odd_derivatives(b, s), _j_odd_derivatives(a, s)
-    terms += (_EM[k] * (d_b[k] - d_a[k]) for k in range(3))
-    return terms
+    return terms + _em_corrections(b, a, s, 1)
 
 
 def persistent_exact(d: DimensionlessParams) -> PersistentReport:
@@ -252,18 +250,19 @@ def j_coeff(n: int, lam: float, d: DimensionlessParams) -> float:
 
 
 @functools.lru_cache(maxsize=1)
-def _beta_free_sea(mu: float, nu: float, alpha: float) -> FermiSea:
+def _beta_free_sea(nu: float, alpha: float) -> FermiSea:
     """The beta-free sea that linearized, compact and nonrel expand
     around; the last one built is kept, so the methods of one request,
-    and the points of a beta sweep, share it."""
-    return enumerate_fermi_sea(DimensionlessParams(mu, nu, 0.0, alpha))
+    and the points of a beta or mu sweep, share it."""
+    # nu^2 n^2 + lambda^2 <= alpha^2 never reads mu: any valid mu will do
+    return enumerate_fermi_sea(DimensionlessParams(1.0, nu, 0.0, alpha))
 
 
 def c_coefficient_exact(d: DimensionlessParams) -> float:
     """c(mu, nu) = sum of j(n, lambda) over the occupied lambda > 0 states
     of the beta-free sea."""
     terms = []
-    for n, _, hi in _beta_free_sea(d.mu, d.nu, d.alpha).columns:
+    for n, _, hi in _beta_free_sea(d.nu, d.alpha).columns:
         terms += _j_column(hi, d.mu**2 + (d.nu * n) ** 2)
     return math.fsum(terms)
 
@@ -271,20 +270,20 @@ def c_coefficient_exact(d: DimensionlessParams) -> float:
 def persistent_linearized(d: DimensionlessParams) -> PersistentReport:
     """First order in beta: R*I = beta c(mu, nu) / pi."""
     c = c_coefficient_exact(d)
-    return _sea_report("linearized", d, _beta_free_sea(d.mu, d.nu, d.alpha),
+    return _sea_report("linearized", d, _beta_free_sea(d.nu, d.alpha),
                        d.beta * c / math.pi, c=c)
 
 
 def c_compact(d: DimensionlessParams) -> float:
     """Compact estimate c ~= (sum of exact lambda_n) / sqrt(mu^2+alpha^2)
     over the beta-free sea."""
-    return (_beta_free_sea(d.mu, d.nu, d.alpha).sum_lambda_n()
+    return (_beta_free_sea(d.nu, d.alpha).sum_lambda_n()
             / math.sqrt(d.mu**2 + d.alpha**2))
 
 
 def persistent_compact(d: DimensionlessParams) -> PersistentReport:
     c = c_compact(d)
-    return _sea_report("compact", d, _beta_free_sea(d.mu, d.nu, d.alpha),
+    return _sea_report("compact", d, _beta_free_sea(d.nu, d.alpha),
                        d.beta * c / math.pi, c=c)
 
 
@@ -366,7 +365,7 @@ def persistent_nonrel(d: DimensionlessParams) -> PersistentReport:
     (beta/pi) lambda_F/mu is reported in the notes.  lambda_F and N_e
     come from the exact enumeration.
     """
-    sea = _beta_free_sea(d.mu, d.nu, d.alpha)
+    sea = _beta_free_sea(d.nu, d.alpha)
     if sea.empty:
         return _sea_report("nonrel", d, sea, 0.0)
     v_ne = (d.beta / math.pi) * sea.N_e / (2.0 * d.mu)

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -397,6 +398,45 @@ def test_c_against_mpmath():
     assert err <= 4 * _ULP * c, err / (_ULP * c)
 
 
+def _em_draws(count=100, seed=33):
+    """Seeded (b, a, s) ends of an Euler-Maclaurin run: s from 1e-2 to
+    1e6, |x|/sqrt(s) from e^-5 to e^5, either sign, and a = 0 in one
+    draw in five, as a j column's whole run has."""
+    rng = random.Random(seed)
+    draws = []
+    for i in range(count):
+        s = math.exp(rng.uniform(math.log(1e-2), math.log(1e6)))
+        b, a = (rng.choice((-1.0, 1.0)) * math.sqrt(s)
+                * math.exp(rng.uniform(-5.0, 5.0)) for _ in range(2))
+        draws.append((b, 0.0 if i % 5 == 0 else a, s))
+    return draws
+
+
+@pytest.mark.parametrize("odd", [0, 1])
+def test_em_corrections_match_mpmath_derivatives(odd):
+    # each term _EM[k] (h^(m)(b) - h^(m)(a)), m = odd + 2k, of
+    # h = s (s+x^2)^(-3/2) against 40-digit derivatives, in units of
+    # |_EM[k]| times the Gegenbauer bound s (m+2)!/2 (s+x^2)^(-(m+3)/2)
+    # summed over both ends, so that a root of h^(m) cannot blow up the
+    # error; the worst term measures 1.4e-15
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(40):
+        for b, a, s in _em_draws():
+            ms = mpmath.mpf(s)
+            h = lambda x: ms * (ms + x * x) ** mpmath.mpf(-1.5)
+            hb, ha = (list(mpmath.diffs(h, mpmath.mpf(x), 5)) for x in (b, a))
+            terms = fermi._em_corrections(b, a, s, odd)
+            assert len(terms) == 3
+            for k, term in enumerate(terms):
+                m = odd + 2 * k
+                exact = mpmath.mpf(fermi._EM[k]) * (hb[m] - ha[m])
+                bound = (abs(fermi._EM[k]) * s * math.factorial(m + 2) / 2
+                         * sum((s + x * x) ** (-(m + 3) / 2) for x in (b, a)))
+                worst = max(worst, float(abs(term - exact)) / bound)
+    assert worst <= 1e-14, worst
+
+
 def test_persistent_all_walks_no_state(monkeypatch):
     # every method sums per column: no per-state walk is left
     def walk(self):
@@ -470,7 +510,8 @@ def test_persistent_all_builds_two_seas(monkeypatch):
     # nonrel share
     builds = _count_builds(monkeypatch)
     reports = persistent_all(_D)
-    assert builds == [_D, _D._replace(beta=0.0)]
+    assert [(d.nu, d.beta, d.alpha) for d in builds] == [(1.0, 0.05, 10.3),
+                                                        (1.0, 0.0, 10.3)]
     for tag in METHODS:
         assert _cold(getattr(fermi, f"persistent_{tag}"), _D) == reports[tag]
 
@@ -478,11 +519,12 @@ def test_persistent_all_builds_two_seas(monkeypatch):
 @pytest.mark.parametrize("method", [persistent_linearized, persistent_compact,
                                     persistent_nonrel])
 @pytest.mark.parametrize("param, points, seas", [
-    ("beta", (-0.4, -0.1, 0.0, 0.2, 0.45), 1), ("alpha", (2.0, 5.0, 20.0), 3)])
+    ("beta", (-0.4, -0.1, 0.0, 0.2, 0.45), 1), ("alpha", (2.0, 5.0, 20.0), 3),
+    ("mu", (1.0, 25.0, 250.0), 1)])
 def test_a_sweep_builds_the_beta_free_sea_once_per_alpha(
         monkeypatch, method, param, points, seas):
-    # a beta sweep builds the beta-free sea once in all, an alpha sweep
-    # once per point; each value equals its cold-cache value
+    # a beta or mu sweep builds the beta-free sea once in all, an alpha
+    # sweep once per point; each value equals its cold-cache value
     builds = _count_builds(monkeypatch)
     grid = [_D._replace(**{param: x}) for x in points]
     warm = [method(d) for d in grid]
