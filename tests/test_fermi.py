@@ -398,31 +398,24 @@ def test_c_against_mpmath():
     assert err <= 4 * _ULP * c, err / (_ULP * c)
 
 
-def _em_draws(count=100, seed=33):
-    """Seeded (b, a, s) ends of an Euler-Maclaurin run: s from 1e-2 to
-    1e6, |x|/sqrt(s) from e^-5 to e^5, either sign, and a = 0 in one
-    draw in five, as a j column's whole run has."""
-    rng = random.Random(seed)
-    draws = []
-    for i in range(count):
-        s = math.exp(rng.uniform(math.log(1e-2), math.log(1e6)))
-        b, a = (rng.choice((-1.0, 1.0)) * math.sqrt(s)
-                * math.exp(rng.uniform(-5.0, 5.0)) for _ in range(2))
-        draws.append((b, 0.0 if i % 5 == 0 else a, s))
-    return draws
-
-
 @pytest.mark.parametrize("odd", [0, 1])
 def test_em_corrections_match_mpmath_derivatives(odd):
     # each term _EM[k] (h^(m)(b) - h^(m)(a)), m = odd + 2k, of
     # h = s (s+x^2)^(-3/2) against 40-digit derivatives, in units of
     # |_EM[k]| times the Gegenbauer bound s (m+2)!/2 (s+x^2)^(-(m+3)/2)
     # summed over both ends, so that a root of h^(m) cannot blow up the
-    # error; the worst term measures 1.4e-15
+    # error; the worst term measures 1.4e-15.  Seeded ends: s from 1e-2
+    # to 1e6, |x|/sqrt(s) from e^-5 to e^5, either sign, and a = 0 in one
+    # draw in five, as a j column's whole run has
     mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(33)
     worst = 0.0
     with mpmath.workdps(40):
-        for b, a, s in _em_draws():
+        for i in range(100):
+            s = math.exp(rng.uniform(math.log(1e-2), math.log(1e6)))
+            b, a = (rng.choice((-1.0, 1.0)) * math.sqrt(s)
+                    * math.exp(rng.uniform(-5.0, 5.0)) for _ in range(2))
+            a = 0.0 if i % 5 == 0 else a
             ms = mpmath.mpf(s)
             h = lambda x: ms * (ms + x * x) ** mpmath.mpf(-1.5)
             hb, ha = (list(mpmath.diffs(h, mpmath.mpf(x), 5)) for x in (b, a))
