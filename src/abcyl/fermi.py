@@ -116,14 +116,25 @@ _EM = (-1.0 / 24.0, 7.0 / 5760.0, -31.0 / 967680.0, 127.0 / 154828800.0)
 _EM_TOL = sys.float_info.epsilon / 16.0
 
 
-def _em_corrections(b: float, a: float, s: float, odd: int) -> list[float]:
-    """The corrections _EM[k] (h^(odd+2k)(b) - h^(odd+2k)(a)), k = 0, 1, 2,
-    of h = chi' = j = s (s+x^2)^(-3/2): odd 0 for the chi sum, 1 for j.
+def _em_tail(b: float, a: float, gap: float, span: float, s: float,
+             odd: int) -> list[float]:
+    """Terms whose sum is the Euler-Maclaurin tail from a to b of G^(odd+1),
+    G = sqrt(s+x^2): [G^(odd)] and _EM[k] [h^(odd+2k)], k = 0, 1, 2, with
+    h = G'' = chi' = j = s (s+x^2)^(-3/2) and [f] = f(b) - f(a); odd 0 for
+    the chi sum, 1 for j.
 
+    gap and span are b - a and b + a as the caller forms them, exact where
+    the rounded b and a are not: [G] = gap span/(G(b) + G(a)) and
+    [G'] = s gap span/(G(a) G(b) (b G(a) + a G(b))) do not cancel.
     (s+x^2) h' = -3 x h gives h^(m+1) = -((2m+3) x h^(m) + m(m+2)
     h^(m-1))/(s+x^2), the Gegenbauer recurrence, unrolled at both ends.
-    Swapping b and a negates every term exactly.
+    Swapping b and a (and negating gap) negates every term exactly.
     """
+    gb, ga = math.sqrt(s + b**2), math.sqrt(s + a**2)
+    if odd:
+        first = s * gap * span / (ga * gb * (b * ga + a * gb))
+    else:
+        first = gap * span / (gb + ga)
     rb, ra = 1.0 / (s + b * b), 1.0 / (s + a * a)
     b0, a0 = s * rb * math.sqrt(rb), s * ra * math.sqrt(ra)
     b1, a1 = -3.0 * b * b0 * rb, -3.0 * a * a0 * ra
@@ -133,7 +144,7 @@ def _em_corrections(b: float, a: float, s: float, odd: int) -> list[float]:
     b5, a5 = (-(11.0 * b * b4 + 24.0 * b3) * rb,
               -(11.0 * a * a4 + 24.0 * a3) * ra)
     d = (b0 - a0, b1 - a1, b2 - a2, b3 - a3, b4 - a4, b5 - a5)
-    return [_EM[0] * d[odd], _EM[1] * d[odd + 2], _EM[2] * d[odd + 4]]
+    return [first, _EM[0] * d[odd], _EM[1] * d[odd + 2], _EM[2] * d[odd + 4]]
 
 
 # 2 |_EM[3]| (m+2)! and 1/(m+3) of _window, for m = 6 and m = 7
@@ -192,19 +203,15 @@ def _chi_column(lo: float, hi: float, beta: float, s: float) -> list[float]:
                 q = beta + lam
                 terms.append(q / math.sqrt(s + q**2))
             return terms
-    # sqrt(s+q^2) over [x_in, x_out] minus over [y_in, y_out], paired as
-    # outer and inner differences with exact B-A and B+A; with no window
-    # there is no inner pair, and the outer one spans the whole run
-    x_out, y_out = (beta + hi) + 0.5, 0.5 - (beta + lo)
-    terms.append(((hi + lo) + 2.0 * beta) * (hi - lo + 1.0)
-                 / (math.sqrt(s + x_out**2) + math.sqrt(s + y_out**2)))
-    terms += _em_corrections(x_out, y_out, s, 0)
+    # the tail pairs: sqrt(s+q^2) over the run's outer ends, less the
+    # inner pair over the window's ends; with no window the outer pair
+    # spans the whole run
+    terms += _em_tail((beta + hi) + 0.5, 0.5 - (beta + lo),
+                      (hi + lo) + 2.0 * beta, hi - lo + 1.0, s, 0)
     if bound == 0.0:
         return terms
-    x_in, y_in = (beta + w) + 0.5, 0.5 - (beta - w)
-    terms.append(-4.0 * beta * (w + 0.5)
-                 / (math.sqrt(s + x_in**2) + math.sqrt(s + y_in**2)))
-    return terms + _em_corrections(y_in, x_in, s, 0)
+    return terms + _em_tail(0.5 - (beta - w), (beta + w) + 0.5, -2.0 * beta,
+                            2.0 * w + 1.0, s, 0)
 
 
 def _j_column(hi: float, s: float) -> list[float]:
@@ -221,11 +228,8 @@ def _j_column(hi: float, s: float) -> list[float]:
         if lam_r > hi:
             return terms
         a = lam_r - 0.5
-    # chi(b) - chi(a) with exact b-a and b+a
     b = hi + 0.5
-    ra, rb = math.sqrt(s + a * a), math.sqrt(s + b * b)
-    terms.append(s * (b - a) * (b + a) / (ra * rb * (b * ra + a * rb)))
-    return terms + _em_corrections(b, a, s, 1)
+    return terms + _em_tail(b, a, b - a, b + a, s, 1)
 
 
 def persistent_exact(d: DimensionlessParams) -> PersistentReport:

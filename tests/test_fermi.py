@@ -399,7 +399,7 @@ def test_c_against_mpmath():
 
 
 @pytest.mark.parametrize("odd", [0, 1])
-def test_em_corrections_match_mpmath_derivatives(odd):
+def test_em_tail_matches_mpmath_derivatives(odd):
     # each term _EM[k] (h^(m)(b) - h^(m)(a)), m = odd + 2k, of
     # h = s (s+x^2)^(-3/2) against 40-digit derivatives, in units of
     # |_EM[k]| times the Gegenbauer bound s (m+2)!/2 (s+x^2)^(-(m+3)/2)
@@ -419,9 +419,9 @@ def test_em_corrections_match_mpmath_derivatives(odd):
             ms = mpmath.mpf(s)
             h = lambda x: ms * (ms + x * x) ** mpmath.mpf(-1.5)
             hb, ha = (list(mpmath.diffs(h, mpmath.mpf(x), 5)) for x in (b, a))
-            terms = fermi._em_corrections(b, a, s, odd)
-            assert len(terms) == 3
-            for k, term in enumerate(terms):
+            terms = fermi._em_tail(b, a, b - a, b + a, s, odd)
+            assert len(terms) == 4
+            for k, term in enumerate(terms[1:]):
                 m = odd + 2 * k
                 exact = mpmath.mpf(fermi._EM[k]) * (hb[m] - ha[m])
                 bound = (abs(fermi._EM[k]) * s * math.factorial(m + 2) / 2
