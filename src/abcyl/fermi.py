@@ -23,22 +23,23 @@ beyond it is summed by the midpoint Euler-Maclaurin formula
     sum of f(a..b) = F(b+1/2) - F(a-1/2) - [f']/24 + 7[f^(3)]/5760
                      - 31[f^(5)]/967680,
 
-with all three of those corrections: with h = chi' = j, the end
-differences of h, h'' and h^(4) (chi) or h', h^(3) and h^(5) (j), from
-one Gegenbauer recurrence.  Q comes from a bound on the first omitted
-term, |h^(m)(x)| <= s (m+2)!/2 (s+x^2)^(-(m+3)/2), and four such terms
-at |x| >= Q - 1/2 are held to eps/16 of the column's sum of |terms|.
+with all three corrections; _em_tail returns every term of a tail: with
+G = sqrt(s+x^2) and h = G'' = chi' = j, the bracket of G (chi) or G' (j)
+and the end differences of h, h'' and h^(4) (chi) or h', h^(3) and h^(5)
+(j), from one Gegenbauer recurrence.  Q comes from a bound on the first
+omitted term, |h^(m)(x)| <= s (m+2)!/2 (s+x^2)^(-(m+3)/2), and four such
+terms at |x| >= Q - 1/2 are held to eps/16 of the column's sum of |terms|.
 A column whose bound already holds at q = 0 has no explicit terms
 (Q = 0): its whole run is one such sum.
 A chi column with a window is first shifted by m = round(beta), which
 leaves every q bitwise as it is and |b| = |beta - m| <= 1/2; its window
 is then -w..w, summed in pairs chi(lambda+b) + chi(-lambda+b) =
 4 s b lambda/(A C (a C + c A)), a, c = lambda +- b, A, C = sqrt(s+a^2),
-sqrt(s+c^2).  These, and the differences (B-A)(B+A)/(sqrt(s+B^2) +
-sqrt(s+A^2)) that pair the left and right chi tails (or the run's two
-ends, when Q = 0), do not cancel; each column is built symmetrically
-(the -beta sea gives exactly the negated terms), and every term is
-accumulated with math.fsum.
+sqrt(s+c^2).  These do not cancel, and neither do the tails: each
+caller hands _em_tail the exact gap and span of the ends it pairs, and
+[G], [G'] and [h] are formed from them, never as a difference of two
+rounded ends.  Each column is built symmetrically (the -beta sea gives
+exactly the negated terms), and every term is accumulated with math.fsum.
 """
 
 from __future__ import annotations
@@ -119,32 +120,32 @@ _EM_TOL = sys.float_info.epsilon / 16.0
 def _em_tail(b: float, a: float, gap: float, span: float, s: float,
              odd: int) -> list[float]:
     """Terms whose sum is the Euler-Maclaurin tail from a to b of G^(odd+1),
-    G = sqrt(s+x^2): [G^(odd)] and _EM[k] [h^(odd+2k)], k = 0, 1, 2, with
-    h = G'' = chi' = j = s (s+x^2)^(-3/2) and [f] = f(b) - f(a); odd 0 for
-    the chi sum, 1 for j.
+    G = sqrt(s+x^2): [G^(odd)] and _EM[k] [h^(odd+2k)], k = 0, 1, 2, where
+    h = G'' = chi' = j and [f] = f(b) - f(a); odd is 0 for chi, 1 for j.
 
-    gap and span are b - a and b + a as the caller forms them, exact where
-    the rounded b and a are not: [G] = gap span/(G(b) + G(a)) and
-    [G'] = s gap span/(G(a) G(b) (b G(a) + a G(b))) do not cancel.
-    (s+x^2) h' = -3 x h gives h^(m+1) = -((2m+3) x h^(m) + m(m+2)
-    h^(m-1))/(s+x^2), the Gegenbauer recurrence, unrolled at both ends.
-    Swapping b and a (and negating gap) negates every term exactly.
+    gap and span are b - a and b + a, exact where the rounded ends are
+    not; [G], [G'] and [h] = -s [G] (G(a)^2 + G(b)^2 + G(a) G(b))/(G(a)
+    G(b))^3 are formed from them and do not cancel.  The Gegenbauer
+    recurrence h^(m+1) = -((2m+3) x h^(m) + m(m+2) h^(m-1))/(s+x^2) gives
+    the rest.  Swapping the ends (and negating gap) negates every term.
     """
-    gb, ga = math.sqrt(s + b**2), math.sqrt(s + a**2)
-    if odd:
-        first = s * gap * span / (ga * gb * (b * ga + a * gb))
-    else:
-        first = gap * span / (gb + ga)
-    rb, ra = 1.0 / (s + b * b), 1.0 / (s + a * a)
-    b0, a0 = s * rb * math.sqrt(rb), s * ra * math.sqrt(ra)
+    xb, xa = s + b * b, s + a * a
+    gb, ga = math.sqrt(xb), math.sqrt(xa)
+    rb, ra = 1.0 / xb, 1.0 / xa
+    b0, a0 = s * rb / gb, s * ra / ga
     b1, a1 = -3.0 * b * b0 * rb, -3.0 * a * a0 * ra
     b2, a2 = -(5.0 * b * b1 + 3.0 * b0) * rb, -(5.0 * a * a1 + 3.0 * a0) * ra
     b3, a3 = -(7.0 * b * b2 + 8.0 * b1) * rb, -(7.0 * a * a2 + 8.0 * a1) * ra
     b4, a4 = -(9.0 * b * b3 + 15.0 * b2) * rb, -(9.0 * a * a3 + 15.0 * a2) * ra
-    b5, a5 = (-(11.0 * b * b4 + 24.0 * b3) * rb,
-              -(11.0 * a * a4 + 24.0 * a3) * ra)
-    d = (b0 - a0, b1 - a1, b2 - a2, b3 - a3, b4 - a4, b5 - a5)
-    return [first, _EM[0] * d[odd], _EM[1] * d[odd + 2], _EM[2] * d[odd + 4]]
+    if odd:
+        b5, a5 = (-(11.0 * b * b4 + 24.0 * b3) * rb,
+                  -(11.0 * a * a4 + 24.0 * a3) * ra)
+        return [s * gap * span / (ga * gb * (b * ga + a * gb)),
+                _EM[0] * (b1 - a1), _EM[1] * (b3 - a3), _EM[2] * (b5 - a5)]
+    g = gap * span / (gb + ga)
+    return [g, _EM[0] * (-s * g * ((ga * ga + gb * gb) + ga * gb)
+                         / (ga * gb) ** 3),
+            _EM[1] * (b2 - a2), _EM[2] * (b4 - a4)]
 
 
 # 2 |_EM[3]| (m+2)! and 1/(m+3) of _window, for m = 6 and m = 7
@@ -158,7 +159,7 @@ def _window(s: float, tol: float, odd: int) -> float:
 
     The first omitted term at an end x is _EM[3] f^(7)(x), and
     f^(7) = h^(m) with h = chi' = j and m = 6 + odd (odd as in
-    _em_corrections).  h^(m)(x) = (-1)^m m! C_m(t) s (s+x^2)^(-(m+3)/2),
+    _em_tail).  h^(m)(x) = (-1)^m m! C_m(t) s (s+x^2)^(-(m+3)/2),
     with t = x/sqrt(s+x^2) and C_m the Gegenbauer polynomial of index
     3/2, and |C_m(t)| <= C_m(1) = (m+1)(m+2)/2, so
     |h^(m)(x)| <= s (m+2)!/2 (s+x^2)^(-(m+3)/2).  Q keeps four such
@@ -203,9 +204,8 @@ def _chi_column(lo: float, hi: float, beta: float, s: float) -> list[float]:
                 q = beta + lam
                 terms.append(q / math.sqrt(s + q**2))
             return terms
-    # the tail pairs: sqrt(s+q^2) over the run's outer ends, less the
-    # inner pair over the window's ends; with no window the outer pair
-    # spans the whole run
+    # sqrt(s+q^2) over the run's outer ends, less over the window's inner
+    # ends; with no window the outer pair spans the whole run
     terms += _em_tail((beta + hi) + 0.5, 0.5 - (beta + lo),
                       (hi + lo) + 2.0 * beta, hi - lo + 1.0, s, 0)
     if bound == 0.0:

@@ -322,11 +322,13 @@ def _ulps_from_mpmath(d):
         return float(abs(value - exact)) / math.ulp(value)
 
 
-@pytest.mark.parametrize("nu", [1.0, 1.0994543810025033])
+@pytest.mark.parametrize("nu", [1.0, 1.0994543810025033, 24.175998718111952,
+                                34.77692306141769])
 def test_small_beta_against_mpmath_in_ulps_of_the_value(nu):
-    # README's point and a point of its nu scan: at beta = 1e-4 the +-lambda
-    # terms nearly cancel, and every column is summed without explicit
-    # terms, to within 4 ulp of the current itself
+    # README's point and three points of its nu scan: at beta = 1e-4 the
+    # +-lambda terms nearly cancel, and every column is summed without
+    # explicit terms, to within 4 ulp of the current itself; the last two
+    # are 12.1 and 9.5 ulp off when [h] is a difference of rounded ends
     err = _ulps_from_mpmath(DimensionlessParams(250.0, nu, 1e-4, 50.0))
     assert err <= 4, err
 
@@ -337,12 +339,34 @@ def test_small_beta_against_mpmath_in_ulps_of_the_value(nu):
 @pytest.mark.parametrize("mu, nu, alpha, beta", [
     (25.0, 1.0, 10.3, 1e-4), (1.0, 0.5, 60.0, 1e-4), (5.0, 0.3, 40.0, 1e-4),
     (25.0, 1.0, 10.3, 0.05), (1.0, 0.5, 60.0, 0.3), (1.0, 0.5, 60.0, -0.37),
-    (1.0, 0.5, 60.0, 1.2), (5.0, 0.3, 40.0, 0.45)])
+    (1.0, 0.5, 60.0, 1.2), (5.0, 0.3, 40.0, 0.45),
+    (1.2630034960030712, 0.6684679895886255, 53.22652819210724, 1e-8)])
 def test_paired_window_against_mpmath_in_ulps_of_the_value(mu, nu, alpha,
                                                            beta):
-    # the window summed in +-lambda pairs, to within 4 ulp of the current
+    # the window summed in +-lambda pairs, to within 4 ulp of the current;
+    # at beta = 1e-8 the inner pair's ends x -+ beta round apart from their
+    # exact gap -2 beta, and [h] must come from that gap (61 ulp if not)
     err = _ulps_from_mpmath(DimensionlessParams(mu, nu, beta, alpha))
     assert err <= 4, err
+
+
+# (mu, nu, alpha): the light seas of the paired-window ulp test at
+# beta = 1e-8 and of its other points, the worst of 25 random light seas
+# at beta = 1e-8, README's point and a point of its nu scan, and a light
+# sea whose columns all keep a window
+@pytest.mark.parametrize("mu, nu, alpha", [
+    (1.2630034960030712, 0.6684679895886255, 53.22652819210724),
+    (1.0, 0.5, 60.0), (2.830110898962995, 0.08562132866464983, 89.3320237310576),
+    (250.0, 1.0, 50.0), (250.0, 24.175998718111952, 50.0), (1.0, 0.1, 100.0)])
+def test_exact_meets_the_ladder_bound_at_beta_1e_8(mu, nu, alpha):
+    # suite_ladder's relative bound 10 beta^2 between the exact and the
+    # linearized current is 1e-15 at beta = 1e-8, under 5 eps: no mpmath
+    # is needed to see an exact current drift from its true sum
+    d = DimensionlessParams(mu, nu, 1e-8, alpha)
+    exact = persistent_exact(d).value
+    lin = persistent_linearized(d).value
+    assert abs(exact - lin) <= 10 * d.beta**2 * abs(lin), (
+        abs(exact - lin) / (10 * d.beta**2 * abs(lin)))
 
 
 def _windows(monkeypatch, d):
@@ -351,9 +375,9 @@ def _windows(monkeypatch, d):
     taken = {0: [], 1: []}
     window = fermi._window
 
-    def spy(s, tol, offset):
-        taken[offset].append(window(s, tol, offset))
-        return taken[offset][-1]
+    def spy(s, tol, odd):
+        taken[odd].append(window(s, tol, odd))
+        return taken[odd][-1]
 
     monkeypatch.setattr(fermi, "_window", spy)
     persistent_exact(d)
@@ -400,34 +424,62 @@ def test_c_against_mpmath():
 
 @pytest.mark.parametrize("odd", [0, 1])
 def test_em_tail_matches_mpmath_derivatives(odd):
-    # each term _EM[k] (h^(m)(b) - h^(m)(a)), m = odd + 2k, of
-    # h = s (s+x^2)^(-3/2) against 40-digit derivatives, in units of
-    # |_EM[k]| times the Gegenbauer bound s (m+2)!/2 (s+x^2)^(-(m+3)/2)
-    # summed over both ends, so that a root of h^(m) cannot blow up the
-    # error; the worst term measures 1.4e-15.  Seeded ends: s from 1e-2
-    # to 1e6, |x|/sqrt(s) from e^-5 to e^5, either sign, and a = 0 in one
-    # draw in five, as a j column's whole run has
+    # each term of a tail, [G^(odd)] and _EM[k] [h^(m)], m = odd + 2k, of
+    # G = sqrt(s+x^2) and h = G'' = s (s+x^2)^(-3/2), against 40-digit
+    # values at the real ends.  The chi ends are drawn as the callers
+    # form them, x + beta and y - beta (an outer pair) or x - beta and
+    # x + beta (an inner pair), x and y integers, so [G] and [h] must
+    # come from the exact gap; the j ends are integers, a = 0 in one draw
+    # in five, as a j column's whole run has.  [G^(odd)] and [h] are
+    # gated at 8 eps of their own size (worst 1.9 and 3.6 eps), every
+    # other term at 1e-14 of |_EM[k]| times the Gegenbauer bound
+    # s (m+2)!/2 (s+x^2)^(-(m+3)/2) summed over both ends, so that a root
+    # of h^(m) cannot blow up the error (worst 1.3e-15).  Seeded draws:
+    # s from 1e-2 to 1e6, x/sqrt(s) from e^-5 to e^5, |beta| from 1e-8
+    # to 1/2, either sign
     mpmath = pytest.importorskip("mpmath")
-    rng = random.Random(33)
-    worst = 0.0
+    rng = random.Random(34)
+    worst = [0.0] * 4
     with mpmath.workdps(40):
         for i in range(100):
             s = math.exp(rng.uniform(math.log(1e-2), math.log(1e6)))
-            b, a = (rng.choice((-1.0, 1.0)) * math.sqrt(s)
-                    * math.exp(rng.uniform(-5.0, 5.0)) for _ in range(2))
-            a = 0.0 if i % 5 == 0 else a
+            x, y = (max(1, round(math.sqrt(s) * math.exp(rng.uniform(-5, 5))))
+                    for _ in range(2))
+            beta = rng.choice((-1.0, 1.0)) * math.exp(
+                rng.uniform(math.log(1e-8), math.log(0.5)))
+            mb = mpmath.mpf(beta)
+            if odd:
+                y = 0 if i % 5 == 0 else y
+                b, a, gap, span = float(x + y), float(y), float(x), x + 2.0 * y
+                ends = (mpmath.mpf(x + y), mpmath.mpf(y))
+            elif i % 2:
+                b, a, gap, span = x - beta, x + beta, -2.0 * beta, 2.0 * x
+                ends = (x - mb, x + mb)
+            else:
+                b, a = x + beta, y - beta
+                gap, span = float(x - y) + 2.0 * beta, float(x + y)
+                ends = (x + mb, y - mb)
             ms = mpmath.mpf(s)
-            h = lambda x: ms * (ms + x * x) ** mpmath.mpf(-1.5)
-            hb, ha = (list(mpmath.diffs(h, mpmath.mpf(x), 5)) for x in (b, a))
-            terms = fermi._em_tail(b, a, b - a, b + a, s, odd)
+            g = (lambda z: mpmath.sqrt(ms + z * z),
+                 lambda z: z / mpmath.sqrt(ms + z * z))[odd]
+            h = lambda z: ms * (ms + z * z) ** mpmath.mpf(-1.5)
+            hb, ha = (list(mpmath.diffs(h, z, 5)) for z in ends)
+            terms = fermi._em_tail(b, a, gap, span, s, odd)
             assert len(terms) == 4
-            for k, term in enumerate(terms[1:]):
-                m = odd + 2 * k
-                exact = mpmath.mpf(fermi._EM[k]) * (hb[m] - ha[m])
-                bound = (abs(fermi._EM[k]) * s * math.factorial(m + 2) / 2
-                         * sum((s + x * x) ** (-(m + 3) / 2) for x in (b, a)))
-                worst = max(worst, float(abs(term - exact)) / bound)
-    assert worst <= 1e-14, worst
+            for k, term in enumerate(terms):
+                m = odd + 2 * k - 2
+                if k == 0:
+                    exact = g(ends[0]) - g(ends[1])
+                else:
+                    exact = mpmath.mpf(fermi._EM[k - 1]) * (hb[m] - ha[m])
+                if m <= 0:  # [G^(odd)] and [h]
+                    scale = 8 * _ULP * abs(exact)
+                else:
+                    scale = 1e-14 * (
+                        abs(fermi._EM[k - 1]) * s * math.factorial(m + 2) / 2
+                        * sum((s + z * z) ** (-(m + 3) / 2) for z in (b, a)))
+                worst[k] = max(worst[k], float(abs(term - exact) / scale))
+    assert max(worst) <= 1.0, worst
 
 
 def test_persistent_all_walks_no_state(monkeypatch):
