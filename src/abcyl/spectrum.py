@@ -134,11 +134,6 @@ class FermiSea(NamedTuple):
         return self.columns[-1][0] if self.columns else 0
 
     @property
-    def lambda_n(self) -> dict[int, float]:
-        """Largest occupied |lambda| in each nonempty column."""
-        return {n: max(abs(lo), abs(hi)) for n, lo, hi in self.columns}
-
-    @property
     def lambda_F(self) -> float | None:
         """lambda_n of column 1, the first column of any nonempty sea."""
         if not self.columns:

