@@ -431,10 +431,10 @@ def test_em_tail_matches_mpmath_derivatives(odd):
     # x + beta (an inner pair), x and y integers, so [G] and [h] must
     # come from the exact gap; the j ends are integers, a = 0 in one draw
     # in five, as a j column's whole run has.  [G^(odd)] and [h] are
-    # gated at 8 eps of their own size (worst 1.9 and 3.6 eps), every
+    # gated at 8 eps of their own size (worst 2.0 and 3.6 eps), every
     # other term at 1e-14 of |_EM[k]| times the Gegenbauer bound
     # s (m+2)!/2 (s+x^2)^(-(m+3)/2) summed over both ends, so that a root
-    # of h^(m) cannot blow up the error (worst 1.3e-15).  Seeded draws:
+    # of h^(m) cannot blow up the error (worst 1.1e-15).  Seeded draws:
     # s from 1e-2 to 1e6, x/sqrt(s) from e^-5 to e^5, |beta| from 1e-8
     # to 1/2, either sign
     mpmath = pytest.importorskip("mpmath")
