@@ -356,7 +356,8 @@ def test_paired_window_against_mpmath_in_ulps_of_the_value(mu, nu, alpha,
 # sea whose columns all keep a window
 @pytest.mark.parametrize("mu, nu, alpha", [
     (1.2630034960030712, 0.6684679895886255, 53.22652819210724),
-    (1.0, 0.5, 60.0), (2.830110898962995, 0.08562132866464983, 89.3320237310576),
+    (1.0, 0.5, 60.0),
+    (2.830110898962995, 0.08562132866464983, 89.3320237310576),
     (250.0, 1.0, 50.0), (250.0, 24.175998718111952, 50.0), (1.0, 0.1, 100.0)])
 def test_exact_meets_the_ladder_bound_at_beta_1e_8(mu, nu, alpha):
     # suite_ladder's relative bound 10 beta^2 between the exact and the
