@@ -214,17 +214,19 @@ def cmd_spectrum(args, values) -> int:
     d = resolve_params(values)
     energy_scale = 1.0
     current_scale = 1.0
-    rows = []
     if args.geometry == "finite":
         if args.nmax < 1:
             raise ConfigError(f"spectrum needs nmax >= 1, got {args.nmax}")
         if d.nu <= 0.0:
             raise RegimeError("finite spectrum needs nu > 0 (or length_nm)")
+        key, keys, energy = "n", range(1, args.nmax + 1), spectrum.energy_finite
     elif d.nu != 0.0:
         raise RegimeError("infinite spectrum modes live on the infinite "
                           "cylinder (nu must be 0)")
     elif args.k is None:
         raise ConfigError("infinite geometry needs --k")
+    else:
+        key, keys, energy = "k", (args.k,), spectrum.energy_infinite
     if args.physical:
         if "radius_nm" not in values:
             raise ConfigError("--physical needs radius_nm, the radius R "
@@ -238,26 +240,18 @@ def cmd_spectrum(args, values) -> int:
         count = spectrum.half_odd_count(lo, hi)
         if count == 0:
             raise ConfigError(f"spectrum needs lmax >= 0.5, got {args.lmax:g}")
-    if args.geometry == "finite":
-        _check_rows(args.nmax * count)
-        for lam in lams:
-            for n in range(1, args.nmax + 1):
-                re_ = spectrum.energy_finite(n, lam, d)
-                ch = spectrum.chi(n, lam, d)
-                rows.append([n, lam, re_ * energy_scale,
-                             ch, ch / (2 * math.pi) * current_scale])
-        rows.sort(key=lambda r: (r[2], r[0], r[1]))
-        header = ["n", "lambda", "R_E", "chi", "R_Ic"]
-    else:
-        _check_rows(count)
-        for lam in lams:
-            re_ = spectrum.energy_infinite(args.k, lam, d)
+    # from nmax, since len() of a range past sys.maxsize overflows
+    _check_rows(count * (args.nmax if key == "n" else 1))
+    rows = []
+    for lam in lams:
+        for x in keys:
+            # chi = d(R*E)/d(beta) = (lambda+beta)/(R*E), of the row's R*E
+            re_ = energy(x, lam, d)
             ch = (lam + d.beta) / re_
-            rows.append([args.k, lam, re_ * energy_scale,
+            rows.append([x, lam, re_ * energy_scale,
                          ch, ch / (2 * math.pi) * current_scale])
-        rows.sort(key=lambda r: (r[2], r[1]))
-        header = ["k", "lambda", "R_E", "chi", "R_Ic"]
-    _emit(args, header, rows)
+    rows.sort(key=lambda r: (r[2], r[0], r[1]))
+    _emit(args, [key, "lambda", "R_E", "chi", "R_Ic"], rows)
     return EXIT_OK
 
 

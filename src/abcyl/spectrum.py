@@ -94,10 +94,8 @@ def energy_finite(n: int, lam: float, d: DimensionlessParams) -> float:
 
 
 def chi(n: int, lam: float, d: DimensionlessParams) -> float:
-    """Shape function of the circular currents, in (-1, 1)."""
-    _check_mode(n, lam, d)
-    q = d.beta + lam
-    return q / math.sqrt(d.mu**2 + (d.nu * n) ** 2 + q**2)
+    """(lambda+beta)/(R*E), in (-1, 1): the circular currents' shape."""
+    return (lam + d.beta) / energy_finite(n, lam, d)
 
 
 def mode_energy(mode: ModeSpec, d: DimensionlessParams) -> float:

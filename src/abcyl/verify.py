@@ -89,13 +89,11 @@ def suite_dirac_residual(seed: int = 0) -> SuiteResult:
     rng = random.Random(seed)
     d = DimensionlessParams(mu=1.0, nu=1.0, beta=0.3)
     worst = 0.0
-    for mode in _finite_modes():
-        zs = _uniform(rng, 0.0, d.length, 32)
-        res = spinors.dirac_residual(mode, d, zs)
-        worst = max(worst, res / mode_energy(mode, d))
-    for k in (0.0, 1.3, -2.7):
-        mode = ModeSpec(geometry="infinite", k=k, lam=1.5, sigma=0.5)
-        zs = _uniform(rng, -3.0, 3.0, 32)
+    infinite = [ModeSpec(geometry="infinite", k=k, lam=1.5, sigma=0.5)
+                for k in (0.0, 1.3, -2.7)]
+    for mode in _finite_modes() + infinite:
+        span = (0.0, d.length) if mode.geometry == "finite" else (-3.0, 3.0)
+        zs = _uniform(rng, *span, 32)
         res = spinors.dirac_residual(mode, d, zs)
         worst = max(worst, res / mode_energy(mode, d))
     return _result("dirac_residual", 1e-12, worst, detail="relative to R*E")
@@ -110,22 +108,18 @@ def suite_k_operator() -> SuiteResult:
     d = DimensionlessParams(mu=1.0, nu=1.0, beta=0.3)
     worst = 0.0
     t, phi, z = _K_POINTS
-    for lam in (0.5, -0.5, 1.5, -2.5):
-        for sig in (0.5, -0.5):
-            mode = ModeSpec(geometry="infinite", k=0.0, lam=lam, sigma=sig)
-            psi = spinors.eval_mode(mode, d, t, phi, z)
-            got = spinors.k_operator_apply(mode, d, t, phi, z)
-            want = (lam if sig > 0 else -lam) * psi
-            worst = max(worst, float(np.max(np.abs(got - want))))
-    # finite modes: identity on the sin-profile components, exact sign
-    # flip on the cos(k_n z) component
-    for mode in _finite_modes(nmax=2, lmax=1.5):
+    infinite = [ModeSpec(geometry="infinite", k=0.0, lam=lam, sigma=sig)
+                for lam in (0.5, -0.5, 1.5, -2.5) for sig in (0.5, -0.5)]
+    for mode in infinite + _finite_modes(nmax=2, lmax=1.5):
         psi = spinors.eval_mode(mode, d, t, phi, z)
         got = spinors.k_operator_apply(mode, d, t, phi, z)
         ev = mode.lam if mode.sigma > 0 else -mode.lam
-        cos_idx = 2 if mode.sigma > 0 else 3
         want = ev * psi
-        want[cos_idx] = -ev * psi[cos_idx]
+        if mode.geometry == "finite":
+            # identity on the sin-profile components, exact sign flip on
+            # the cos(k_n z) component
+            cos_idx = 2 if mode.sigma > 0 else 3
+            want[cos_idx] = -ev * psi[cos_idx]
         worst = max(worst, float(np.max(np.abs(got - want))))
     return _result("k_operator", 1e-13, worst,
                    detail="printed relation where exact; sign-flip pinned on "

@@ -926,6 +926,15 @@ def test_table_over_the_row_cap_exits_2(argv, rows):
                            f"the cap is 1000000\n")
 
 
+def test_spectrum_row_count_past_the_index_range_exits_2():
+    # a range of 10**20 n has no len(); the row cap still names the count
+    proc = _memory_limited_cli("spectrum", *_FINITE, "--nmax", str(10**20),
+                               "--lmax", "0.5")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (f"error: the table would hold {2 * 10**20} rows; "
+                           f"the cap is 1000000\n")
+
+
 def test_only_the_sampling_suites_take_a_seed():
     import inspect
 
