@@ -12,7 +12,6 @@ Multiply by hbar c / R to recover a physical energy.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple
 
@@ -184,7 +183,8 @@ def check_sea_columns(d: DimensionlessParams) -> None:
     """RegimeError for nu <= 0 or a sea wider than MAX_SEA_COLUMNS.
 
     Column n holds a state while nu n <= sqrt(alpha^2 - delta^2), delta
-    the least |lambda + beta| over half-odd lambda.
+    the least |lambda + beta| over half-odd lambda.  This O(1) bound does
+    not count the ties that rounding keeps; enumerate_fermi_sea does.
     """
     _check_finite(d)
     delta = abs(d.beta - 0.5 - round(d.beta - 0.5))
@@ -208,6 +208,9 @@ def enumerate_fermi_sea(d: DimensionlessParams) -> FermiSea:
     its ends are settled by the occupation test itself, so ties and sqrt
     rounding decide as a test of every state would.  alpha^2 - nu^2 n^2
     falls with n, so the first empty column ends the sea.  Cost is O(n_F).
+    A tie that rounding keeps occupied (alpha^2 - nu^2 n^2 rounds back to
+    alpha^2 at tiny nu) can fill columns that check_sea_columns does not
+    count: the loop itself refuses column MAX_SEA_COLUMNS + 1.
     """
     check_sea_columns(d)
 
@@ -215,7 +218,7 @@ def enumerate_fermi_sea(d: DimensionlessParams) -> FermiSea:
     beta = d.beta
     columns: list[tuple[int, float, float]] = []
 
-    for n in itertools.count(1):
+    for n in range(1, MAX_SEA_COLUMNS + 2):
         rem = a2 - (d.nu * n) ** 2
         if rem < 0.0:
             break
@@ -230,6 +233,9 @@ def enumerate_fermi_sea(d: DimensionlessParams) -> FermiSea:
             hi -= 1.0
         if lo > hi:
             break
+        if n > MAX_SEA_COLUMNS:
+            raise RegimeError(f"the Fermi sea occupies column {n}, rounded "
+                              f"ties included; the cap is {MAX_SEA_COLUMNS}")
         columns.append((n, lo, hi))
 
     return FermiSea(columns=tuple(columns))

@@ -935,6 +935,51 @@ def test_spectrum_row_count_past_the_index_range_exits_2():
                            f"the cap is 1000000\n")
 
 
+# boundary ties count as occupied, and at tiny nu alpha^2 - (nu n)^2
+# rounds back to alpha^2, so column after column ties where the column
+# pre-check counts none: the first request walked 37 252 columns past
+# the cap and exited 0, the rest never left the sea loop (alpha^2
+# underflows to 0 in the third persistent request, where q = 0 ties)
+_TIE_REQUESTS = [
+    ("persistent", "--mu", "3", "--nu", "1e-13", "--alpha", "0.5",
+     "--beta", "1"),
+    ("persistent", "--mu", "3", "--nu", "1e-300", "--alpha", "0.5",
+     "--beta", "1"),
+    ("persistent", "--mu", "0.3", "--nu", "1e-170", "--alpha", "0.5",
+     "--beta=-1"),
+    ("persistent", "--mu", "1", "--nu", "1e-300", "--alpha", "1e-300",
+     "--beta", "0.5"),
+    ("sweep", "--mu", "3", "--nu", "1e-300", "--alpha", "0.5", "--param",
+     "beta", "--start", "0", "--stop", "1", "--steps", "3", "--observable",
+     "persistent_linearized"),
+]
+
+
+@pytest.mark.parametrize("argv", _TIE_REQUESTS,
+                         ids=[" ".join(a[1:6]) for a in _TIE_REQUESTS])
+def test_sea_of_rounded_ties_is_refused_at_the_cap(argv):
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30,) * 2)
+
+    # main's own wall time and exit code, on stdout after its refusal
+    code = ("import sys, time\nfrom abcyl.cli import main\n"
+            "t = time.perf_counter()\ncode = main(sys.argv[1:])\n"
+            "print(time.perf_counter() - t, code)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60, preexec_fn=limit)
+    assert proc.returncode == 0, proc.stderr
+    seconds, exit_code = proc.stdout.split()
+    assert exit_code == "3" and float(seconds) < 1.0
+    assert proc.stderr == ("error: the Fermi sea occupies column 30001, "
+                           "rounded ties included; the cap is 30000\n")
+
+
 def test_only_the_sampling_suites_take_a_seed():
     import inspect
 

@@ -315,6 +315,16 @@ def test_sea_at_the_cap_is_built():
                                                 alpha=1.0))
 
 
+def test_sea_of_rounded_ties_never_passes_the_cap():
+    # alpha = 1/2 at integer beta: the least |lambda + beta| is alpha, so
+    # check_sea_columns counts no column, yet alpha^2 - (nu n)^2 rounds
+    # back to alpha^2 and every column keeps its tie
+    d = DimensionlessParams(mu=3.0, nu=1e-11, beta=1.0, alpha=0.5)
+    assert enumerate_fermi_sea(d).n_F == 372
+    with pytest.raises(RegimeError, match="occupies column 30001"):
+        enumerate_fermi_sea(d._replace(nu=1e-13))
+
+
 @pytest.mark.parametrize("lo, hi", [
     (0.5, 6.5), (-3.0, 2.5), (-2.5, -2.5), (0.7, 0.5), (1.0, 5.5 - 1e-12),
     (0.5 + 1e-12, 3.5), (-7.25, 10.25), (2.5, 2.0), (-1e-300, 1e-300),
