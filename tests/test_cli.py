@@ -271,6 +271,19 @@ def test_short_reports_zero_on_an_empty_sea(capsys):
     assert "empty-sea" in json.loads(out)["methods"]["short"]["flags"]
 
 
+def test_compact_reports_zero_on_an_empty_sea_at_tiny_mu(capsys):
+    # alpha = 0 empties the sea, and sqrt(mu^2 + alpha^2) underflows to 0
+    # at mu = 1e-300: c was 0.0/0.0, a ZeroDivisionError with exit 1
+    code, out, err = run(capsys, "persistent", "--mu", "1e-300", "--nu", "1.5")
+    assert code == 0 and "empty Fermi sea" in err
+    assert out.splitlines()[1] == "compact,0,0,0,,"
+    code, out, _ = run(capsys, "sweep", "--nu", "1", "--param", "mu",
+                       "--scale", "log", "--start", "1e-300", "--stop", "1",
+                       "--steps", "3", "--observable", "persistent_compact")
+    assert code == 0
+    assert [row.split(",")[1] for row in out.splitlines()[1:]] == ["0"] * 3
+
+
 _SEA_SIZE = ("--mu", "1", "--nu", "1e-6", "--alpha", "50")
 _BETA_SWEEP = ("--param", "beta", "--start", "0", "--stop", "0.4",
                "--steps", "3")
