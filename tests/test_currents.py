@@ -243,13 +243,47 @@ def test_symmetric_packet_has_no_flux_at_origin():
     assert abs(i3[0]) < 1e-12
 
 
-def test_packet_norm_and_flux_conservation():
-    d = DimensionlessParams(mu=1.0)
-    p = GaussianPacket(lam=0.5, k0=1.0, width=0.5, order=400)
+@pytest.mark.parametrize("d, p", [
+    (DimensionlessParams(mu=1.0),
+     GaussianPacket(lam=0.5, k0=1.0, width=0.5, order=400)),
+    # both polarizations at beta != 0, so the U- rows enter; order 500
+    # resolves this narrower momentum window out to W = 20
+    (DimensionlessParams(mu=1.0, beta=0.3),
+     GaussianPacket(lam=0.5, k0=1.5, width=0.7, weight_plus=1.0,
+                    weight_minus=0.5j, order=500)),
+], ids=["pure", "mixed"])
+def test_packet_norm_and_flux_conservation(d, p):
     v = packet_velocity_expectation(p, d)
     for t in (0.0, 2.0):
         assert packet_norm(p, d, t, 20.0) == pytest.approx(1.0, abs=1e-8)
         assert packet_total_flux(p, d, t, 20.0) == pytest.approx(v, abs=1e-8)
+
+
+@pytest.mark.parametrize("mu, beta, lam, k0, width, w_plus, w_minus, t", [
+    (1.0, 0.3, 0.5, 1.5, 0.7, 1.0, 0.5j, 2.0),
+    (2.0, -0.2, -1.5, 0.0, 1.0, 0.3, 1.0, 0.0),
+    (0.5, 0.45, 2.5, -1.0, 0.4, 1.0, 0.7 - 0.2j, -1.3),
+])
+def test_packet_zprofile_is_the_sum_of_its_modes(mu, beta, lam, k0, width,
+                                                 w_plus, w_minus, t):
+    # the packet's coefficients re-derive the plane-wave rows U+- of
+    # spinors.mode_profiles; here the packet is summed from the modes
+    # themselves, sum_k w_k [a+(k) U+_k + a-(k) U-_k] at phi = 0
+    from abcyl.spectrum import ModeSpec
+    from abcyl.spinors import eval_mode
+    d = DimensionlessParams(mu=mu, beta=beta)
+    p = GaussianPacket(lam=lam, k0=k0, width=width, weight_plus=w_plus,
+                       weight_minus=w_minus, order=60)
+    z = np.linspace(-4.0, 4.0, 17)
+
+    def mode(k, sigma):
+        spec = ModeSpec(geometry="infinite", k=float(k), lam=lam, sigma=sigma)
+        return eval_mode(spec, d, t, 0.0, z)
+
+    want = sum(w * (a * mode(k, 0.5) + b * mode(k, -0.5))
+               for k, w, a, b in zip(*packet_grid(p)))
+    got = packet_zprofile(p, d, t, z)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _grid_direct(p, d, t, z):
