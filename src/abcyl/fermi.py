@@ -280,8 +280,7 @@ def persistent_linearized(d: DimensionlessParams) -> PersistentReport:
 
 def c_compact(d: DimensionlessParams) -> float:
     """Compact estimate c ~= (sum of exact lambda_n) / sqrt(mu^2+alpha^2)
-    over the beta-free sea; 0 for an empty sea, whose denominator
-    underflows to 0 at alpha = 0 and mu below about 1e-162."""
+    over the beta-free sea; 0 for an empty one, where the root may vanish."""
     sea = _beta_free_sea(d.nu, d.alpha)
     if sea.empty:
         return 0.0

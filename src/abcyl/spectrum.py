@@ -183,8 +183,8 @@ def check_sea_columns(d: DimensionlessParams) -> None:
     """RegimeError for nu <= 0 or a sea wider than MAX_SEA_COLUMNS.
 
     Column n holds a state while nu n <= sqrt(alpha^2 - delta^2), delta
-    the least |lambda + beta| over half-odd lambda.  This O(1) bound does
-    not count the ties that rounding keeps; enumerate_fermi_sea does.
+    the least |lambda + beta| over half-odd lambda; rounded ties are not
+    counted.
     """
     _check_finite(d)
     delta = abs(d.beta - 0.5 - round(d.beta - 0.5))
@@ -208,9 +208,8 @@ def enumerate_fermi_sea(d: DimensionlessParams) -> FermiSea:
     its ends are settled by the occupation test itself, so ties and sqrt
     rounding decide as a test of every state would.  alpha^2 - nu^2 n^2
     falls with n, so the first empty column ends the sea.  Cost is O(n_F).
-    A tie that rounding keeps occupied (alpha^2 - nu^2 n^2 rounds back to
-    alpha^2 at tiny nu) can fill columns that check_sea_columns does not
-    count: the loop itself refuses column MAX_SEA_COLUMNS + 1.
+    Ties that rounding keeps (alpha^2 - nu^2 n^2 rounding back to alpha^2)
+    pass check_sea_columns, so the loop refuses column MAX_SEA_COLUMNS + 1.
     """
     check_sea_columns(d)
 
