@@ -317,7 +317,8 @@ def cmd_packet(args, values) -> int:
     ric = currents.circular_current_packet(packet, d)
     re_ = currents.packet_energy(packet, d)
     pol = currents.packet_polarization(packet)
-    window = abs(args.t) + 8.0 / args.width + max(abs(args.zmin), abs(args.zmax))
+    window = (abs(args.t) + currents._WINDOW_SIGMAS / args.width
+              + max(abs(args.zmin), abs(args.zmax)))
     norm = currents.packet_norm(packet, d, args.t, window)
     header = ["row", "z", "I3_direct", "I3_formula", "difference"]
     rows = [["I3", z, float(a), float(b), float(a - b)]

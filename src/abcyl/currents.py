@@ -187,25 +187,25 @@ def packet_grid(p: GaussianPacket):
     return k, wk, ap * scale, am * scale
 
 
-def _packet_energies(p: GaussianPacket, k: np.ndarray,
-                     d: DimensionlessParams):
+def _packet_on_rule(p: GaussianPacket, d: DimensionlessParams):
+    """The packet on its momentum rule: packet_grid's (k, w, a+, a-), then
+    q = lambda + beta and the energies R*E = sqrt(mu^2 + k^2 + q^2)."""
+    k, wk, ap, am = packet_grid(p)
     q = p.lam + d.beta
-    return np.sqrt(d.mu**2 + k**2 + q**2)
+    return k, wk, ap, am, q, np.sqrt(d.mu**2 + k**2 + q**2)
 
 
 def circular_current_packet(p: GaussianPacket,
                             d: DimensionlessParams) -> float:
     """Closed-form R*I^c of a packet state."""
-    k, wk, ap, am = packet_grid(p)
-    E = _packet_energies(p, k, d)
+    k, wk, ap, am, q, E = _packet_on_rule(p, d)
     dens = np.abs(ap) ** 2 + np.abs(am) ** 2
-    return float((p.lam + d.beta) / (2.0 * math.pi) * np.sum(wk * dens / E))
+    return float(q / (2.0 * math.pi) * np.sum(wk * dens / E))
 
 
 def packet_energy(p: GaussianPacket, d: DimensionlessParams) -> float:
     """Expectation value R*E of the packet energy."""
-    k, wk, ap, am = packet_grid(p)
-    E = _packet_energies(p, k, d)
+    k, wk, ap, am, q, E = _packet_on_rule(p, d)
     return float(np.sum(wk * E * (np.abs(ap) ** 2 + np.abs(am) ** 2)))
 
 
@@ -218,15 +218,13 @@ def packet_polarization(p: GaussianPacket) -> float:
 def packet_velocity_expectation(p: GaussianPacket,
                                 d: DimensionlessParams) -> float:
     """Mode-wise longitudinal velocity expectation int dk |a|^2 k/E."""
-    k, wk, ap, am = packet_grid(p)
-    E = _packet_energies(p, k, d)
+    k, wk, ap, am, q, E = _packet_on_rule(p, d)
     return float(np.sum(wk * (np.abs(ap) ** 2 + np.abs(am) ** 2) * k / E))
 
 
 def check_resolution(p: GaussianPacket, d, t, z) -> None:
     """Reject grids that cannot resolve the e^{i(kz - Et)} phase."""
-    k, wk, _, _ = packet_grid(p)
-    E = _packet_energies(p, k, d)
+    k, _, _, _, _, E = _packet_on_rule(p, d)
     vmax = float(np.max(np.abs(k) / E))
     reach = abs(t) * vmax + float(np.max(np.abs(z)))
     spacing = float(np.max(np.diff(k)))
@@ -247,9 +245,7 @@ def check_resolution(p: GaussianPacket, d, t, z) -> None:
 
 def _zprofile_coefficients(p: GaussianPacket, d: DimensionlessParams):
     """(k, E, c) with h_j(t, z) = sum_k c[j](k) e^{i(kz - E t)}."""
-    k, wk, ap, am = packet_grid(p)
-    E = _packet_energies(p, k, d)
-    q = p.lam + d.beta
+    k, wk, ap, am, q, E = _packet_on_rule(p, d)
     C = np.sqrt((E + d.mu) / (2.0 * E)) / (2.0 * math.pi)
     low = C / (E + d.mu)
     c = np.stack([wk * ap * C, wk * am * C,
@@ -281,7 +277,6 @@ def longitudinal_current_packet_direct(p: GaussianPacket,
     its azimuthal phase.  Raises ResolutionError when the momentum grid
     cannot resolve the phase at the requested point.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
     check_resolution(p, d, t, z)
     h = packet_zprofile(p, d, t, z)
     integ = 2.0 * math.pi * (np.conj(h[0]) * h[2] + np.conj(h[2]) * h[0]
@@ -312,9 +307,7 @@ def longitudinal_current_packet_formula(p: GaussianPacket,
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     check_resolution(p, d, t, z)
-    k, wk, ap, am = packet_grid(p)
-    E = _packet_energies(p, k, d)
-    q = p.lam + d.beta
+    k, wk, ap, am, q, E = _packet_on_rule(p, d)
     u = wk / np.sqrt(E * (E + d.mu))
     phase = np.exp(1j * (t * E[None, :] - np.outer(z, k)))  # (Nz, Nk)
     factors = (k + d.mu, E, np.ones_like(k))
