@@ -234,13 +234,31 @@ def check_resolution(p: GaussianPacket, d, t, z) -> None:
     if not math.isfinite(4.0 * reach * len(k) * spacing):
         raise ValueError(f"the phase reach |t| v_max + max|z| = {reach:.3g} "
                          f"is too far for any momentum grid to resolve")
-    if reach == 0.0:
+    _check_spacing(p, spacing, 4.0 * reach)
+
+
+def _check_spacing(p: GaussianPacket, spacing: float, span: float) -> None:
+    """Refuse the rule of p when its largest node spacing exceeds pi / span,
+    the bound under which the rule resolves e^{ikz} over a z span of span.
+
+    The ResolutionError advises the least order up to the cap whose rule
+    meets the bound, its spacing computed as packet_grid places the nodes.
+    The largest Gauss-Legendre gap is close to pi half / (n + 1/2), so the
+    search starts where that puts the order and steps up.  Above the cap
+    it counts ceil(n spacing / bound) points.
+    """
+    required = math.pi / span if span > 0.0 else math.inf
+    if spacing <= required:
         return
-    required = math.pi / (4.0 * reach)
-    if spacing > required:
-        min_points = math.ceil(len(k) * spacing / required)
-        raise ResolutionError(spacing, required, min_points,
-                              MAX_MOMENTUM_ORDER)
+    n, half = p.order, _WINDOW_SIGMAS * p.width
+    order = math.ceil((n + 0.5) * spacing / required - 0.5)
+    while (order <= MAX_MOMENTUM_ORDER and required
+           < float(np.max(np.diff(p.k0 + half * leggauss(order)[0])))):
+        order += 1
+    if order > MAX_MOMENTUM_ORDER:
+        order = max(math.ceil(n * spacing / required),
+                    MAX_MOMENTUM_ORDER + 1)
+    raise ResolutionError(spacing, required, order, MAX_MOMENTUM_ORDER)
 
 
 def _zprofile_coefficients(p: GaussianPacket, d: DimensionlessParams):

@@ -182,6 +182,23 @@ def test_reach_beyond_every_order_is_refused_in_one_short_line(t, count):
             f"reach, which needs {count} points") in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("--korder", korder, "--t", "20", "--zmin", "-10", "--zmax", "10")
+    for korder in ("20", "50", "100", "200")])
+def test_resolution_refusal_advises_the_least_order_that_passes(capsys, argv):
+    # ceil(n h / bound) assumed h ~ 1/n, but the largest Gauss-Legendre
+    # gap is close to pi half / (n + 1/2): from korder 20 it advised 930,
+    # which was refused in turn with 954
+    code, out, err = run(capsys, "packet", "--mu", "1", *argv)
+    assert code == 4 and out == ""
+    order = int(re.fullmatch(r"error: .*; use at least (\d+) points\n",
+                             err).group(1))
+    assert run(capsys, "packet", "--mu", "1", *argv,
+               "--korder", str(order))[0] == 0
+    assert run(capsys, "packet", "--mu", "1", *argv,
+               "--korder", str(order - 1))[0] == 4
+
+
 @pytest.mark.parametrize("flag, message", [
     (("--zsteps", "1"), "packet needs zsteps >= 2"),
     (("--zsteps", "0"), "packet needs zsteps >= 2"),
