@@ -223,7 +223,9 @@ def packet_velocity_expectation(p: GaussianPacket,
 
 
 def check_resolution(p: GaussianPacket, d, t, z) -> None:
-    """Reject grids that cannot resolve the e^{i(kz - Et)} phase."""
+    """Reject grids that cannot resolve the e^{i(kz - Et)} phase: the
+    largest node spacing must be at most pi / (4 reach), reach = |t| v_max
+    + max|z|, and the ResolutionError names the least order that is."""
     k, _, _, _, _, E = _packet_on_rule(p, d)
     vmax = float(np.max(np.abs(k) / E))
     reach = abs(t) * vmax + float(np.max(np.abs(z)))
@@ -348,9 +350,13 @@ def _zprofile_gram(p: GaussianPacket, d: DimensionlessParams, t: float,
     b = c e^{-iEt} and K(k, k') = 2 sin((k'-k) W) / (k'-k), shape (4, 4).
 
     K b is built _GRAM_ROWS rows of K at a time against the 8 real
-    columns [Re b; Im b], so no Nk x Nk array is ever formed.
+    columns [Re b; Im b], so no Nk x Nk array is ever formed.  K resolves
+    e^{i(k'-k)z} on [-W, W] only while the rule's largest node spacing h
+    has h W <= pi; beyond that, the rule's aliases of the packet enter
+    the window, so a coarser rule raises ResolutionError at any reach.
     """
     k, E, c = _zprofile_coefficients(p, d)
+    _check_spacing(p, float(np.max(np.diff(k))), z_window)
     b = c * np.exp(-1j * t * E)
     cols = np.hstack([b.real.T, b.imag.T])  # (Nk, 8)
     Kb = np.empty_like(cols)
@@ -369,7 +375,8 @@ def _zprofile_gram(p: GaussianPacket, d: DimensionlessParams, t: float,
 def packet_norm(p: GaussianPacket, d: DimensionlessParams, t: float,
                 z_window: float) -> float:
     """Packet norm int dphi int_{-W}^{W} dz psi^dag psi, exact for the
-    momentum-quadrature packet (psi^dag psi is phi-independent)."""
+    momentum-quadrature packet (psi^dag psi is phi-independent) while its
+    largest node spacing h has h W <= pi; ResolutionError otherwise."""
     P = _zprofile_gram(p, d, t, z_window)
     return float(2.0 * math.pi * np.trace(P).real)
 

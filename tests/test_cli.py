@@ -183,8 +183,22 @@ def test_reach_beyond_every_order_is_refused_in_one_short_line(t, count):
 
 
 @pytest.mark.parametrize("argv", [
+    ("--korder", "2", "--zmin", "0", "--zmax", "0"),
+    ("--korder", "40", "--width", "0.2", "--zmin", "-1", "--zmax", "1",
+     "--zsteps", "3")])
+def test_norm_beyond_its_rule_is_refused(capsys, argv):
+    # the sinc kernel of the norm aliases the packet into its window once
+    # the largest node spacing h has h W > pi: these printed norms of
+    # 20.3 and 1.008 with exit 0, the first at reach 0
+    code, out, err = run(capsys, "packet", "--mu", "1", *argv)
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
     ("--korder", korder, "--t", "20", "--zmin", "-10", "--zmax", "10")
-    for korder in ("20", "50", "100", "200")])
+    for korder in ("20", "50", "100", "200")] + [
+    ("--korder", "2", "--zmin", "0", "--zmax", "0")])
 def test_resolution_refusal_advises_the_least_order_that_passes(capsys, argv):
     # ceil(n h / bound) assumed h ~ 1/n, but the largest Gauss-Legendre
     # gap is close to pi half / (n + 1/2): from korder 20 it advised 930,

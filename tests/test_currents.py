@@ -355,6 +355,16 @@ def test_resolution_error():
     assert str(exc.value.min_points) in str(exc.value)
 
 
+def test_norm_is_refused_beyond_its_window_bound_at_reach_0():
+    # width 1 and W = 8: h W is 3.14 at order 64 and 3.17 at order 63
+    d = DimensionlessParams(mu=1.0)
+    p = GaussianPacket(lam=0.5, k0=0.0, width=1.0, order=64)
+    assert packet_norm(p, d, 0.0, 8.0) == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(ResolutionError) as exc:
+        packet_norm(p._replace(order=63), d, 0.0, 8.0)
+    assert exc.value.min_points == 64
+
+
 def test_appendix_formula_runs_and_deviates_smoothly():
     # the printed double-integral form is tracked for comparison only;
     # it must evaluate to a real, finite profile
