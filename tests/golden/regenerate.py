@@ -7,7 +7,7 @@ Each request runs in this process through abcyl.cli.main.  The corpus
 has two lists.  The commands of requests.txt never import numpy, and
 their stdout is compared byte for byte, so --check also runs on an
 interpreter that has no numpy installed.  The packet and verify
-requests of numpy/requests.txt are compared cell by cell (see
+requests of numpy_layers/requests.txt are compared cell by cell (see
 cells_match); --check skips them, with a note, when numpy is missing.
 """
 
@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-NUMPY = HERE / "numpy"
+NUMPY_LAYERS = HERE / "numpy_layers"
 
 # a number may move by this much relative to max(1, |recorded|): the BLAS
 # thread count moves the last digit of a long sum, and a process that
@@ -63,9 +63,10 @@ def run(argv: list[str]) -> tuple[int, str]:
 
 def _close(got: str, want: str) -> bool:
     try:
-        return abs(float(got) - float(want)) <= RTOL * max(1.0, abs(float(want)))
+        g, w = float(got), float(want)
     except ValueError:
         return False
+    return abs(g - w) <= RTOL * max(1.0, abs(w))
 
 
 def cells_match(got: tuple[int, str], want: tuple[int, str]) -> bool:
@@ -79,12 +80,12 @@ def cells_match(got: tuple[int, str], want: tuple[int, str]) -> bool:
 
 def main(argv: list[str]) -> int:
     sys.path.insert(0, str(HERE.parents[1] / "src"))
-    corpora = {HERE: tuple.__eq__, NUMPY: cells_match}
+    corpora = {HERE: tuple.__eq__, NUMPY_LAYERS: cells_match}
     if argv == ["--check"]:
         if importlib.util.find_spec("numpy") is None:
-            print("numpy is not installed: the requests of numpy/requests.txt "
-                  "are skipped", file=sys.stderr)
-            del corpora[NUMPY]
+            print("numpy is not installed: the requests of "
+                  "numpy_layers/requests.txt are skipped", file=sys.stderr)
+            del corpora[NUMPY_LAYERS]
         differ = 0
         for corpus, same in corpora.items():
             want = expected(corpus)

@@ -1,6 +1,6 @@
 """The golden output corpus: every request of tests/golden/requests.txt
 prints exactly its recorded stdout and exits with its recorded code, and
-every request of tests/golden/numpy/requests.txt matches its recording
+every request of tests/golden/numpy_layers/requests.txt matches its recording
 cell by cell.
 
 A change that moves a byte regenerates the corpus with
@@ -33,19 +33,20 @@ def test_every_golden_file_has_a_request():
     assert outs == names
 
 
-_EXPECTED_NUMPY = golden.expected(golden.NUMPY)
+_NUMPY_REQUESTS = golden.requests(golden.NUMPY_LAYERS)
+_EXPECTED_NUMPY = golden.expected(golden.NUMPY_LAYERS)
 
 
-@pytest.mark.parametrize("name, argv", golden.requests(golden.NUMPY),
-                         ids=[name for name, _ in golden.requests(golden.NUMPY)])
+@pytest.mark.parametrize("name, argv", _NUMPY_REQUESTS,
+                         ids=[name for name, _ in _NUMPY_REQUESTS])
 def test_numpy_request_matches_its_golden_cells(name, argv):
     assert golden.cells_match(golden.run(argv), _EXPECTED_NUMPY[name])
 
 
 def test_every_numpy_golden_file_has_a_request():
-    names = {name for name, _ in golden.requests(golden.NUMPY)}
-    assert len(names) == len(golden.requests(golden.NUMPY))
-    assert {p.stem for p in golden.NUMPY.glob("*.out")} == names
+    names = {name for name, _ in _NUMPY_REQUESTS}
+    assert len(names) == len(_NUMPY_REQUESTS)
+    assert {p.stem for p in golden.NUMPY_LAYERS.glob("*.out")} == names
 
 
 def test_cells_match_lets_only_numbers_move_and_only_by_the_tolerance():
