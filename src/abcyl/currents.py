@@ -240,15 +240,12 @@ def check_resolution(p: GaussianPacket, d, t, z) -> None:
 
 
 def _check_spacing(p: GaussianPacket, spacing: float, span: float) -> None:
-    """Refuse the rule of p when its largest node spacing exceeds pi / span,
-    the bound under which the rule resolves e^{ikz} over a z span of span.
-
-    The ResolutionError advises the least order up to the cap whose rule
-    meets the bound, its spacing computed as packet_grid places the nodes.
-    The largest Gauss-Legendre gap is close to pi half / (n + 1/2), so the
-    search starts where that puts the order and steps up.  Above the cap
-    it counts ceil(n spacing / bound) points.
-    """
+    """Refuse p's rule when its largest node spacing exceeds pi / span, the
+    bound under which it resolves e^{ikz} over a z span of span.  The error
+    advises the least order up to the cap whose nodes, placed as
+    packet_grid places them, meet the bound: the largest Gauss-Legendre gap
+    is close to pi half / (n + 1/2), so the search starts there and steps
+    up.  Above the cap it counts ceil(n spacing / bound) points."""
     required = math.pi / span if span > 0.0 else math.inf
     if spacing <= required:
         return
