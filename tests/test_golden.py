@@ -1,7 +1,7 @@
 """The golden output corpus: every request of tests/golden/requests.txt
 prints exactly its recorded stdout and exits with its recorded code, and
-every request of tests/golden/numpy_layers/requests.txt matches its recording
-cell by cell.
+every request of tests/golden/numpy_layers/requests.txt matches its
+recording cell by cell.
 
 A change that moves a byte regenerates the corpus with
 tests/golden/regenerate.py and names each moved cell.
