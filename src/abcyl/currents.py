@@ -223,39 +223,36 @@ def packet_velocity_expectation(p: GaussianPacket,
 
 
 def check_resolution(p: GaussianPacket, d, t, z) -> None:
-    """Reject grids that cannot resolve the e^{i(kz - Et)} phase: the
-    largest node spacing must be at most pi / (4 reach), reach = |t| v_max
-    + max|z|, and the ResolutionError names the least order that is."""
+    """Reject grids that cannot resolve the e^{i(kz - Et)} phase: through
+    _check_spacing over the span 4 reach, reach = |t| v_max + max|z|, the
+    largest node spacing must be at most pi / (4 reach)."""
     k, _, _, _, _, E = _packet_on_rule(p, d)
     vmax = float(np.max(np.abs(k) / E))
     reach = abs(t) * vmax + float(np.max(np.abs(z)))
-    spacing = float(np.max(np.diff(k)))
-    # about len(k) spacing 4 reach / pi points resolve the phase; a reach
-    # whose count overflows (inf and nan included) is refused before
-    # anything divides by it
-    if not math.isfinite(4.0 * reach * len(k) * spacing):
-        raise ValueError(f"the phase reach |t| v_max + max|z| = {reach:.3g} "
-                         f"is too far for any momentum grid to resolve")
-    _check_spacing(p, spacing, 4.0 * reach)
+    _check_spacing(p, 4.0 * reach)
 
 
-def _check_spacing(p: GaussianPacket, spacing: float, span: float) -> None:
-    """Refuse p's rule when its largest node spacing exceeds pi / span, the
-    bound under which it resolves e^{ikz} over a z span of span.  The error
-    advises the least order up to the cap whose nodes, placed as
-    packet_grid places them, meet the bound: the largest Gauss-Legendre gap
-    is close to pi half / (n + 1/2), so the search starts there and steps
-    up.  Above the cap it counts ceil(n spacing / bound) points."""
+def _check_spacing(p: GaussianPacket, span: float) -> None:
+    """The one resolution gate of packet rows: refuse p's rule when the
+    largest gap of packet_grid(p) exceeds pi / span, the bound for e^{ikz}
+    over a z span of span, and a span below 0, nan or of overflowing point
+    count.  Advise the least order up to the cap whose packet_grid meets
+    the bound, searching up from the largest Gauss-Legendre gap's
+    pi half / (n + 1/2); above the cap, ceil(n spacing / bound) points."""
+    spacing = float(np.max(np.diff(packet_grid(p)[0])))
+    # n spacing span / pi points resolve the span; refuse a count overflow
+    if not 0.0 <= span * p.order * spacing < math.inf:
+        raise ValueError(f"no momentum grid resolves the z span {span:.3g}: "
+                         f"a span must be >= 0 and its point count finite")
     required = math.pi / span if span > 0.0 else math.inf
     if spacing <= required:
         return
-    n, half = p.order, _WINDOW_SIGMAS * p.width
-    order = math.ceil((n + 0.5) * spacing / required - 0.5)
-    while (order <= MAX_MOMENTUM_ORDER and required
-           < float(np.max(np.diff(p.k0 + half * leggauss(order)[0])))):
+    order = math.ceil((p.order + 0.5) * spacing / required - 0.5)
+    while order <= MAX_MOMENTUM_ORDER and required < float(
+            np.max(np.diff(packet_grid(p._replace(order=order))[0]))):
         order += 1
     if order > MAX_MOMENTUM_ORDER:
-        order = max(math.ceil(n * spacing / required),
+        order = max(math.ceil(p.order * spacing / required),
                     MAX_MOMENTUM_ORDER + 1)
     raise ResolutionError(spacing, required, order, MAX_MOMENTUM_ORDER)
 
@@ -353,7 +350,7 @@ def _zprofile_gram(p: GaussianPacket, d: DimensionlessParams, t: float,
     the window, so a coarser rule raises ResolutionError at any reach.
     """
     k, E, c = _zprofile_coefficients(p, d)
-    _check_spacing(p, float(np.max(np.diff(k))), z_window)
+    _check_spacing(p, z_window)
     b = c * np.exp(-1j * t * E)
     cols = np.hstack([b.real.T, b.imag.T])  # (Nk, 8)
     Kb = np.empty_like(cols)

@@ -213,6 +213,18 @@ def test_resolution_refusal_advises_the_least_order_that_passes(capsys, argv):
                "--korder", str(order - 1))[0] == 4
 
 
+def test_refusal_never_advises_an_order_that_packet_grid_refuses(capsys):
+    # this reach needs korder 1920, but the nodes of width 3e-6 about
+    # k0 = 1 round above 1e-6 of their spacing at every order from 1900
+    # on: the refusal advised 1920 with exit 4, and korder 1920 exited 2
+    code, out, err = run(capsys, "packet", "--mu", "1", "--k0", "1",
+                         "--width", "3e-6", "--zmin=-2e7", "--zmax", "2e7",
+                         "--zsteps", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "rounded" in err and "use at least" not in err
+
+
 @pytest.mark.parametrize("flag, message", [
     (("--zsteps", "1"), "packet needs zsteps >= 2"),
     (("--zsteps", "0"), "packet needs zsteps >= 2"),

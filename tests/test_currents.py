@@ -365,6 +365,20 @@ def test_norm_is_refused_beyond_its_window_bound_at_reach_0():
     assert exc.value.min_points == 64
 
 
+@pytest.mark.parametrize("z_window", [math.inf, 1e308, math.nan, -8.0])
+def test_norm_and_flux_refuse_a_window_that_no_rule_resolves(z_window):
+    # the norm's gate had no span guard: packet_norm raised
+    # ZeroDivisionError at W = inf and OverflowError at 1e308, and returned
+    # nan at nan and -0.9999999993 at -8; packet_total_flux returned
+    # 3.9e-21 at -8
+    d = DimensionlessParams(mu=1.0)
+    p = GaussianPacket(lam=0.5, k0=0.0, width=1.0)
+    for observable in (packet_norm, packet_total_flux):
+        with pytest.raises(ValueError, match="z span") as exc:
+            observable(p, d, 0.0, z_window)
+        assert not isinstance(exc.value, ResolutionError)
+
+
 def test_appendix_formula_runs_and_deviates_smoothly():
     # the printed double-integral form is tracked for comparison only;
     # it must evaluate to a real, finite profile
