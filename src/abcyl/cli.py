@@ -310,6 +310,10 @@ def cmd_packet(args, values) -> int:
                           f"{args.zmax - args.zmin} must be finite")
     zs = [args.zmin + i * (args.zmax - args.zmin) / (args.zsteps - 1)
           for i in range(args.zsteps)]
+    window = (abs(args.t) + currents._WINDOW_SIGMAS / args.width
+              + max(abs(args.zmin), abs(args.zmax)))
+    # one gate of the reach and the norm window: its advice passes both
+    currents.check_resolution(packet, d, args.t, zs, window)
     direct = currents.longitudinal_current_packet_direct(
         packet, d, args.t, zs)
     formula = currents.longitudinal_current_packet_formula(
@@ -317,8 +321,6 @@ def cmd_packet(args, values) -> int:
     ric = currents.circular_current_packet(packet, d)
     re_ = currents.packet_energy(packet, d)
     pol = currents.packet_polarization(packet)
-    window = (abs(args.t) + currents._WINDOW_SIGMAS / args.width
-              + max(abs(args.zmin), abs(args.zmax)))
     norm = currents.packet_norm(packet, d, args.t, window)
     header = ["row", "z", "I3_direct", "I3_formula", "difference"]
     rows = [["I3", z, float(a), float(b), float(a - b)]

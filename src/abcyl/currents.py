@@ -222,23 +222,24 @@ def packet_velocity_expectation(p: GaussianPacket,
     return float(np.sum(wk * (np.abs(ap) ** 2 + np.abs(am) ** 2) * k / E))
 
 
-def check_resolution(p: GaussianPacket, d, t, z) -> None:
-    """Reject grids that cannot resolve the e^{i(kz - Et)} phase: through
-    _check_spacing over the span 4 reach, reach = |t| v_max + max|z|, the
-    largest node spacing must be at most pi / (4 reach)."""
+def check_resolution(p: GaussianPacket, d, t, z, window=0.0) -> None:
+    """Reject a rule that cannot resolve the e^{i(kz - Et)} phase or a norm
+    window W = window: one _check_spacing over max(4 reach, W), reach =
+    |t| v_max + max|z|, so the order it advises passes both bounds."""
     k, _, _, _, _, E = _packet_on_rule(p, d)
     vmax = float(np.max(np.abs(k) / E))
     reach = abs(t) * vmax + float(np.max(np.abs(z)))
-    _check_spacing(p, 4.0 * reach)
+    # np.maximum keeps a nan of either span, where max drops its second
+    _check_spacing(p, float(np.maximum(4.0 * reach, window)))
 
 
 def _check_spacing(p: GaussianPacket, span: float) -> None:
     """The one resolution gate of packet rows: refuse p's rule when the
     largest gap of packet_grid(p) exceeds pi / span, the bound for e^{ikz}
-    over a z span of span, and a span below 0, nan or of overflowing point
-    count.  Advise the least order up to the cap whose packet_grid meets
-    the bound, searching up from the largest Gauss-Legendre gap's
-    pi half / (n + 1/2); above the cap, ceil(n spacing / bound) points."""
+    over a z span of span, and refuse with a ValueError a span below 0, nan
+    or whose point count overflows.  Advise the least order up to the cap
+    whose packet_grid meets the bound, searching up from the largest gap
+    pi half / (n + 1/2) of Gauss-Legendre; past it, ceil(n spacing / bound)."""
     spacing = float(np.max(np.diff(packet_grid(p)[0])))
     # n spacing span / pi points resolve the span; refuse a count overflow
     if not 0.0 <= span * p.order * spacing < math.inf:
@@ -370,7 +371,8 @@ def packet_norm(p: GaussianPacket, d: DimensionlessParams, t: float,
                 z_window: float) -> float:
     """Packet norm int dphi int_{-W}^{W} dz psi^dag psi, exact for the
     momentum-quadrature packet (psi^dag psi is phi-independent) while its
-    largest node spacing h has h W <= pi; ResolutionError otherwise."""
+    largest node spacing h has h W <= pi; ResolutionError otherwise, and
+    ValueError at a W below 0, nan or too far to count in points."""
     P = _zprofile_gram(p, d, t, z_window)
     return float(2.0 * math.pi * np.trace(P).real)
 
@@ -378,7 +380,7 @@ def packet_norm(p: GaussianPacket, d: DimensionlessParams, t: float,
 def packet_total_flux(p: GaussianPacket, d: DimensionlessParams, t: float,
                       z_window: float) -> float:
     """z-integral of the direct longitudinal current over [-W, W], exact
-    for the momentum-quadrature packet."""
+    for the momentum-quadrature packet; gated as the current and norm."""
     check_resolution(p, d, t, [-z_window, z_window])
     P = _zprofile_gram(p, d, t, z_window)
     return float(4.0 * math.pi * (P[0, 2] - P[1, 3]).real)

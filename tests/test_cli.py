@@ -198,11 +198,14 @@ def test_norm_beyond_its_rule_is_refused(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("--korder", korder, "--t", "20", "--zmin", "-10", "--zmax", "10")
     for korder in ("20", "50", "100", "200")] + [
-    ("--korder", "2", "--zmin", "0", "--zmax", "0")])
+    ("--korder", "2", "--zmin", "0", "--zmax", "0"),
+    ("--korder", "20", "--zmin", "-2", "--zmax", "2")])
 def test_resolution_refusal_advises_the_least_order_that_passes(capsys, argv):
     # ceil(n h / bound) assumed h ~ 1/n, but the largest Gauss-Legendre
     # gap is close to pi half / (n + 1/2): from korder 20 it advised 930,
-    # which was refused in turn with 954
+    # which was refused in turn with 954.  And each gate advised for its
+    # own span: at korder 20 over [-2, 2] the phase gate advised 64, which
+    # the norm's gate then refused with 80
     code, out, err = run(capsys, "packet", "--mu", "1", *argv)
     assert code == 4 and out == ""
     order = int(re.fullmatch(r"error: .*; use at least (\d+) points\n",

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abcyl.currents import (MAX_MOMENTUM_ORDER, GaussianPacket, MixedState,
-                            circular_current_mode,
+                            check_resolution, circular_current_mode,
                             circular_current_mode_quadrature,
                             circular_current_packet,
                             longitudinal_current_packet_direct,
@@ -377,6 +377,16 @@ def test_norm_and_flux_refuse_a_window_that_no_rule_resolves(z_window):
         with pytest.raises(ValueError, match="z span") as exc:
             observable(p, d, 0.0, z_window)
         assert not isinstance(exc.value, ResolutionError)
+
+
+def test_check_resolution_refuses_a_nan_window():
+    # max(4 reach, nan) would be 4 reach, and the nan window would pass
+    d = DimensionlessParams(mu=1.0)
+    p = GaussianPacket(lam=0.5, k0=0.0, width=1.0)
+    check_resolution(p, d, 0.0, [0.0], 8.0)
+    with pytest.raises(ValueError, match="z span") as exc:
+        check_resolution(p, d, 0.0, [0.0], math.nan)
+    assert not isinstance(exc.value, ResolutionError)
 
 
 def test_appendix_formula_runs_and_deviates_smoothly():
